@@ -23,6 +23,7 @@ from .cyclotomic import (
     zeta_power,
 )
 from .digits import (
+    PRIME_LIMIT,
     Prime,
     Residue,
     enumerate_R,
@@ -34,9 +35,12 @@ from .distribution import (
     DistValue,
     StepFunction,
     integrate,
+    interpolation_lhs,
     interpolation_rhs,
+    mass_exponent,
     mu_oracle,
     mu_value,
+    support_masses,
     total_mass,
     verify_additivity,
 )
@@ -62,6 +66,7 @@ __all__ = [
     "ResourceCapError",
     "Sign",
     "pval",
+    "PRIME_LIMIT",
     "Prime",
     "Residue",
     "residue_from_integer",
@@ -88,10 +93,13 @@ __all__ = [
     "coefficient_valuation_profile",
     "DistValue",
     "StepFunction",
+    "mass_exponent",
     "mu_value",
     "mu_oracle",
     "total_mass",
+    "support_masses",
     "integrate",
+    "interpolation_lhs",
     "interpolation_rhs",
     "verify_additivity",
     "BiSign",

@@ -11,18 +11,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
 from . import __version__
 from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign
 from .bivariate import BiResidue, BiSign, biamice_check, bimu_oracle, bimu_value
-from .cyclotomic import zeta_power
 from .digits import Prime, in_S_minus, in_S_plus, residue_from_integer
 from .distribution import (
-    StepFunction,
-    integrate,
+    interpolation_lhs,
     interpolation_rhs,
+    mass_exponent,
     mu_oracle,
     mu_value,
     verify_additivity,
@@ -139,12 +139,27 @@ def _add_value_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle", action="store_true", help="also run the character-sum oracle")
 
 
+def _require_printable(p: Prime, exponent: int) -> None:
+    # Values are printed as decimal fractions; refuse, before any work, a
+    # denominator p^exponent longer than Python's int-to-str digit limit.
+    limit = sys.get_int_max_str_digits()
+    digits = exponent * math.log10(p)  # its decimal length, up to rounding
+    if limit == 0 or digits < limit - 1:
+        return
+    if digits > limit + 1 or p**exponent >= 10**limit:
+        raise ResourceCapError(
+            f"denominator {p}^{exponent} exceeds the limit of {limit} decimal digits"
+            " for printing an integer"
+        )
+
+
 def cmd_value(args) -> int:
     p = Prime(args.p)
     if len(args.sign) == 1:
         if args.m is not None or args.b is not None:
             raise ValueError("--m and --b require a two-character sign")
         sign = Sign.from_str(args.sign)
+        _require_printable(p, mass_exponent(sign, args.n))
         r = residue_from_integer(args.a, p, args.n)
         value = mu_value(sign, r)
         if args.oracle:
@@ -160,6 +175,7 @@ def cmd_value(args) -> int:
         if args.m is None or args.b is None:
             raise ValueError("bivariate signs require --m and --b")
         bisign = BiSign.from_str(args.sign)
+        _require_printable(p, _bi_mass_exponent(bisign, args.n, args.m))
         r = BiResidue(
             residue_from_integer(args.a, p, args.n),
             residue_from_integer(args.b, p, args.m),
@@ -178,6 +194,10 @@ def cmd_value(args) -> int:
     return 0
 
 
+def _bi_mass_exponent(bisign: BiSign, n: int, m: int) -> int:
+    return mass_exponent(bisign.first, n) + mass_exponent(bisign.second, m)
+
+
 def _digit_str(r) -> str:
     return "|".join(str(d) for d in r.digits)
 
@@ -189,6 +209,7 @@ def cmd_table(args) -> int:
         if args.m is not None:
             raise ValueError("--m requires a two-character sign")
         sign = Sign.from_str(args.sign)
+        _require_printable(p, mass_exponent(sign, args.n))
         rows = p**args.n
         if rows > TABLE_ROW_CAP and not args.force:
             raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
@@ -204,6 +225,7 @@ def cmd_table(args) -> int:
         if args.m is None:
             raise ValueError("bivariate signs require --m")
         bisign = BiSign.from_str(args.sign)
+        _require_printable(p, _bi_mass_exponent(bisign, args.n, args.m))
         rows = p ** (args.n + args.m)
         if rows > TABLE_ROW_CAP and not args.force:
             raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
@@ -273,9 +295,7 @@ def _suite_amice(p: Prime, max_n: int) -> list[Case]:
             if p**n > ENUMERATION_CAP:
                 raise ResourceCapError(f"{p}^{n} cosets exceed the enumeration cap")
             for k in range(1, n + 1):
-                zeta_exp = p ** (n - k)
-                f = StepFunction.from_function(p, n, lambda a, e=zeta_exp: zeta_power(p, n, e * a))
-                lhs = integrate(sign, f)
+                lhs = interpolation_lhs(sign, k, p, n)
                 rhs = interpolation_rhs(sign, k, p, n)
                 cases.append(
                     Case(
@@ -329,12 +349,9 @@ def cmd_verify(args) -> int:
 
     parameters = {"p": int(p), "max_n": args.max_n, "t_prec": prec.t_prec, "p_prec": prec.p_prec}
     report = VerificationReport(suite=args.suite, parameters=parameters, cases=cases)
-    report.wall_time_ms = (time.perf_counter() - started) * 1000.0
+    wall_time_ms = (time.perf_counter() - started) * 1000.0
     print(json.dumps(report.to_json_dict(), indent=2))
-    print(
-        f"suite {args.suite}: {len(cases)} cases in {report.wall_time_ms:.1f} ms",
-        file=sys.stderr,
-    )
+    print(f"suite {args.suite}: {len(cases)} cases in {wall_time_ms:.1f} ms", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -11,30 +11,45 @@ the S sets, which is checked in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .base import ENUMERATION_CAP, ResourceCapError, Sign
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every
+# integer below PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    r = math.isqrt(p)
-    while f <= r:
-        if p % f == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"{p} is too large to certify as prime (the limit is {PRIME_LIMIT})")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MR_BASES:
+        x = pow(q, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 class Prime(int):
-    """A prime integer, checked deterministically (trial division) on construction."""
+    """A prime integer below PRIME_LIMIT, checked deterministically on
+    construction (Miller-Rabin with bases that are exact below the limit)."""
 
     __slots__ = ()
 

@@ -24,17 +24,20 @@ from .cyclotomic import (
     even_product,
     odd_product,
 )
-from .digits import Prime, Residue, in_S_minus, in_S_plus, residue_from_integer
+from .digits import Prime, Residue, enumerate_R, in_S_minus, in_S_plus, residue_from_integer
 from .report import Case, VerificationReport
 
 __all__ = [
     "Sign",
     "DistValue",
     "StepFunction",
+    "mass_exponent",
     "mu_value",
     "mu_oracle",
     "total_mass",
+    "support_masses",
     "integrate",
+    "interpolation_lhs",
     "interpolation_rhs",
     "verify_additivity",
 ]
@@ -115,14 +118,16 @@ class StepFunction:
         return cls.from_function(p, n, lambda a: c)
 
 
+def mass_exponent(sign: Sign, n: int) -> int:
+    """The e with p^(-e) the value of every coset mod p^n in the support."""
+    return (n + 2) // 2 if sign is Sign.PLUS else (n + 3) // 2
+
+
 def mu_value(sign: Sign, r: Residue) -> DistValue:
     """Closed-form distribution value of the coset r, by the digit test."""
-    if sign is Sign.PLUS:
-        if in_S_plus(r):
-            return DistValue(r.p, Fraction(1, r.p ** ((r.n + 2) // 2)))
-    else:
-        if in_S_minus(r):
-            return DistValue(r.p, Fraction(1, r.p ** ((r.n + 3) // 2)))
+    member = in_S_plus if sign is Sign.PLUS else in_S_minus
+    if member(r):
+        return DistValue(r.p, Fraction(1, r.p ** mass_exponent(sign, r.n)))
     return DistValue(r.p, Fraction(0))
 
 
@@ -154,22 +159,58 @@ def total_mass(sign: Sign, p: Prime) -> Fraction:
     )
 
 
+def support_masses(sign: Sign, p: Prime, n: int) -> dict[int, Fraction]:
+    """Map each coset a mod p^n that carries mass to that mass, in increasing a.
+
+    The support is enumerated directly: it is R(floor(n/2), +) or
+    R(ceil(n/2), -), whose elements already lie below p^n, so only
+    p^floor(n/2) or p^ceil(n/2) of the p^n cosets are visited.  Every
+    enumerated coset is still valued by the digit test, and the call
+    raises rather than skips if one of them gets no mass or if the masses
+    do not add up to the total mass 1/p, so this path can neither drop
+    nor add a coset without failing loudly.
+    """
+    count = n // 2 if sign is Sign.PLUS else (n + 1) // 2
+    modulus = p**n
+    masses: dict[int, Fraction] = {}
+    for a in sorted(enumerate_R(p, count, sign)):
+        mass = mu_value(sign, residue_from_integer(a, p, n))
+        if a >= modulus or mass.is_zero:
+            raise RuntimeError(f"enumerated coset {a} mod {p}^{n} lies outside the support")
+        masses[a] = mass.value
+    if sum(masses.values()) != Fraction(1, p):
+        raise RuntimeError(f"support masses mod {p}^{n} do not add up to 1/{p}")
+    return masses
+
+
 def integrate(sign: Sign, f: StepFunction):
-    """Integrate a step function: the finite sum of coset values times masses.
+    """Integrate a step function: the finite sum of coset values times masses,
+    taken over the support only.
 
     Returns a rational for rational-valued f and a cyclotomic element for
     element-valued f.
     """
     total = None
-    for a in range(f.p**f.n):
-        r = residue_from_integer(a, f.p, f.n)
-        mass = mu_value(sign, r)
-        if mass.is_zero:
-            continue
-        term = f.values[r] * mass.value
+    for a, mass in support_masses(sign, f.p, f.n).items():
+        term = f.values[residue_from_integer(a, f.p, f.n)] * mass
         total = term if total is None else total + term
     # The zero coset always carries mass, so total is never None here.
     return total
+
+
+def interpolation_lhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement:
+    """The integral of x -> zeta_k^x against the plus/minus distribution, as
+    an element of the level-n ring (1 <= k <= n).
+
+    The same number as integrating the step function a -> zeta^(p^(n-k) a),
+    computed as one substitution of zeta into the sparse polynomial
+    sum of mass(a) x^(p^(n-k) a) over the support.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("require 1 <= k <= n")
+    zeta_exp = p ** (n - k)  # zeta_k as a power of the level-n root
+    weights = {zeta_exp * a: mass for a, mass in support_masses(sign, p, n).items()}
+    return eval_at_zeta(weights, p, n)
 
 
 def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement:

@@ -20,7 +20,6 @@ class VerificationReport:
     suite: str
     parameters: dict
     cases: list[Case] = field(default_factory=list)
-    wall_time_ms: float | None = None
 
     @property
     def passed(self) -> bool:

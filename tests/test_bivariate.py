@@ -14,6 +14,7 @@ from pmlog import (
     biamice_check,
     bimu_oracle,
     bimu_value,
+    eval_at_zeta,
     in_S_minus,
     in_S_plus,
     integrate,
@@ -137,6 +138,23 @@ def test_biamice_passes(p):
                 for k2 in range(1, n + 1):
                     report = biamice_check(s, p, k1, k2, n)
                     assert report.passed, (str(s), k1, k2, n)
+
+
+@pytest.mark.parametrize("p,max_n", [(P2, 3), (P3, 2)])
+def test_biamice_lhs_matches_coset_pair_scan(p, max_n):
+    # the support-product sum must equal the sum over every coset pair
+    for s in ALL_BISIGNS:
+        for n in range(1, max_n + 1):
+            for k1 in range(1, n + 1):
+                for k2 in range(1, n + 1):
+                    weights = {}
+                    for a in range(p**n):
+                        for b in range(p**n):
+                            e = p ** (n - k1) * a + p ** (n - k2) * b
+                            v = bimu_value(s, bires(p, n, n, a, b)).value
+                            weights[e] = weights.get(e, Fraction(0)) + v
+                    (case,) = biamice_check(s, p, k1, k2, n).cases
+                    assert case.actual == str(eval_at_zeta(weights, p, n))
 
 
 def test_biamice_parity_mismatch_is_zero_on_both_sides():

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import sys
+import time
 from fractions import Fraction
+
+import pytest
 
 import pmlog.cli as cli
 from pmlog import DistValue, Prime
@@ -89,6 +93,59 @@ def test_value_resource_error_exit_code(capsys):
     )
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value", "--sign", "+", "--p", "2", "--n", "200000", "--a", "0"],
+        ["value", "--sign", "-", "--p", "7", "--n", "200000", "--a", "1", "--oracle"],
+        ["bivalue", "--sign", "+-", "--p", "2", "--n", "1", "--m", "200000", "--a", "0", "--b", "0"],
+        ["table", "--sign", "+", "--p", "2", "--n", "200000", "--force"],
+        ["table", "--sign", "--", "--p", "3", "--n", "200000", "--m", "1", "--force"],
+    ],
+)
+def test_unprintable_denominator_is_a_resource_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "exceeds the limit" in err and "decimal digits" in err
+
+
+def test_print_limit_boundary_is_exact(capsys, monkeypatch):
+    # Gate on a smaller limit than the interpreter's, so the answers just
+    # past it can still be printed and measured here.
+    limit = 300
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    for p, sign, offset in ((2, "+", 2), (3, "-", 3), (7, "+", 2)):
+        last_fit = max(e for e in range(4 * limit) if len(str(p**e)) <= limit)
+        # (n + offset) // 2 runs over last_fit - 1 .. last_fit + 1
+        for n in range(2 * last_fit - 2 - offset, 2 * last_fit + 4 - offset):
+            exponent = (n + offset) // 2
+            argv = ["value", "--sign", sign, "--p", str(p), "--n", str(n), "--a", "0"]
+            code, out, _ = run(capsys, *argv)
+            if exponent <= last_fit:
+                assert code == 0, (p, n)
+                assert json.loads(out)["den"] == str(p**exponent)
+            else:
+                assert code == 3, (p, n)
+
+
+def test_value_accepts_a_large_prime(capsys):
+    p = str(2**61 - 1)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "value", "--sign", "+", "--p", p, "--n", "1", "--a", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {"num": "1", "den": p, "p_val": -1, "zero": False}
+
+
+def test_value_rejects_a_prime_past_the_certified_limit(capsys):
+    code, _, err = run(capsys, "value", "--sign", "+", "--p", str(2**89 - 1), "--n", "1", "--a", "0")
+    assert code == 2
+    assert "too large" in err
 
 
 def test_table_minus_level_one(capsys):

@@ -1,12 +1,15 @@
 """Residue digit arithmetic and the digit-pattern support sets."""
 
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pmlog import (
+    PRIME_LIMIT,
     Prime,
     Residue,
     ResourceCapError,
@@ -18,6 +21,7 @@ from pmlog import (
 )
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
+WIDE_PRIMES = PRIMES + [Prime(7), Prime(11), Prime(13)]
 
 
 def brute_R(p, count, parity):
@@ -33,10 +37,47 @@ def test_prime_accepts_primes(p):
     assert Prime(p) == p
 
 
-@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 15, 100])
+# Besides small cases: Carmichael 561 and strong pseudoprimes to base 2
+# (2047), to bases 2, 3, 5, 7 (3215031751), to the first nine prime bases
+# (3825123056546413051) and to the first twelve (318665857834031151167461).
+@pytest.mark.parametrize(
+    "p",
+    [-3, 0, 1, 4, 6, 9, 15, 100]
+    + [561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461],
+)
 def test_prime_rejects_nonprimes(p):
     with pytest.raises(ValueError):
         Prime(p)
+
+
+def test_prime_accepts_a_large_prime_quickly():
+    start = time.perf_counter()
+    assert Prime(2**61 - 1) == 2**61 - 1
+    assert time.perf_counter() - start < 0.1
+
+
+def test_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    def accepted(n):
+        try:
+            Prime(n)
+        except ValueError:
+            return False
+        return True
+
+    assert [n for n in range(10**4) if accepted(n)] == [
+        n for n in range(10**4) if by_trial_division(n)
+    ]
+
+
+def test_prime_rejects_candidates_past_the_limit():
+    # the limit is itself a strong pseudoprime to all thirteen bases
+    with pytest.raises(ValueError):
+        Prime(PRIME_LIMIT)
+    with pytest.raises(ValueError, match="too large"):
+        Prime(2**89 - 1)  # a Mersenne prime
 
 
 def test_residue_from_integer_examples():
@@ -99,19 +140,18 @@ def test_in_S_minus_examples():
     assert in_S_minus(residue_from_integer(5, Prime(2), 4)) is True
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_S_membership_matches_R_reduction(p):
     # S(n, +) is exactly the reduction of R(floor(n/2), +) mod p^n, and
     # S(n, -) the reduction of R(floor((n+1)/2), -).
-    for n in range(1, 7):
-        if p**n > 20000:
-            continue
+    n = 1
+    while p**n <= 20000:
+        cosets = [residue_from_integer(a, p, n) for a in range(p**n)]
         r_plus = enumerate_R(p, n // 2, Sign.PLUS)
         r_minus = enumerate_R(p, (n + 1) // 2, Sign.MINUS)
-        for a in range(p**n):
-            r = residue_from_integer(a, p, n)
-            assert in_S_plus(r) == any(a % p**n == b % p**n for b in r_plus)
-            assert in_S_minus(r) == any(a % p**n == b % p**n for b in r_minus)
+        assert {r.value for r in cosets if in_S_plus(r)} == {b % p**n for b in r_plus}
+        assert {r.value for r in cosets if in_S_minus(r)} == {b % p**n for b in r_minus}
+        n += 1
 
 
 @pytest.mark.parametrize("p", PRIMES)

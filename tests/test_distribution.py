@@ -1,10 +1,13 @@
 """Closed-form distribution values, the character-sum oracle, integration,
 and the interpolation identities."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
 
+import pmlog.distribution as distribution
 from pmlog import (
     CyclotomicElement,
     DistValue,
@@ -15,10 +18,12 @@ from pmlog import (
     in_S_minus,
     in_S_plus,
     integrate,
+    interpolation_lhs,
     interpolation_rhs,
     mu_oracle,
     mu_value,
     residue_from_integer,
+    support_masses,
     total_mass,
     verify_additivity,
     zeta_power,
@@ -26,6 +31,14 @@ from pmlog import (
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 SIGNS = [Sign.PLUS, Sign.MINUS]
+
+
+def coset_scan_integral(sign, f):
+    """Integration by the plain sum over every coset, zeros included."""
+    cosets = sorted(f.values, key=lambda r: r.value)
+    return functools.reduce(
+        operator.add, (f.values[r] * mu_value(sign, r).value for r in cosets)
+    )
 
 
 def test_mu_value_examples():
@@ -80,6 +93,61 @@ def test_integrate_is_linear():
     combined = StepFunction.from_function(P3, 2, lambda a: Fraction(a) + 2 * Fraction(a * a + 1))
     for sign in SIGNS:
         assert integrate(sign, combined) == integrate(sign, f) + 2 * integrate(sign, g)
+
+
+@pytest.mark.parametrize("p", [P2, P3, P5, Prime(7), Prime(11), Prime(13)])
+def test_support_masses_match_coset_scan(p):
+    for sign in SIGNS:
+        n = 1
+        while p**n <= 20000:
+            scan = {}
+            for a in range(p**n):
+                value = mu_value(sign, residue_from_integer(a, p, n)).value
+                if value != 0:
+                    scan[a] = value
+            masses = support_masses(sign, p, n)
+            assert masses == scan
+            assert list(masses) == sorted(masses)
+            n += 1
+
+
+def test_support_masses_refuse_a_coset_without_mass(monkeypatch):
+    # 1 mod 9 has a nonzero units digit, so the plus distribution gives it 0
+    monkeypatch.setattr(distribution, "enumerate_R", lambda p, count, sign: {0, 1, 3, 6})
+    with pytest.raises(RuntimeError, match="outside the support"):
+        support_masses(Sign.PLUS, P3, 2)
+
+
+def test_support_masses_refuse_a_coset_past_the_modulus(monkeypatch):
+    # 9 reduces to the zero coset mod 9 but is not a representative in [0, 9)
+    monkeypatch.setattr(distribution, "enumerate_R", lambda p, count, sign: {9, 3, 6})
+    with pytest.raises(RuntimeError, match="outside the support"):
+        support_masses(Sign.PLUS, P3, 2)
+
+
+def test_support_masses_refuse_a_dropped_coset(monkeypatch):
+    real = distribution.enumerate_R
+    monkeypatch.setattr(distribution, "enumerate_R", lambda *args: real(*args) - {3})
+    with pytest.raises(RuntimeError, match="add up"):
+        support_masses(Sign.PLUS, P3, 2)
+
+
+@pytest.mark.parametrize("p,max_n", [(P2, 5), (P3, 3), (P5, 2), (Prime(7), 2)])
+def test_interpolation_lhs_matches_step_function_integral(p, max_n):
+    for sign in SIGNS:
+        for n in range(1, max_n + 1):
+            for k in range(1, n + 1):
+                zeta_exp = p ** (n - k)
+                f = StepFunction.from_function(p, n, lambda a: zeta_power(p, n, zeta_exp * a))
+                lhs = interpolation_lhs(sign, k, p, n)
+                assert lhs == integrate(sign, f) == coset_scan_integral(sign, f), (sign, k, n)
+
+
+def test_interpolation_lhs_validates_range():
+    with pytest.raises(ValueError):
+        interpolation_lhs(Sign.MINUS, 3, P3, 2)
+    with pytest.raises(ValueError):
+        interpolation_lhs(Sign.MINUS, 0, P3, 2)
 
 
 @pytest.mark.parametrize("p", [P2, P3, P5])

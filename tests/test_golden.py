@@ -1,0 +1,54 @@
+"""Golden stdout digests: the verify reports and a coset table must stay
+byte-identical across refactors and speed-ups.
+
+Each digest is the SHA-256 of everything the command writes to stdout.
+They were recorded from the output format marked FORMAT_VERSION "1".
+After a deliberate FORMAT_VERSION bump, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which prints a fresh GOLDEN table to paste here, and note the format
+change in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+import pmlog.cli as cli
+
+GOLDEN = {
+    "verify --suite amice --p 2 --max-n 5": "e5bcea9b5a5a798f898b6683c96117cecd4ccadffea78c7d307d1e15158704d9",
+    "verify --suite amice --p 3 --max-n 4": "ad04eda8b6ed16db1d2042dd738f664285f00b803e6517a942166caf76225145",
+    "verify --suite amice --p 5 --max-n 3": "d401a2a867cdf8baac7781a7d2b77b046c8b3aa12fcdc7c453a8c671dc9af29e",
+    "verify --suite biamice --p 2 --max-n 5": "fc8897054d5e92697130815f4f64a52ba9c94606e5d7892f0cee51e6c54fbab4",
+    "verify --suite biamice --p 3 --max-n 4": "23cf74d097d65261b261f8fe50e1dd7cfcf33659b3f8959f81bfb17bd4ad354c",
+    "verify --suite biamice --p 5 --max-n 3": "dd311d44f2734289a8d36aea60c3f559612a7ff5fb59e4ca6420b03014af2205",
+    "verify --suite all --p 2 --max-n 5": "2dd57b136fddbe81cab7e6e9d0eba0efc72bf271e3eed9d4e6aa1232df69e28d",
+    "verify --suite all --p 3 --max-n 4": "1de0d02b343b9fee75489ccc0d5081dfa578adeabbbebecc92359b2dcee721da",
+    "verify --suite all --p 5 --max-n 3": "df0671e036d81222f52175c1720f84c8d6895fdc9ea5d755f44caef61055f912",
+    "table --sign + --p 3 --n 6": "7399272408c71e030fa4875feedc34886edda65f1d9ce9ba420df5487bbcd471",
+}
+
+
+def stdout_digest(command: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(command.split())
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_matches_golden_digest(command):
+    code, digest = stdout_digest(command)
+    assert code == 0
+    assert digest == GOLDEN[command]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for command in GOLDEN:
+        print(f'    "{command}": "{stdout_digest(command)[1]}",')
+    print("}")
