@@ -36,11 +36,14 @@ class Sign(enum.Enum):
 
 
 def pval(q: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational (exponent of p in its factorization)."""
-    q = Fraction(q)
-    if q == 0:
+    """p-adic valuation of a nonzero rational (exponent of p in its factorization).
+
+    Integers skip the conversion to Fraction, so callers that hold plain
+    integer numerators pay only for the divisions.
+    """
+    num, den = (q, 1) if isinstance(q, int) else Fraction(q).as_integer_ratio()
+    if num == 0:
         raise ValueError("the zero rational has no finite p-adic valuation")
-    num, den = q.numerator, q.denominator
     v = 0
     while num % p == 0:
         num //= p

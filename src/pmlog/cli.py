@@ -258,6 +258,17 @@ def cmd_series(args) -> int:
 
 
 def _suite_oracle(p: Prime, max_n: int) -> list[Case]:
+    # Each coset's character sum runs over the terms of a product
+    # polynomial with at most p^ceil(n/2) of them; refuse, before any work,
+    # a suite whose cosets times terms, over both signs, pass the cap.
+    work = 0
+    for n in range(1, max_n + 1):
+        work += 2 * p**n * p ** ((n + 1) // 2)
+        if work > ENUMERATION_CAP:
+            raise ResourceCapError(
+                f"the oracle suite up to n={max_n} exceeds the enumeration cap"
+                f" of {ENUMERATION_CAP} coset-term evaluations"
+            )
     cases = []
     for sign in (Sign.PLUS, Sign.MINUS):
         for n in range(1, max_n + 1):

@@ -6,9 +6,11 @@ The plus/minus logarithms are infinite products
 
 whose factors tend to 1 coefficientwise in the p-adic sense, so a finite
 partial product determines every coefficient to any prescribed p-power.
-All arithmetic here is exact rational arithmetic; what is tracked on top
-is a per-coefficient guarantee g_k meaning "this coefficient matches the
-limit modulo p^(g_k)".
+All arithmetic here is exact: coefficients are stored as Fractions, and a
+product is computed on integer numerators over one common denominator
+(always a power of p for these series).  What is tracked on top is a
+per-coefficient guarantee g_k meaning "this coefficient matches the limit
+modulo p^(g_k)".
 
 Bookkeeping rules:
   * exact constructions start at the working precision M for every k;
@@ -27,8 +29,11 @@ turns a bookkeeping bug into a loud error instead of a spin.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, pairwise
+from operator import add, mul
 
 from .base import ConvergenceError, Sign, pval
 from .digits import Prime
@@ -56,8 +61,17 @@ class SeriesPrecision:
             raise ValueError("t_prec and p_prec must be >= 1")
 
 
-def _vp(q: Fraction, p: int) -> int:
-    return _EXACT if q == 0 else pval(q, p)
+def _integer_form(s: "TruncatedSeries") -> tuple[list[int], int]:
+    # The coefficients as integer numerators over one common denominator,
+    # the lcm of theirs (a power of p for every series built here).
+    den = math.lcm(*(c.denominator for c in s.coeffs))
+    return [c.numerator * (den // c.denominator) for c in s.coeffs], den
+
+
+def _valuations(nums: list[int], den: int, p: int) -> list[int]:
+    # v_p of each nums[k] / den, with _EXACT for a zero coefficient.
+    shift = pval(den, p)
+    return [_EXACT if c == 0 else pval(c, p) - shift for c in nums]
 
 
 @dataclass(frozen=True)
@@ -119,19 +133,21 @@ class TruncatedSeries:
         self._check_compatible(other)
         p = self.p
         n = self.prec.t_prec
-        coeffs = [Fraction(0)] * n
-        guars = [_EXACT] * n
-        for i, ci in enumerate(self.coeffs):
-            gi = self.guarantees[i]
-            vi = _vp(ci, p)
-            for j in range(n - i):
-                cj = other.coeffs[j]
-                gj = other.guarantees[j]
-                k = i + j
-                coeffs[k] += ci * cj
-                worst = min(gi + _vp(cj, p), gj + vi, gi + gj)
-                if worst < guars[k]:
-                    guars[k] = worst
+        a, da = _integer_form(self)
+        b, db = _integer_form(other)
+        va, vb = _valuations(a, da, p), _valuations(b, db, p)
+        ga, gb = self.guarantees, other.guarantees
+        den = da * db
+        coeffs = []
+        guars = []
+        for k in range(n):
+            # T^k collects the pairs (i, k - i); the reversed slices line
+            # them up so each sum and min over the pairs runs in C.
+            a_k, va_k, ga_k = a[: k + 1], va[: k + 1], ga[: k + 1]
+            b_k, vb_k, gb_k = b[k::-1], vb[k::-1], gb[k::-1]
+            coeffs.append(Fraction(sum(map(mul, a_k, b_k)), den))
+            worst = (map(add, ga_k, vb_k), map(add, gb_k, va_k), map(add, ga_k, gb_k))
+            guars.append(min(_EXACT, *map(min, worst)))
         return TruncatedSeries(p, self.prec, tuple(coeffs), tuple(guars))
 
     def scale(self, q: Fraction | int) -> "TruncatedSeries":
@@ -157,13 +173,31 @@ def series_log_classical(p: Prime, prec: SeriesPrecision) -> TruncatedSeries:
 def phi_shifted(p: Prime, m: int, prec: SeriesPrecision) -> TruncatedSeries:
     """The level-m cyclotomic polynomial evaluated at 1 + T, exactly truncated.
 
-    Coefficient of T^k is sum_{t < p} C(p^(m-1) t, k); the constant term is p.
+    With h = p^(m-1) this is the power-series quotient
+    ((1 + T)^(p h) - 1) / ((1 + T)^h - 1).  Both sides lose their T^0
+    term, the divisor then starts with C(h, 1) = h, and every step of the
+    long division is exact, so the cost is O(t_prec^2) integer operations
+    whatever the size of p.  The constant term is p.
     """
     if m < 1:
         raise ValueError("level m must be >= 1")
     h = p ** (m - 1)
-    coeffs = [sum(math.comb(h * t, k) for t in range(p)) for k in range(prec.t_prec)]
-    return TruncatedSeries.from_coefficients(p, prec, coeffs)
+    n = prec.t_prec
+    top = _binomials_after_one(p * h, n)
+    bottom = _binomials_after_one(h, n)
+    quotient: list[int] = []
+    for k in range(n):
+        rest = top[k] - sum(map(mul, bottom[k:0:-1], quotient))
+        quotient.append(rest // h)
+    return TruncatedSeries.from_coefficients(p, prec, quotient)
+
+
+def _binomials_after_one(e: int, n: int) -> list[int]:
+    # C(e, 1), ..., C(e, n): the coefficients of ((1 + T)^e - 1) / T.
+    out = [e]
+    for k in range(2, n + 1):
+        out.append(out[-1] * (e - k + 1) // k)
+    return out
 
 
 def _phi_factor(p: Prime, m: int, prec: SeriesPrecision) -> TruncatedSeries:
@@ -181,28 +215,48 @@ def _factor_level(sign: Sign, j: int) -> int:
 
 def _moves_at_precision(extended: TruncatedSeries, product: TruncatedSeries) -> bool:
     # Does appending the next factor change any coefficient at its guarantee?
-    for k in range(product.prec.t_prec):
-        diff = extended.coeffs[k] - product.coeffs[k]
-        if diff != 0 and pval(diff, product.p) < product.guarantees[k]:
+    # Both sides go to one common denominator, so each difference is an
+    # integer numerator and costs one valuation.
+    p = product.p
+    a, da = _integer_form(extended)
+    b, db = _integer_form(product)
+    den = math.lcm(da, db)
+    ea, eb = den // da, den // db
+    shift = pval(den, p)
+    for x, y, g in zip(a, b, product.guarantees):
+        diff = x * ea - y * eb
+        if diff != 0 and pval(diff, p) - shift < g:
             return True
     return False
+
+
+def _partial_products(
+    p: Prime, sign: Sign, prec: SeriesPrecision, factor_cap: int
+) -> Iterator[TruncatedSeries]:
+    # The products of the first 0, 1, 2, ... factors Phi(p, e(j))(1 + T) / p,
+    # before the leading 1/p; asking for more than factor_cap factors raises.
+    product = TruncatedSeries.one(p, prec)
+    yield product
+    for j in count(1):
+        if j > factor_cap:
+            raise ConvergenceError(
+                f"partial product did not stabilize within {factor_cap} factors"
+            )
+        product = product * _phi_factor(p, _factor_level(sign, j), prec)
+        yield product
 
 
 def _stabilized_product(
     p: Prime, sign: Sign, prec: SeriesPrecision, factor_cap: int
 ) -> tuple[TruncatedSeries, int]:
-    product = TruncatedSeries.one(p, prec)
-    count = 0
-    while True:
-        if count >= factor_cap:
-            raise ConvergenceError(
-                f"partial product did not stabilize within {factor_cap} factors"
-            )
-        extended = product * _phi_factor(p, _factor_level(sign, count + 1), prec)
-        if not _moves_at_precision(extended, product):
-            return product, count
-        product = extended
-        count += 1
+    # The first partial product that the next factor leaves unmoved, and
+    # its number of factors.
+    pairs = enumerate(pairwise(_partial_products(p, sign, prec, factor_cap)))
+    return next(
+        (product, factors)
+        for factors, (product, extended) in pairs
+        if not _moves_at_precision(extended, product)
+    )
 
 
 def log_pm_partial_product(
@@ -211,18 +265,16 @@ def log_pm_partial_product(
     """(1/p) times the product of the first factor_count factors, no stopping rule."""
     if factor_count < 0:
         raise ValueError("factor_count must be >= 0")
-    product = TruncatedSeries.one(p, prec)
-    for j in range(1, factor_count + 1):
-        product = product * _phi_factor(p, _factor_level(sign, j), prec)
-    return product.scale(Fraction(1, p))
+    products = _partial_products(p, sign, prec, factor_count)
+    return next(islice(products, factor_count, None)).scale(Fraction(1, p))
 
 
 def stabilization_factor_count(
     p: Prime, sign: Sign, prec: SeriesPrecision, factor_cap: int = FACTOR_CAP
 ) -> int:
     """The number of factors after which the partial product has stabilized."""
-    _, count = _stabilized_product(p, sign, prec, factor_cap)
-    return count
+    _, factors = _stabilized_product(p, sign, prec, factor_cap)
+    return factors
 
 
 def build_log_pm(

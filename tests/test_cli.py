@@ -219,6 +219,36 @@ def test_verify_oracle_suite(capsys):
     assert "ms" in err  # timing goes to stderr only
 
 
+def test_verify_oracle_suite_refuses_past_the_cap_before_any_work(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--p", "2", "--max-n", "30")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
+def test_verify_oracle_suite_cap_boundary_is_exact(capsys, monkeypatch):
+    # p = 3 up to n = 2: 2 * (3 * 3 + 9 * 3) = 72 coset-term evaluations
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 72)
+    code, _, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "2")
+    assert code == 0
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 71)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "2")
+    assert code == 3
+    assert out == ""
+
+
+def test_series_large_prime_in_bounded_time(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "series", "--sign", "+", "--p", "1000003", "--tprec", "8", "--pprec", "6")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert json.loads(out)["coeffs"][0] == {
+        "k": 0, "num": "1", "den": "1000003", "guaranteed_mod_p_pow": 5
+    }
+
+
 def test_verify_logproduct_suite(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "logproduct", "--p", "2", "--tprec", "10", "--pprec", "6"

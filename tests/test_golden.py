@@ -1,5 +1,5 @@
-"""Golden stdout digests: the verify reports and a coset table must stay
-byte-identical across refactors and speed-ups.
+"""Golden stdout digests: the verify reports, series dumps and a coset table
+must stay byte-identical across refactors and speed-ups.
 
 Each digest is the SHA-256 of everything the command writes to stdout.
 They were recorded from the output format marked FORMAT_VERSION "1".
@@ -29,6 +29,10 @@ GOLDEN = {
     "verify --suite all --p 2 --max-n 5": "2dd57b136fddbe81cab7e6e9d0eba0efc72bf271e3eed9d4e6aa1232df69e28d",
     "verify --suite all --p 3 --max-n 4": "1de0d02b343b9fee75489ccc0d5081dfa578adeabbbebecc92359b2dcee721da",
     "verify --suite all --p 5 --max-n 3": "df0671e036d81222f52175c1720f84c8d6895fdc9ea5d755f44caef61055f912",
+    "series --sign + --p 2 --tprec 48 --pprec 32": "36347b8742ec9bb39652677622497c791cfccea321d491d1b11f6cad874a4e56",
+    "series --sign - --p 3 --tprec 32 --pprec 16": "4fe6282f422e0d518c123ba762a62200ee67145168918943c94391fc155ac4ab",
+    "verify --suite logproduct --p 2 --tprec 40 --pprec 24": "7553a2a9feef12f2221f8ff80982451f9d8497c3b0e48a2f28f4d9e09b34a7f6",
+    "verify --suite logproduct --p 7 --tprec 24 --pprec 10": "0a2ab798834667a9042144f6d679f589b9dec054f7e1c2f39cae61048589de33",
     "table --sign + --p 3 --n 6": "7399272408c71e030fa4875feedc34886edda65f1d9ce9ba420df5487bbcd471",
 }
 

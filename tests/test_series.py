@@ -1,6 +1,7 @@
 """Truncated series construction, the precision bookkeeping, and the product identity."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from pmlog import (
     stabilization_factor_count,
     verify_product_identity,
 )
-from pmlog.series import dump_dict
+from pmlog.series import _EXACT, dump_dict
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 PREC = SeriesPrecision(t_prec=8, p_prec=6)
@@ -54,7 +55,7 @@ def test_phi_shifted_examples():
             assert phi_shifted(p, m, PREC).coefficient(0) == p
 
 
-@pytest.mark.parametrize("p", [Prime(2), Prime(3)])
+@pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 11, 13)])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_phi_shifted_matches_binomial_expansion(p, m):
     # independent route: expand each monomial of the sparse polynomial by
@@ -64,6 +65,82 @@ def test_phi_shifted_matches_binomial_expansion(p, m):
         for k in range(PREC.t_prec):
             expected[k] += c * math.comb(e, k)
     assert phi_shifted(p, m, PREC).coeffs == tuple(expected)
+
+
+@pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5)])
+@pytest.mark.parametrize("t_prec", [1, 8, 24])
+def test_phi_shifted_matches_sum_of_binomials(p, t_prec):
+    # the coefficient of T^k is sum_{t < p} C(p^(m-1) t, k)
+    prec = SeriesPrecision(t_prec, 6)
+    for m in range(1, 5):
+        h = p ** (m - 1)
+        expected = [sum(math.comb(h * t, k) for t in range(p)) for k in range(t_prec)]
+        assert phi_shifted(p, m, prec).coeffs == tuple(expected)
+
+
+def textbook_mul(x, y):
+    # the reference product: a Fraction double loop, with the worst-case
+    # guarantee rule applied pair by pair
+    p, n = x.p, x.prec.t_prec
+
+    def v(q):
+        return _EXACT if q == 0 else pval(q, p)
+
+    coeffs = [Fraction(0)] * n
+    guars = [_EXACT] * n
+    for i in range(n):
+        for j in range(n - i):
+            ci, cj = x.coeffs[i], y.coeffs[j]
+            gi, gj = x.guarantees[i], y.guarantees[j]
+            coeffs[i + j] += ci * cj
+            guars[i + j] = min(guars[i + j], gi + v(cj), gj + v(ci), gi + gj)
+    return tuple(coeffs), tuple(guars)
+
+
+def random_series(rng, p, prec):
+    coeffs = []
+    for _ in range(prec.t_prec):
+        kind = rng.random()
+        if kind < 0.25:
+            coeffs.append(Fraction(0))
+            continue
+        den = p ** rng.randint(0, 6)
+        if kind > 0.75:
+            den *= rng.choice([2, 3, 5, 7, 11, 13, 35, 143])  # not a power of p
+        num = rng.randint(-(p**8), p**8) * p ** rng.randint(0, 4)
+        coeffs.append(Fraction(num or 1, den))
+    guars = tuple(rng.randint(-6, 12) for _ in range(prec.t_prec))
+    return TruncatedSeries(p, prec, tuple(coeffs), guars)
+
+
+@pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 11, 13)])
+def test_mul_matches_textbook_product(p):
+    rng = random.Random(int(p))
+    for _ in range(40):
+        prec = SeriesPrecision(rng.randint(1, 12), rng.randint(1, 10))
+        x, y = random_series(rng, p, prec), random_series(rng, p, prec)
+        product = x * y
+        assert (product.coeffs, product.guarantees) == textbook_mul(x, y)
+        assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def test_mul_with_all_zero_operand():
+    x = TruncatedSeries(Prime(5), PREC, (Fraction(0),) * 8, tuple(range(-3, 5)))
+    y = build_log_pm(Prime(5), Sign.PLUS, PREC)
+    product = x * y
+    assert product.coeffs == (Fraction(0),) * 8
+    assert (product.coeffs, product.guarantees) == textbook_mul(x, y)
+
+
+def test_pval_integer_and_rational_paths_agree():
+    for p in (2, 3, 5, 7):
+        for q in (1, -1, p, -(p**5), 12 * p**3, 10**30 * p**7):
+            assert pval(q, p) == pval(Fraction(q), p) == pval(Fraction(q * p, p), p)
+        assert pval(Fraction(11, p**4), p) == -4
+    with pytest.raises(ValueError):
+        pval(0, 3)
+    with pytest.raises(ValueError):
+        pval(Fraction(0), 3)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -149,6 +226,21 @@ def test_valuation_profile_zero_coefficient():
     assert coefficient_valuation_profile(t)[0] == (0, 0)
     u = TruncatedSeries.from_coefficients(Prime(3), PREC, [3**6])
     assert coefficient_valuation_profile(u)[0] == (0, None)
+
+
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+def test_factor_cap_boundary(sign):
+    p = Prime(3)
+    count = stabilization_factor_count(p, sign, PREC)
+    # the check needs factor count + 1 to see that it moves nothing
+    assert stabilization_factor_count(p, sign, PREC, factor_cap=count + 1) == count
+    with pytest.raises(ConvergenceError):
+        stabilization_factor_count(p, sign, PREC, factor_cap=count)
+    # the plain partial product takes no stopping rule and no cap
+    assert log_pm_partial_product(p, sign, PREC, 0) == TruncatedSeries.one(p, PREC).scale(
+        Fraction(1, p)
+    )
+    assert log_pm_partial_product(p, sign, PREC, 70).coefficient(0) == Fraction(1, p)
 
 
 def test_factor_cap_raises():
