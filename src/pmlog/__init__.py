@@ -26,6 +26,7 @@ from .digits import (
     PRIME_LIMIT,
     Prime,
     Residue,
+    cosets,
     enumerate_R,
     in_S_minus,
     in_S_plus,
@@ -39,6 +40,7 @@ from .distribution import (
     interpolation_rhs,
     mass_exponent,
     mu_oracle,
+    mu_oracle_level,
     mu_value,
     support_masses,
     total_mass,
@@ -70,6 +72,7 @@ __all__ = [
     "Prime",
     "Residue",
     "residue_from_integer",
+    "cosets",
     "in_S_plus",
     "in_S_minus",
     "enumerate_R",
@@ -96,6 +99,7 @@ __all__ = [
     "mass_exponent",
     "mu_value",
     "mu_oracle",
+    "mu_oracle_level",
     "total_mass",
     "support_masses",
     "integrate",

@@ -14,16 +14,18 @@ import json
 import math
 import sys
 import time
+from typing import Callable
 
 from . import __version__
 from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign
 from .bivariate import BiResidue, BiSign, biamice_check, bimu_oracle, bimu_value
-from .digits import Prime, in_S_minus, in_S_plus, residue_from_integer
+from .digits import Prime, cosets, in_S_minus, in_S_plus, residue_from_integer
 from .distribution import (
     interpolation_lhs,
     interpolation_rhs,
     mass_exponent,
     mu_oracle,
+    mu_oracle_level,
     mu_value,
     verify_additivity,
 )
@@ -77,59 +79,6 @@ def _require_sign(token: str | None, allowed: tuple[str, ...]) -> str:
     return token
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pmlog",
-        description="Exact plus/minus p-adic logarithms and their distributions.",
-    )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"pmlog {__version__} (output format {FORMAT_VERSION})",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sign_help = "each of these commands also requires --sign {+,-,++,+-,-+,--}"
-
-    value = sub.add_parser(
-        "value", help="distribution value of one coset (JSON)", epilog=sign_help
-    )
-    _add_value_args(value)
-    value.set_defaults(func=cmd_value, signs=ALL_SIGNS)
-
-    bivalue = sub.add_parser(
-        "bivalue", help="two-variable value of one coset pair (JSON)", epilog=sign_help
-    )
-    _add_value_args(bivalue)
-    bivalue.set_defaults(func=cmd_value, signs=BIVARIATE_SIGNS)
-
-    table = sub.add_parser("table", help="one CSV row per coset", epilog=sign_help)
-    table.add_argument("--p", required=True, type=int)
-    table.add_argument("--n", required=True, type=int)
-    table.add_argument("--m", type=int, help="second modulus exponent (bivariate signs)")
-    table.add_argument("--force", action="store_true", help="override the row cap")
-    table.set_defaults(func=cmd_table, signs=ALL_SIGNS)
-
-    series = sub.add_parser(
-        "series",
-        help="dump a plus/minus logarithm series (JSON)",
-        epilog="requires --sign {+,-}",
-    )
-    series.add_argument("--p", required=True, type=int)
-    series.add_argument("--tprec", type=int, default=DEFAULT_T_PREC)
-    series.add_argument("--pprec", type=int, default=DEFAULT_P_PREC)
-    series.set_defaults(func=cmd_series, signs=UNIVARIATE_SIGNS)
-
-    verify = sub.add_parser("verify", help="run an identity verification suite (JSON report)")
-    verify.add_argument("--suite", required=True, choices=SUITES)
-    verify.add_argument("--p", required=True, type=int)
-    verify.add_argument("--max-n", type=int, default=3, dest="max_n")
-    verify.add_argument("--tprec", type=int, default=DEFAULT_T_PREC)
-    verify.add_argument("--pprec", type=int, default=DEFAULT_P_PREC)
-    verify.set_defaults(func=cmd_verify, signs=None)
-
-    return parser
-
-
 def _add_value_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", required=True, type=int)
     parser.add_argument("--n", required=True, type=int)
@@ -137,6 +86,27 @@ def _add_value_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a", required=True, type=int)
     parser.add_argument("--b", type=int, help="second coordinate (bivariate signs)")
     parser.add_argument("--oracle", action="store_true", help="also run the character-sum oracle")
+
+
+def _add_table_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p", required=True, type=int)
+    parser.add_argument("--n", required=True, type=int)
+    parser.add_argument("--m", type=int, help="second modulus exponent (bivariate signs)")
+    parser.add_argument("--force", action="store_true", help="override the row cap")
+
+
+def _add_series_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p", required=True, type=int)
+    parser.add_argument("--tprec", type=int, default=DEFAULT_T_PREC)
+    parser.add_argument("--pprec", type=int, default=DEFAULT_P_PREC)
+
+
+def _add_verify_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--suite", required=True, choices=SUITES)
+    parser.add_argument("--p", required=True, type=int)
+    parser.add_argument("--max-n", type=int, default=3, dest="max_n")
+    parser.add_argument("--tprec", type=int, default=DEFAULT_T_PREC)
+    parser.add_argument("--pprec", type=int, default=DEFAULT_P_PREC)
 
 
 def _require_printable(p: Prime, exponent: int) -> None:
@@ -215,8 +185,7 @@ def cmd_table(args) -> int:
             raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
         member = in_S_plus if sign is Sign.PLUS else in_S_minus
         writer.writerow(["a", "digits", "in_S", "value_num", "value_den"])
-        for a in range(rows):
-            r = residue_from_integer(a, p, args.n)
+        for a, r in enumerate(cosets(p, args.n)):
             v = mu_value(sign, r)
             writer.writerow(
                 [a, _digit_str(r), str(member(r)).lower(), v.value.numerator, v.value.denominator]
@@ -230,10 +199,9 @@ def cmd_table(args) -> int:
         if rows > TABLE_ROW_CAP and not args.force:
             raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
         writer.writerow(["a", "b", "digits", "in_S", "value_num", "value_den"])
-        for a in range(p**args.n):
-            ra = residue_from_integer(a, p, args.n)
-            for b in range(p**args.m):
-                rb = residue_from_integer(b, p, args.m)
+        second = list(cosets(p, args.m))
+        for a, ra in enumerate(cosets(p, args.n)):
+            for b, rb in enumerate(second):
                 v = bimu_value(bisign, BiResidue(ra, rb))
                 writer.writerow(
                     [
@@ -257,24 +225,33 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _suite_oracle(p: Prime, max_n: int) -> list[Case]:
-    # Each coset's character sum runs over the terms of a product
-    # polynomial with at most p^ceil(n/2) of them; refuse, before any work,
-    # a suite whose cosets times terms, over both signs, pass the cap.
+def _refuse_past_cap(suite: str, max_n: int, level_cost: Callable[[int], int], unit: str) -> None:
+    # Add up a suite's cost over its levels before any work, and stop at
+    # the first level that takes the total past the cap.
     work = 0
     for n in range(1, max_n + 1):
-        work += 2 * p**n * p ** ((n + 1) // 2)
+        work += level_cost(n)
         if work > ENUMERATION_CAP:
             raise ResourceCapError(
-                f"the oracle suite up to n={max_n} exceeds the enumeration cap"
-                f" of {ENUMERATION_CAP} coset-term evaluations"
+                f"the {suite} suite up to n={max_n} exceeds the enumeration cap"
+                f" of {ENUMERATION_CAP} {unit}"
             )
+
+
+def _suite_oracle(p: Prime, max_n: int) -> list[Case]:
+    # The cap counts cosets times product-polynomial terms, p^n * p^ceil(n/2)
+    # per level over both signs: the cost of one character sum per coset.
+    # Folding one product per level costs only p^n + p^ceil(n/2), so the
+    # bound is generous.
+    _refuse_past_cap(
+        "oracle", max_n, lambda n: 2 * p**n * p ** ((n + 1) // 2), "coset-term evaluations"
+    )
     cases = []
     for sign in (Sign.PLUS, Sign.MINUS):
         for n in range(1, max_n + 1):
-            for a in range(p**n):
-                r = residue_from_integer(a, p, n)
-                expected = mu_oracle(sign, r).value
+            oracle = mu_oracle_level(sign, p, n)
+            for a, r in enumerate(cosets(p, n)):
+                expected = oracle[a].value
                 actual = mu_value(sign, r).value
                 cases.append(
                     Case(
@@ -288,6 +265,8 @@ def _suite_oracle(p: Prime, max_n: int) -> list[Case]:
 
 
 def _suite_additivity(p: Prime, max_n: int) -> list[Case]:
+    # Level n values p^n parents and p^(n+1) children, for both signs.
+    _refuse_past_cap("additivity", max_n, lambda n: 2 * (p**n + p ** (n + 1)), "valued cosets")
     cases = []
     for sign in (Sign.PLUS, Sign.MINUS):
         for n in range(1, max_n + 1):
@@ -366,14 +345,121 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Command:
+    """One `pmlog` command: what build_parser() and main() need to parse it.
+
+    A plain class: a dataclass or NamedTuple would take as long to build at
+    import as the rest of this module or longer.
+    """
+
+    __slots__ = ("help", "epilog", "add_arguments", "func", "signs")
+
+    def __init__(
+        self,
+        help: str,
+        epilog: str | None,
+        add_arguments: Callable[[argparse.ArgumentParser], None],
+        func: Callable[[argparse.Namespace], int],
+        signs: tuple[str, ...] | None,  # None: the command takes no --sign
+    ) -> None:
+        self.help = help
+        self.epilog = epilog
+        self.add_arguments = add_arguments
+        self.func = func
+        self.signs = signs
+
+
+_SIGN_EPILOG = "each of these commands also requires --sign {+,-,++,+-,-+,--}"
+
+COMMANDS = {
+    "value": _Command(
+        "distribution value of one coset (JSON)",
+        _SIGN_EPILOG,
+        _add_value_args,
+        cmd_value,
+        ALL_SIGNS,
+    ),
+    "bivalue": _Command(
+        "two-variable value of one coset pair (JSON)",
+        _SIGN_EPILOG,
+        _add_value_args,
+        cmd_value,
+        BIVARIATE_SIGNS,
+    ),
+    "table": _Command("one CSV row per coset", _SIGN_EPILOG, _add_table_args, cmd_table, ALL_SIGNS),
+    "series": _Command(
+        "dump a plus/minus logarithm series (JSON)",
+        "requires --sign {+,-}",
+        _add_series_args,
+        cmd_series,
+        UNIVARIATE_SIGNS,
+    ),
+    "verify": _Command(
+        "run an identity verification suite (JSON report)", None, _add_verify_args, cmd_verify, None
+    ),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, command: _Command) -> None:
+    command.add_arguments(parser)
+    parser.set_defaults(func=command.func, signs=command.signs)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `pmlog` parser, with one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="pmlog",
+        description="Exact plus/minus p-adic logarithms and their distributions.",
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"pmlog {__version__} (output format {FORMAT_VERSION})",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=command.help, epilog=command.epilog), command)
+    return parser
+
+
+class _UsageError(Exception):
+    """A command parser met an argument it cannot parse."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    # Raises instead of printing and exiting, so that the full parser can
+    # report the error in its own words.
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _parse(rest: list[str]) -> argparse.Namespace:
+    # `pmlog <command> ...` is parsed by that command's parser alone, built
+    # as build_parser() builds its subparser.  Any usage error, and any
+    # argument it leaves over, goes back to the full parser, which exits
+    # with the message a full parse gives.
+    if rest and rest[0] in COMMANDS:
+        name = rest[0]
+        command = COMMANDS[name]
+        parser = _CommandParser(prog=f"pmlog {name}", epilog=command.epilog)
+        _add_command(parser, command)
+        parser.set_defaults(command=name)
+        try:
+            args, extras = parser.parse_known_args(rest[1:])
+            if not extras:
+                return args
+        except _UsageError:
+            pass
+    return build_parser().parse_args(rest)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
         rest, sign_token = _extract_sign(list(argv))
         try:
-            args = parser.parse_args(rest)
+            args = _parse(rest)
         except SystemExit as exc:
             return int(exc.code or 0)
         if args.signs is None:

@@ -11,7 +11,9 @@ the S sets, which is checked in the test suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .base import ENUMERATION_CAP, ResourceCapError, Sign
 
@@ -102,6 +104,19 @@ def residue_from_integer(a: int, p: Prime, n: int) -> Residue:
         a, d = divmod(a, p)
         digits.append(d)
     return Residue(p=p, n=n, digits=tuple(digits))
+
+
+def cosets(p: Prime, n: int) -> Iterator[Residue]:
+    """Every residue mod p^n, in increasing order of its representative.
+
+    Walks the digit tuples directly, so no representative is expanded by
+    repeated division.
+    """
+    if n < 1:
+        raise ValueError("modulus exponent n must be >= 1")
+    # product() varies its last place fastest; that place is the units digit.
+    for high_first in itertools.product(range(p), repeat=n):
+        yield Residue(p=p, n=n, digits=high_first[::-1])
 
 
 def in_S_plus(r: Residue) -> bool:

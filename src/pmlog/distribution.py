@@ -18,13 +18,22 @@ from typing import Callable, Mapping
 from .base import ENUMERATION_CAP, ResourceCapError, Sign, pval
 from .cyclotomic import (
     CyclotomicElement,
+    SparsePoly,
     character_sum,
     cyclo_poly,
     eval_at_zeta,
     even_product,
     odd_product,
 )
-from .digits import Prime, Residue, enumerate_R, in_S_minus, in_S_plus, residue_from_integer
+from .digits import (
+    Prime,
+    Residue,
+    cosets,
+    enumerate_R,
+    in_S_minus,
+    in_S_plus,
+    residue_from_integer,
+)
 from .report import Case, VerificationReport
 
 __all__ = [
@@ -34,6 +43,7 @@ __all__ = [
     "mass_exponent",
     "mu_value",
     "mu_oracle",
+    "mu_oracle_level",
     "total_mass",
     "support_masses",
     "integrate",
@@ -131,6 +141,16 @@ def mu_value(sign: Sign, r: Residue) -> DistValue:
     return DistValue(r.p, Fraction(0))
 
 
+def _oracle_product(sign: Sign, p: Prime, n: int) -> tuple[SparsePoly, int]:
+    # The even (plus) or odd (minus) cyclotomic product behind the level-n
+    # values, and the power of p the collapsed character sum is divided by.
+    if p**n > ENUMERATION_CAP:
+        raise ResourceCapError(f"{p}^{n} roots of unity exceed the enumeration cap")
+    if sign is Sign.PLUS:
+        return even_product(p, n // 2), (3 * n + 2) // 2
+    return odd_product(p, (n + 1) // 2), (3 * n + 1) // 2 + 1
+
+
 def mu_oracle(sign: Sign, r: Residue) -> DistValue:
     """The same value recomputed by a root-of-unity character sum.
 
@@ -139,16 +159,25 @@ def mu_oracle(sign: Sign, r: Residue) -> DistValue:
     sum, and rescales.  Independent of the digit test by construction.
     """
     p, n, a = r.p, r.n, r.value
-    if p**n > ENUMERATION_CAP:
-        raise ResourceCapError(f"{p}^{n} roots of unity exceed the enumeration cap")
-    if sign is Sign.PLUS:
-        poly = even_product(p, n // 2)
-        scale = (3 * n + 2) // 2
-    else:
-        poly = odd_product(p, (n + 1) // 2)
-        scale = (3 * n + 1) // 2 + 1
+    poly, scale = _oracle_product(sign, p, n)
     shifted = {e - a: c for e, c in poly.items()}
     return DistValue(p, character_sum(p, n, shifted) / p**scale)
+
+
+def mu_oracle_level(sign: Sign, p: Prime, n: int) -> list[DistValue]:
+    """mu_oracle of every coset mod p^n, indexed by its representative a.
+
+    The character sum for the coset a collapses to p^n times the sum of
+    the product's coefficients at exponents congruent to a mod p^n, so the
+    product is expanded once and its exponents folded mod p^n: p^n +
+    p^ceil(n/2) steps for the whole level instead of p^ceil(n/2) per coset.
+    """
+    poly, scale = _oracle_product(sign, p, n)
+    order, den = p**n, p**scale
+    folded = [0] * order
+    for e, c in poly.items():
+        folded[e % order] += c
+    return [DistValue(p, Fraction(order * c, den)) for c in folded]
 
 
 def total_mass(sign: Sign, p: Prime) -> Fraction:
@@ -252,19 +281,19 @@ def verify_additivity(sign: Sign, p: Prime, n: int) -> VerificationReport:
     preserves the assigned mass."""
     if p ** (n + 1) > ENUMERATION_CAP:
         raise ResourceCapError(f"{p}^{n + 1} cosets exceed the enumeration cap")
+    modulus = p**n
+    children = [mu_value(sign, r).value for r in cosets(p, n + 1)]
     cases = []
-    for a in range(p**n):
-        parent = mu_value(sign, residue_from_integer(a, p, n)).value
-        children = sum(
-            (mu_value(sign, residue_from_integer(a + j * p**n, p, n + 1)).value for j in range(p)),
-            Fraction(0),
-        )
+    # The children of a mod p^n are a + j p^n, j < p: every p^n-th child.
+    for a, r in enumerate(cosets(p, n)):
+        parent = mu_value(sign, r).value
+        total = sum(children[a::modulus], Fraction(0))
         cases.append(
             Case(
                 input=f"sign={sign} a={a} mod {p}^{n}",
                 expected=str(parent),
-                actual=str(children),
-                passed=children == parent,
+                actual=str(total),
+                passed=total == parent,
             )
         )
     return VerificationReport(

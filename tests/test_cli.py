@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -176,6 +177,16 @@ def test_table_bivariate_row_count(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "sizes", [["--n", "-1"], ["--n", "0"], ["--n", "-1", "--m", "2"], ["--n", "2", "--m", "-1"]]
+)
+def test_table_rejects_an_exponent_below_one(capsys, sizes):
+    sign = "+" if "--m" not in sizes else "++"
+    code, _, err = run(capsys, "table", "--sign", sign, "--p", "2", *sizes)
+    assert code == 2
+    assert "must be >= 1" in err
+
+
 def test_table_row_cap_and_force(capsys):
     code, _, err = run(capsys, "table", "--sign", "+", "--p", "2", "--n", "17")
     assert code == 3
@@ -272,10 +283,10 @@ def test_verify_all_passes_and_is_deterministic(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # force a disagreement to exercise the failing path
-    def broken_oracle(sign, r):
-        return DistValue(Prime(int(r.p)), Fraction(1, int(r.p)))
+    def broken_oracle_level(sign, p, n):
+        return [DistValue(Prime(int(p)), Fraction(1, int(p)))] * int(p) ** n
 
-    monkeypatch.setattr(cli, "mu_oracle", broken_oracle)
+    monkeypatch.setattr(cli, "mu_oracle_level", broken_oracle_level)
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "1")
     assert code == 1
     report = json.loads(out)
@@ -298,3 +309,90 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert "pmlog" in out and "format" in out
+
+
+def test_verify_additivity_suite_refuses_past_the_cap_before_any_work(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", "additivity", "--p", "2", "--max-n", "18")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
+def test_verify_additivity_suite_cap_boundary_is_exact(capsys, monkeypatch):
+    # p = 3 up to n = 2: 2 * ((3 + 9) + (9 + 27)) = 96 valued cosets
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 96)
+    code, _, _ = run(capsys, "verify", "--suite", "additivity", "--p", "3", "--max-n", "2")
+    assert code == 0
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 95)
+    code, out, _ = run(capsys, "verify", "--suite", "additivity", "--p", "3", "--max-n", "2")
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("max_n,cases", [(6, 2 * 1092), (8, 2 * 9840)])
+def test_verify_additivity_suite_runs_below_the_cap(capsys, max_n, cases):
+    # 8,736 and 78,720 valued cosets
+    code, out, _ = run(capsys, "verify", "--suite", "additivity", "--p", "3", "--max-n", str(max_n))
+    assert code == 0
+    assert len(json.loads(out)["cases"]) == cases
+
+
+VALID_CALLS = {
+    "value": ["--sign", "-", "--p", "3", "--n", "2", "--a", "2", "--oracle"],
+    "bivalue": ["--sign", "+-", "--p", "3", "--n", "2", "--m", "1", "--a", "3", "--b", "0"],
+    "table": ["--sign", "+", "--p", "2", "--n", "3"],
+    "series": ["--sign", "+", "--p", "3", "--tprec", "4", "--pprec", "3"],
+    "verify": ["--suite", "additivity", "--p", "2", "--max-n", "2"],
+}
+
+
+def without(argv, flag):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2 :]
+
+
+def parity_argvs(command):
+    """-h, a valid call, then calls that fail: a missing required flag, a bad
+    int, an unknown option, --version after the command, --sign without a
+    value, an ambiguous option; last, --sign moved before the command."""
+    valid = VALID_CALLS[command]
+    sign = valid[valid.index("--sign") + 1] if "--sign" in valid else "+"
+    return [
+        [command, "-h"],
+        [command, *valid],
+        [command, *without(valid, "--p")],
+        [command, *without(valid, "--p"), "--p", "x"],
+        [command, *valid, "--bogus"],
+        [command, *valid, "--version"],
+        [command, "--version"],
+        [command, *valid, "--sign"],
+        [command, "--=x", *valid],
+        ["--sign", sign, command, *(without(valid, "--sign") if "--sign" in valid else valid)],
+    ]
+
+
+def run_untimed(capsys, argv):
+    # run(), with verify's wall time on stderr masked
+    code, out, err = run(capsys, *argv)
+    return code, out, re.sub(r"in [0-9.]+ ms", "in T ms", err)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_parser_matches_the_full_parser(capsys, monkeypatch, command):
+    # Each call runs twice: through main()'s parser for that command alone,
+    # then with the full build_parser() tree for every call.
+    argvs = parity_argvs(command)
+    calls = []
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real_build_parser())
+    per_command = [run_untimed(capsys, argv) for argv in argvs[:2]]
+    assert not calls  # -h and a valid call never build the full tree
+    per_command += [run_untimed(capsys, argv) for argv in argvs[2:]]
+    monkeypatch.setattr(cli, "_parse", lambda rest: real_build_parser().parse_args(rest))
+    full = [run_untimed(capsys, argv) for argv in argvs]
+    for argv, mine, theirs in zip(argvs, per_command, full):
+        assert mine == theirs, argv
+    codes = [code for code, _, _ in full]
+    assert codes == [0, 0] + [2] * 7 + [2 if command == "verify" else 0]

@@ -14,6 +14,7 @@ from pmlog import (
     Residue,
     ResourceCapError,
     Sign,
+    cosets,
     enumerate_R,
     in_S_minus,
     in_S_plus,
@@ -113,6 +114,19 @@ def test_residue_bijection(p):
             assert r.value == a
             seen.add(r.digits)
         assert len(seen) == p**n
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_cosets_walk_every_residue_in_order(p):
+    n = 1
+    while p**n <= 20000:
+        assert list(cosets(p, n)) == [residue_from_integer(a, p, n) for a in range(p**n)]
+        n += 1
+
+
+def test_cosets_validate_the_exponent():
+    with pytest.raises(ValueError):
+        next(cosets(Prime(3), 0))
 
 
 @given(

@@ -3,6 +3,7 @@ and the interpolation identities."""
 
 import functools
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from pmlog import (
     interpolation_lhs,
     interpolation_rhs,
     mu_oracle,
+    mu_oracle_level,
     mu_value,
     residue_from_integer,
     support_masses,
@@ -65,6 +67,35 @@ def test_oracle_equivalence(p, max_n):
 def test_mu_oracle_cap():
     with pytest.raises(ResourceCapError):
         mu_oracle(Sign.PLUS, residue_from_integer(0, P2, 21))
+
+
+@pytest.mark.parametrize("p", [P2, P3, P5, Prime(7), Prime(11), Prime(13)])
+def test_mu_oracle_level_matches_point_oracle(p):
+    # Every coset up to p^n = 2000; above that, up to 20000, a seeded
+    # sample plus both ends, since each point query expands the product.
+    rng = random.Random(int(p))
+    for sign in SIGNS:
+        n = 1
+        while p**n <= 20000:
+            level = mu_oracle_level(sign, p, n)
+            assert len(level) == p**n
+            if p**n <= 2000:
+                points = range(p**n)
+            else:
+                points = [0, p**n - 1] + rng.sample(range(1, p**n - 1), 100)
+            for a in points:
+                assert level[a] == mu_oracle(sign, residue_from_integer(a, p, n)), (sign, n, a)
+            n += 1
+
+
+def test_mu_oracle_level_cap(monkeypatch):
+    with pytest.raises(ResourceCapError):
+        mu_oracle_level(Sign.PLUS, P2, 20)
+    monkeypatch.setattr(distribution, "ENUMERATION_CAP", 3**4)
+    for sign in SIGNS:
+        assert len(mu_oracle_level(sign, P3, 4)) == 3**4
+        with pytest.raises(ResourceCapError):
+            mu_oracle_level(sign, P3, 5)
 
 
 @pytest.mark.parametrize("p", [P2, P3, P5, Prime(7)])
@@ -204,6 +235,21 @@ def test_additivity_reports_pass(sign, p, n):
     report = verify_additivity(sign, p, n)
     assert report.passed
     assert len(report.cases) == p**n
+
+
+@pytest.mark.parametrize("p,n", [(P2, 5), (P3, 3), (P5, 2), (Prime(7), 2)])
+def test_additivity_sums_each_cosets_own_children(p, n):
+    # The report against a per-coset sum over a + j p^n, j < p.
+    for sign in SIGNS:
+        report = verify_additivity(sign, p, n)
+        for a, case in enumerate(report.cases):
+            children = sum(
+                (mu_value(sign, residue_from_integer(a + j * p**n, p, n + 1)).value for j in range(p)),
+                Fraction(0),
+            )
+            assert case.input == f"sign={sign} a={a} mod {p}^{n}"
+            assert case.expected == str(mu_value(sign, residue_from_integer(a, p, n)).value)
+            assert case.actual == str(children)
 
 
 def test_additivity_cap():

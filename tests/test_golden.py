@@ -1,5 +1,5 @@
-"""Golden stdout digests: the verify reports, series dumps and a coset table
-must stay byte-identical across refactors and speed-ups.
+"""Golden stdout digests: the verify reports, series dumps, coset tables and
+oracle point queries must stay byte-identical across refactors and speed-ups.
 
 Each digest is the SHA-256 of everything the command writes to stdout.
 They were recorded from the output format marked FORMAT_VERSION "1".
@@ -34,6 +34,12 @@ GOLDEN = {
     "verify --suite logproduct --p 2 --tprec 40 --pprec 24": "7553a2a9feef12f2221f8ff80982451f9d8497c3b0e48a2f28f4d9e09b34a7f6",
     "verify --suite logproduct --p 7 --tprec 24 --pprec 10": "0a2ab798834667a9042144f6d679f589b9dec054f7e1c2f39cae61048589de33",
     "table --sign + --p 3 --n 6": "7399272408c71e030fa4875feedc34886edda65f1d9ce9ba420df5487bbcd471",
+    "verify --suite oracle --p 5 --max-n 4": "cd49d30d44cbae7dae8bb2adebed0363d65853aa0833c745190c008f15570d43",
+    "verify --suite additivity --p 3 --max-n 6": "92f48885f6c3dbdda489594a66f7363e2f45b314b2729a79d0255bc22217e6f6",
+    "table --sign - --p 5 --n 4": "5bbec60aa07f50325881a37bef312cab5f5110b1ed34626a2bc3d465e0d98721",
+    "table --sign -+ --p 3 --n 3 --m 3": "830645a903a6a01d579ae8dc05fe88ca22cd561717b3831e023c13b9ea9afe14",
+    "value --sign - --p 5 --n 4 --a 26 --oracle": "971f0c2641fdcdb1b86bb73335855cf836e6f42e64f200d8bc6aa8f361eecbe3",
+    "bivalue --sign +- --p 3 --n 3 --m 2 --a 3 --b 1 --oracle": "375c6a6898a2bcc2db934bd8072bef0cc3f0db3d1943b7858e2ab1f037964414",
 }
 
 
