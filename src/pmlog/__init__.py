@@ -39,6 +39,7 @@ from .distribution import (
     interpolation_lhs,
     interpolation_rhs,
     mass_exponent,
+    mu_level,
     mu_oracle,
     mu_oracle_level,
     mu_value,
@@ -98,6 +99,7 @@ __all__ = [
     "StepFunction",
     "mass_exponent",
     "mu_value",
+    "mu_level",
     "mu_oracle",
     "mu_oracle_level",
     "total_mass",

@@ -24,6 +24,12 @@ class Sign(enum.Enum):
     PLUS = "+"
     MINUS = "-"
 
+    @property
+    def parity(self) -> int:
+        """The parity of the digit positions that vanish on the support:
+        0 (even positions) for plus, 1 (odd positions) for minus."""
+        return 0 if self is Sign.PLUS else 1
+
     @classmethod
     def from_str(cls, token: str) -> "Sign":
         for sign in cls:

@@ -10,26 +10,30 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import shutil
 import sys
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__
 from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign
 from .bivariate import BiResidue, BiSign, biamice_check, bimu_oracle, bimu_value
-from .digits import Prime, cosets, in_S_minus, in_S_plus, residue_from_integer
+from .cyclotomic import _ring_dim
+from .digits import Prime, digit_tuples, residue_from_integer
 from .distribution import (
     interpolation_lhs,
     interpolation_rhs,
     mass_exponent,
+    mu_level,
     mu_oracle,
     mu_oracle_level,
     mu_value,
     verify_additivity,
 )
-from .report import Case, VerificationReport
+from .report import Case, VerificationReport, report_json
 from .series import (
     DEFAULT_P_PREC,
     DEFAULT_T_PREC,
@@ -123,6 +127,20 @@ def _require_printable(p: Prime, exponent: int) -> None:
         )
 
 
+def _require_printable_integers(values: Iterable[int]) -> None:
+    # The same limit for integers already computed: refuse, before anything
+    # is printed, one with more decimal digits than Python will print.
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        return
+    bound = 10**limit
+    if any(abs(x) >= bound for x in values):
+        raise ResourceCapError(
+            f"an integer in the output exceeds the limit of {limit} decimal digits"
+            " for printing an integer"
+        )
+
+
 def cmd_value(args) -> int:
     p = Prime(args.p)
     if len(args.sign) == 1:
@@ -168,8 +186,8 @@ def _bi_mass_exponent(bisign: BiSign, n: int, m: int) -> int:
     return mass_exponent(bisign.first, n) + mass_exponent(bisign.second, m)
 
 
-def _digit_str(r) -> str:
-    return "|".join(str(d) for d in r.digits)
+def _digit_str(digits: tuple[int, ...]) -> str:
+    return "|".join(map(str, digits))
 
 
 def cmd_table(args) -> int:
@@ -183,13 +201,12 @@ def cmd_table(args) -> int:
         rows = p**args.n
         if rows > TABLE_ROW_CAP and not args.force:
             raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
-        member = in_S_plus if sign is Sign.PLUS else in_S_minus
+        values = mu_level(sign, p, args.n)
         writer.writerow(["a", "digits", "in_S", "value_num", "value_den"])
-        for a, r in enumerate(cosets(p, args.n)):
-            v = mu_value(sign, r)
-            writer.writerow(
-                [a, _digit_str(r), str(member(r)).lower(), v.value.numerator, v.value.denominator]
-            )
+        for a, (digits, v) in enumerate(zip(digit_tuples(p, args.n), values, strict=True)):
+            # The digit test gave the value; in_S says the coset carries mass.
+            in_S = "true" if v else "false"
+            writer.writerow([a, _digit_str(digits), in_S, v.numerator, v.denominator])
     else:
         if args.m is None:
             raise ValueError("bivariate signs require --m")
@@ -198,19 +215,23 @@ def cmd_table(args) -> int:
         rows = p ** (args.n + args.m)
         if rows > TABLE_ROW_CAP and not args.force:
             raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
+        # A pair's value is the product of its coordinates' values.
+        first = mu_level(bisign.first, p, args.n)
+        second = mu_level(bisign.second, p, args.m)
+        second_digits = [_digit_str(digits) for digits in digit_tuples(p, args.m)]
         writer.writerow(["a", "b", "digits", "in_S", "value_num", "value_den"])
-        second = list(cosets(p, args.m))
-        for a, ra in enumerate(cosets(p, args.n)):
-            for b, rb in enumerate(second):
-                v = bimu_value(bisign, BiResidue(ra, rb))
+        for a, (digits, va) in enumerate(zip(digit_tuples(p, args.n), first, strict=True)):
+            digits_a = _digit_str(digits)
+            for b, (digits_b, vb) in enumerate(zip(second_digits, second, strict=True)):
+                v = va * vb
                 writer.writerow(
                     [
                         a,
                         b,
-                        f"{_digit_str(ra)}/{_digit_str(rb)}",
-                        str(not v.is_zero).lower(),
-                        v.value.numerator,
-                        v.value.denominator,
+                        f"{digits_a}/{digits_b}",
+                        "true" if v else "false",
+                        v.numerator,
+                        v.denominator,
                     ]
                 )
     return 0
@@ -221,6 +242,7 @@ def cmd_series(args) -> int:
     sign = Sign.from_str(args.sign)
     prec = SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec)
     series = build_log_pm(p, sign, prec)
+    _require_printable_integers(x for c in series.coeffs for x in (c.numerator, c.denominator))
     print(json.dumps(dump_dict(series, sign), indent=2))
     return 0
 
@@ -250,9 +272,9 @@ def _suite_oracle(p: Prime, max_n: int) -> list[Case]:
     for sign in (Sign.PLUS, Sign.MINUS):
         for n in range(1, max_n + 1):
             oracle = mu_oracle_level(sign, p, n)
-            for a, r in enumerate(cosets(p, n)):
-                expected = oracle[a].value
-                actual = mu_value(sign, r).value
+            values = mu_level(sign, p, n)
+            for a, (oracle_value, actual) in enumerate(zip(oracle, values, strict=True)):
+                expected = oracle_value.value
                 cases.append(
                     Case(
                         input=f"oracle: sign={sign} n={n} a={a}",
@@ -279,11 +301,15 @@ def _suite_additivity(p: Prime, max_n: int) -> list[Case]:
 
 
 def _suite_amice(p: Prime, max_n: int) -> list[Case]:
+    # Level n checks 2 signs times n values of k; one check builds about
+    # n + 1 ring elements (the left side, then a factor and a product per
+    # cyclotomic value on the right), each of _ring_dim(p, n) coefficients.
+    _refuse_past_cap(
+        "amice", max_n, lambda n: 2 * n * (n + 1) * _ring_dim(p, n), "ring coefficients"
+    )
     cases = []
     for sign in (Sign.PLUS, Sign.MINUS):
         for n in range(1, max_n + 1):
-            if p**n > ENUMERATION_CAP:
-                raise ResourceCapError(f"{p}^{n} cosets exceed the enumeration cap")
             for k in range(1, n + 1):
                 lhs = interpolation_lhs(sign, k, p, n)
                 rhs = interpolation_rhs(sign, k, p, n)
@@ -299,6 +325,15 @@ def _suite_amice(p: Prime, max_n: int) -> list[Case]:
 
 
 def _suite_biamice(p: Prime, max_n: int) -> list[Case]:
+    # Level n checks 4 sign pairs times n^2 pairs (k1, k2); one check
+    # builds about n + 2 ring elements (two right sides and their product)
+    # and sums over at most p^(n+1) support pairs.
+    _refuse_past_cap(
+        "biamice",
+        max_n,
+        lambda n: 4 * n * n * ((n + 2) * _ring_dim(p, n) + p ** (n + 1)),
+        "ring coefficients and support pairs",
+    )
     cases = []
     for token in BIVARIATE_SIGNS:
         bisign = BiSign.from_str(token)
@@ -340,7 +375,7 @@ def cmd_verify(args) -> int:
     parameters = {"p": int(p), "max_n": args.max_n, "t_prec": prec.t_prec, "p_prec": prec.p_prec}
     report = VerificationReport(suite=args.suite, parameters=parameters, cases=cases)
     wall_time_ms = (time.perf_counter() - started) * 1000.0
-    print(json.dumps(report.to_json_dict(), indent=2))
+    print(report_json(report.to_json_dict()))
     print(f"suite {args.suite}: {len(cases)} cases in {wall_time_ms:.1f} ms", file=sys.stderr)
     return 0 if report.passed else 1
 
@@ -441,7 +476,14 @@ def _parse(rest: list[str]) -> argparse.Namespace:
     if rest and rest[0] in COMMANDS:
         name = rest[0]
         command = COMMANDS[name]
-        parser = _CommandParser(prog=f"pmlog {name}", epilog=command.epilog)
+        # argparse asks for the terminal width in every add_argument; ask
+        # once, for the width argparse would compute itself.
+        formatter = functools.partial(
+            argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+        )
+        parser = _CommandParser(
+            prog=f"pmlog {name}", epilog=command.epilog, formatter_class=formatter
+        )
         _add_command(parser, command)
         parser.set_defaults(command=name)
         try:

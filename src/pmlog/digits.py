@@ -106,27 +106,40 @@ def residue_from_integer(a: int, p: Prime, n: int) -> Residue:
     return Residue(p=p, n=n, digits=tuple(digits))
 
 
+def digit_tuples(p: Prime, n: int) -> Iterator[tuple[int, ...]]:
+    """The little-endian digit vector of every residue mod p^n, in
+    increasing order of its representative, without building a Residue."""
+    if n < 1:
+        raise ValueError("modulus exponent n must be >= 1")
+    # product() varies its last place fastest; that place is the units digit.
+    for high_first in itertools.product(range(p), repeat=n):
+        yield high_first[::-1]
+
+
 def cosets(p: Prime, n: int) -> Iterator[Residue]:
     """Every residue mod p^n, in increasing order of its representative.
 
     Walks the digit tuples directly, so no representative is expanded by
     repeated division.
     """
-    if n < 1:
-        raise ValueError("modulus exponent n must be >= 1")
-    # product() varies its last place fastest; that place is the units digit.
-    for high_first in itertools.product(range(p), repeat=n):
-        yield Residue(p=p, n=n, digits=high_first[::-1])
+    for digits in digit_tuples(p, n):
+        yield Residue(p=p, n=n, digits=digits)
+
+
+def in_S(sign: Sign, digits: tuple[int, ...]) -> bool:
+    """The digit test: True iff the little-endian digits vanish at every
+    position of the sign's parity, that is, the residue lies in S(n, sign)."""
+    return not any(digits[sign.parity :: 2])
 
 
 def in_S_plus(r: Residue) -> bool:
     """True iff every even-position digit of r vanishes."""
-    return all(d == 0 for pos, d in enumerate(r.digits) if pos % 2 == 0)
+    return in_S(Sign.PLUS, r.digits)
 
 
 def in_S_minus(r: Residue) -> bool:
     """True iff every odd-position digit of r vanishes."""
-    return all(d == 0 for pos, d in enumerate(r.digits) if pos % 2 == 1)
+    return in_S(Sign.MINUS, r.digits)
 
 
 def enumerate_R(p: Prime, count: int, sign: Sign) -> set[int]:
@@ -137,9 +150,8 @@ def enumerate_R(p: Prime, count: int, sign: Sign) -> set[int]:
         raise ValueError("count must be >= 0")
     if p**count > ENUMERATION_CAP:
         raise ResourceCapError(f"{p}^{count} elements exceed the enumeration cap {ENUMERATION_CAP}")
-    parity = 1 if sign is Sign.PLUS else 0
     result = {0}
     for l in range(count):
-        step = p ** (2 * l + parity)
+        step = p ** (2 * l + 1 - sign.parity)  # the positions S leaves free
         result = {r + a * step for r in result for a in range(p)}
     return result

@@ -11,6 +11,7 @@ digit test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -28,10 +29,9 @@ from .cyclotomic import (
 from .digits import (
     Prime,
     Residue,
-    cosets,
+    digit_tuples,
     enumerate_R,
-    in_S_minus,
-    in_S_plus,
+    in_S,
     residue_from_integer,
 )
 from .report import Case, VerificationReport
@@ -42,6 +42,7 @@ __all__ = [
     "StepFunction",
     "mass_exponent",
     "mu_value",
+    "mu_level",
     "mu_oracle",
     "mu_oracle_level",
     "total_mass",
@@ -129,16 +130,31 @@ class StepFunction:
 
 
 def mass_exponent(sign: Sign, n: int) -> int:
-    """The e with p^(-e) the value of every coset mod p^n in the support."""
-    return (n + 2) // 2 if sign is Sign.PLUS else (n + 3) // 2
+    """The e with p^(-e) the value of every coset mod p^n in the support:
+    floor((n+2)/2) for plus, floor((n+3)/2) for minus."""
+    return (n + 2 + sign.parity) // 2
 
 
 def mu_value(sign: Sign, r: Residue) -> DistValue:
     """Closed-form distribution value of the coset r, by the digit test."""
-    member = in_S_plus if sign is Sign.PLUS else in_S_minus
-    if member(r):
+    if in_S(sign, r.digits):
         return DistValue(r.p, Fraction(1, r.p ** mass_exponent(sign, r.n)))
     return DistValue(r.p, Fraction(0))
+
+
+def mu_level(sign: Sign, p: Prime, n: int) -> list[Fraction]:
+    """mu_value of every coset mod p^n, indexed by its representative a.
+
+    The digit test runs on each coset's digit vector in one walk, with no
+    Residue or DistValue per coset: a level has only two values, its mass
+    p^(-mass_exponent) and zero, and the list shares one object of each.
+    """
+    if n < 1:
+        raise ValueError("modulus exponent n must be >= 1")
+    if p**n > ENUMERATION_CAP:
+        raise ResourceCapError(f"{p}^{n} cosets exceed the enumeration cap")
+    mass, zero = Fraction(1, p ** mass_exponent(sign, n)), Fraction(0)
+    return [mass if in_S(sign, digits) else zero for digits in digit_tuples(p, n)]
 
 
 def _oracle_product(sign: Sign, p: Prime, n: int) -> tuple[SparsePoly, int]:
@@ -199,7 +215,7 @@ def support_masses(sign: Sign, p: Prime, n: int) -> dict[int, Fraction]:
     do not add up to the total mass 1/p, so this path can neither drop
     nor add a coset without failing loudly.
     """
-    count = n // 2 if sign is Sign.PLUS else (n + 1) // 2
+    count = (n + sign.parity) // 2
     modulus = p**n
     masses: dict[int, Fraction] = {}
     for a in sorted(enumerate_R(p, count, sign)):
@@ -254,18 +270,14 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
     """
     if not 1 <= k <= n:
         raise ValueError("require 1 <= k <= n")
-    if sign is Sign.PLUS:
-        if k % 2 == 0:
-            return CyclotomicElement.zero(p, n)
-        level = n if n % 2 == 1 else n + 1
-        count, first = (level - 1) // 2, 2
-        prefactor = Fraction(1, p ** ((level + 1) // 2))
-    else:
-        if k % 2 == 1:
-            return CyclotomicElement.zero(p, n)
-        level = n if n % 2 == 0 else n + 1
-        count, first = level // 2, 1
-        prefactor = Fraction(1, p ** (level // 2 + 1))
+    q = sign.parity
+    if k % 2 == q:
+        return CyclotomicElement.zero(p, n)
+    # Plus takes odd k and multiplies the values at even levels 2, 4, ...;
+    # minus takes even k and the odd levels 1, 3, ...
+    level = n if n % 2 != q else n + 1
+    count, first = (level - 1 + q) // 2, 2 - q
+    prefactor = Fraction(1, p ** ((level + 1 + q) // 2))
     zeta_exp = p ** (n - k)  # zeta_k as a power of the level-n root
     acc = CyclotomicElement.one(p, n)
     m = first
@@ -279,15 +291,16 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
 def verify_additivity(sign: Sign, p: Prime, n: int) -> VerificationReport:
     """Check that refining every coset mod p^n into its p children mod p^(n+1)
     preserves the assigned mass."""
-    if p ** (n + 1) > ENUMERATION_CAP:
-        raise ResourceCapError(f"{p}^{n + 1} cosets exceed the enumeration cap")
     modulus = p**n
-    children = [mu_value(sign, r).value for r in cosets(p, n + 1)]
+    children = mu_level(sign, p, n + 1)
+    # The children as integer numerators over their common denominator, so
+    # each coset's sum is exact, whatever the values, without Fraction sums.
+    den = math.lcm(*(c.denominator for c in children))
+    numerators = [c.numerator * (den // c.denominator) for c in children]
     cases = []
     # The children of a mod p^n are a + j p^n, j < p: every p^n-th child.
-    for a, r in enumerate(cosets(p, n)):
-        parent = mu_value(sign, r).value
-        total = sum(children[a::modulus], Fraction(0))
+    for a, parent in enumerate(mu_level(sign, p, n)):
+        total = Fraction(sum(numerators[a::modulus]), den)
         cases.append(
             Case(
                 input=f"sign={sign} a={a} mod {p}^{n}",

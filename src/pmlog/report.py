@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -37,3 +39,34 @@ class VerificationReport:
                 for c in self.cases
             ],
         }
+
+
+# One case of a report as json.dumps(..., indent=2) lays it out.
+_CASE = (
+    '    {{\n      "input": {},\n      "expected": {},\n      "actual": {},\n'
+    '      "pass": {}\n    }}'
+)
+
+
+def report_json(d: dict) -> str:
+    """Exactly json.dumps(d, indent=2) for d = VerificationReport.to_json_dict().
+
+    With an indent, json.dumps runs its pure-Python encoder.  Here only the
+    small header goes through it; each case is written from a fixed
+    template, its strings escaped by the C string encoder that json.dumps
+    uses.  This relies on the shape to_json_dict() gives: string fields and
+    a bool per case, and "cases" as the last key.
+    """
+    header = json.dumps({k: v for k, v in d.items() if k != "cases"}, indent=2)
+    cases = ",\n".join(
+        _CASE.format(
+            encode_basestring_ascii(c["input"]),
+            encode_basestring_ascii(c["expected"]),
+            encode_basestring_ascii(c["actual"]),
+            "true" if c["pass"] else "false",
+        )
+        for c in d["cases"]
+    )
+    body = f"[\n{cases}\n  ]" if cases else "[]"
+    # The header ends in "\n}"; the cases go in before that brace.
+    return f'{header[:-2]},\n  "cases": {body}\n}}'

@@ -210,7 +210,8 @@ def _phi_factor(p: Prime, m: int, prec: SeriesPrecision) -> TruncatedSeries:
 
 
 def _factor_level(sign: Sign, j: int) -> int:
-    return 2 * j if sign is Sign.PLUS else 2 * j - 1
+    # The j-th even (plus) or odd (minus) cyclotomic level.
+    return 2 * j - sign.parity
 
 
 def _moves_at_precision(extended: TruncatedSeries, product: TruncatedSeries) -> bool:

@@ -260,6 +260,29 @@ def test_series_large_prime_in_bounded_time(capsys):
     }
 
 
+def test_series_with_an_unprintable_coefficient_is_a_resource_error(capsys):
+    # 2^61 - 1 at this precision gives numerators past the 4,300-digit limit.
+    argv = ["series", "--sign", "-", "--p", "2305843009213693951", "--tprec", "24", "--pprec", "24"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "exceeds the limit" in err and "decimal digits" in err
+
+
+def test_series_print_limit_boundary_is_exact(capsys, monkeypatch):
+    argv = ["series", "--sign", "-", "--p", "3", "--tprec", "24", "--pprec", "12"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    coeffs = json.loads(out)["coeffs"]
+    longest = max(len(c[key].lstrip("-")) for c in coeffs for key in ("num", "den"))
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: longest)
+    assert run(capsys, *argv) == (0, out, "")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: longest - 1)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+
+
 def test_verify_logproduct_suite(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "logproduct", "--p", "2", "--tprec", "10", "--pprec", "6"
@@ -339,6 +362,65 @@ def test_verify_additivity_suite_runs_below_the_cap(capsys, max_n, cases):
     assert len(json.loads(out)["cases"]) == cases
 
 
+@pytest.mark.parametrize("suite", ["amice", "biamice"])
+def test_verify_interpolation_suites_refuse_past_the_cap_before_any_work(capsys, suite):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", suite, "--p", "2", "--max-n", "19")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "suite,cost",
+    [
+        # p = 3 up to n = 2, ring dimensions 2 and 6:
+        # amice 2 * n * (n + 1) * dim: 8 + 72
+        ("amice", 80),
+        # biamice 4 * n^2 * ((n + 2) * dim + p^(n + 1)): 60 + 816
+        ("biamice", 876),
+    ],
+)
+def test_verify_interpolation_suite_cap_boundary_is_exact(capsys, monkeypatch, suite, cost):
+    argv = ["verify", "--suite", suite, "--p", "3", "--max-n", "2"]
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", cost)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", cost - 1)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "suite,p,max_n,cases",
+    [
+        ("amice", 2, 6, 2 * 21),
+        ("amice", 3, 4, 2 * 10),
+        ("amice", 5, 3, 2 * 6),
+        ("biamice", 2, 4, 4 * 30),
+        ("biamice", 3, 3, 4 * 14),
+        ("biamice", 2, 6, 4 * 91),
+    ],
+)
+def test_verify_interpolation_suites_run_below_the_cap(capsys, suite, p, max_n, cases):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--p", str(p), "--max-n", str(max_n))
+    assert code == 0
+    report = json.loads(out)
+    assert report["overall_pass"] is True
+    assert len(report["cases"]) == cases
+
+
+def test_forced_table_is_held_to_the_enumeration_cap(capsys):
+    # --force lifts the row cap, but one level is valued at once, so its
+    # coset count stays within the enumeration cap.
+    code, out, err = run(capsys, "table", "--sign", "+", "--p", "2", "--n", "21", "--force")
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
 VALID_CALLS = {
     "value": ["--sign", "-", "--p", "3", "--n", "2", "--a", "2", "--oracle"],
     "bivalue": ["--sign", "+-", "--p", "3", "--n", "2", "--m", "1", "--a", "3", "--b", "0"],
@@ -396,3 +478,13 @@ def test_command_parser_matches_the_full_parser(capsys, monkeypatch, command):
         assert mine == theirs, argv
     codes = [code for code, _, _ in full]
     assert codes == [0, 0] + [2] * 7 + [2 if command == "verify" else 0]
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_follows_the_terminal_width(capsys, monkeypatch, command, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    mine = run(capsys, command, "-h")
+    full_parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parse", lambda rest: full_parser.parse_args(rest))
+    assert mine == run(capsys, command, "-h")

@@ -21,6 +21,7 @@ from pmlog import (
     integrate,
     interpolation_lhs,
     interpolation_rhs,
+    mu_level,
     mu_oracle,
     mu_oracle_level,
     mu_value,
@@ -47,6 +48,32 @@ def test_mu_value_examples():
     assert mu_value(Sign.PLUS, residue_from_integer(3, P3, 3)).value == Fraction(1, 9)
     assert mu_value(Sign.PLUS, residue_from_integer(1, P3, 2)).value == 0
     assert mu_value(Sign.MINUS, residue_from_integer(2, P3, 1)).value == Fraction(1, 9)
+
+
+@pytest.mark.parametrize("p", [P2, P3, P5, Prime(7), Prime(11), Prime(13)])
+def test_mu_level_matches_mu_value(p):
+    for sign in SIGNS:
+        n = 1
+        while p**n <= 20000:
+            level = mu_level(sign, p, n)
+            assert len(level) == p**n
+            for a, value in enumerate(level):
+                assert value == mu_value(sign, residue_from_integer(a, p, n)).value, (sign, n, a)
+            n += 1
+
+
+def test_mu_level_cap_and_exponent(monkeypatch):
+    for sign in SIGNS:
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                mu_level(sign, P3, n)
+    with pytest.raises(ResourceCapError):
+        mu_level(Sign.PLUS, P2, 20)
+    monkeypatch.setattr(distribution, "ENUMERATION_CAP", 3**4)
+    for sign in SIGNS:
+        assert len(mu_level(sign, P3, 4)) == 3**4
+        with pytest.raises(ResourceCapError):
+            mu_level(sign, P3, 5)
 
 
 def test_mu_oracle_examples():

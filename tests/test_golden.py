@@ -40,6 +40,8 @@ GOLDEN = {
     "table --sign -+ --p 3 --n 3 --m 3": "830645a903a6a01d579ae8dc05fe88ca22cd561717b3831e023c13b9ea9afe14",
     "value --sign - --p 5 --n 4 --a 26 --oracle": "971f0c2641fdcdb1b86bb73335855cf836e6f42e64f200d8bc6aa8f361eecbe3",
     "bivalue --sign +- --p 3 --n 3 --m 2 --a 3 --b 1 --oracle": "375c6a6898a2bcc2db934bd8072bef0cc3f0db3d1943b7858e2ab1f037964414",
+    "table --sign -- --p 2 --n 4 --m 3": "e7a3cf5dcff38e895af3d09f57915c2fd1f189fd5e72a287fca83cb153836aa1",
+    "table --sign + --p 7 --n 3": "b5f9722bb25dd8d8ab53207c4fdc60a3eb68e273e519dd62f92dd00a875ad5ef",
 }
 
 
