@@ -15,7 +15,6 @@ from .cyclotomic import (
     CycloPoly,
     CyclotomicElement,
     character_sum,
-    character_sum_bruteforce,
     cyclo_poly,
     eval_at_zeta,
     even_product,
@@ -53,7 +52,6 @@ from .series import (
     SeriesPrecision,
     TruncatedSeries,
     build_log_pm,
-    coefficient_valuation_profile,
     log_pm_partial_product,
     phi_shifted,
     series_log_classical,
@@ -84,7 +82,6 @@ __all__ = [
     "odd_product",
     "zeta_power",
     "character_sum",
-    "character_sum_bruteforce",
     "eval_at_zeta",
     "SeriesPrecision",
     "TruncatedSeries",
@@ -94,7 +91,6 @@ __all__ = [
     "log_pm_partial_product",
     "stabilization_factor_count",
     "verify_product_identity",
-    "coefficient_valuation_profile",
     "DistValue",
     "StepFunction",
     "mass_exponent",

@@ -3,7 +3,7 @@ the identity verification suites.
 
 JSON and CSV go to standard output; diagnostics and timings go to standard
 error.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource or convergence error.
+3 resource or convergence error, or standard output closed early.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import os
 import shutil
 import sys
 import time
@@ -83,34 +84,31 @@ def _require_sign(token: str | None, allowed: tuple[str, ...]) -> str:
     return token
 
 
-def _add_value_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", required=True, type=int)
-    parser.add_argument("--n", required=True, type=int)
-    parser.add_argument("--m", type=int, help="second modulus exponent (bivariate signs)")
-    parser.add_argument("--a", required=True, type=int)
-    parser.add_argument("--b", type=int, help="second coordinate (bivariate signs)")
-    parser.add_argument("--oracle", action="store_true", help="also run the character-sum oracle")
-
-
-def _add_table_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", required=True, type=int)
-    parser.add_argument("--n", required=True, type=int)
-    parser.add_argument("--m", type=int, help="second modulus exponent (bivariate signs)")
-    parser.add_argument("--force", action="store_true", help="override the row cap")
-
-
-def _add_series_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", required=True, type=int)
-    parser.add_argument("--tprec", type=int, default=DEFAULT_T_PREC)
-    parser.add_argument("--pprec", type=int, default=DEFAULT_P_PREC)
-
-
-def _add_verify_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--suite", required=True, choices=SUITES)
-    parser.add_argument("--p", required=True, type=int)
-    parser.add_argument("--max-n", type=int, default=3, dest="max_n")
-    parser.add_argument("--tprec", type=int, default=DEFAULT_T_PREC)
-    parser.add_argument("--pprec", type=int, default=DEFAULT_P_PREC)
+# Each command's flags, in the order its help lists them, as (flag, dest,
+# kind, required, default, help): kind is int, a tuple of choices, or bool
+# for a store_true switch.  build_parser() and _scan() both read these.
+_P = ("--p", "p", int, True, None, None)
+_N = ("--n", "n", int, True, None, None)
+_M = ("--m", "m", int, False, None, "second modulus exponent (bivariate signs)")
+_TPREC = ("--tprec", "tprec", int, False, DEFAULT_T_PREC, None)
+_PPREC = ("--pprec", "pprec", int, False, DEFAULT_P_PREC, None)
+_VALUE_FLAGS = (
+    _P,
+    _N,
+    _M,
+    ("--a", "a", int, True, None, None),
+    ("--b", "b", int, False, None, "second coordinate (bivariate signs)"),
+    ("--oracle", "oracle", bool, False, False, "also run the character-sum oracle"),
+)
+_TABLE_FLAGS = (_P, _N, _M, ("--force", "force", bool, False, False, "override the row cap"))
+_SERIES_FLAGS = (_P, _TPREC, _PPREC)
+_VERIFY_FLAGS = (
+    ("--suite", "suite", SUITES, True, None, None),
+    _P,
+    ("--max-n", "max_n", int, False, 3, None),
+    _TPREC,
+    _PPREC,
+)
 
 
 def _require_printable(p: Prime, exponent: int) -> None:
@@ -149,35 +147,26 @@ def cmd_value(args) -> int:
         sign = Sign.from_str(args.sign)
         _require_printable(p, mass_exponent(sign, args.n))
         r = residue_from_integer(args.a, p, args.n)
-        value = mu_value(sign, r)
-        if args.oracle:
-            oracle = mu_oracle(sign, r)
-            out = {
-                "value": value.to_json_dict(),
-                "oracle": oracle.to_json_dict(),
-                "agree": value.value == oracle.value,
-            }
-        else:
-            out = value.to_json_dict()
+        value_of, oracle_of, labels = mu_value, mu_oracle, {}
     else:
         if args.m is None or args.b is None:
             raise ValueError("bivariate signs require --m and --b")
-        bisign = BiSign.from_str(args.sign)
-        _require_printable(p, _bi_mass_exponent(bisign, args.n, args.m))
+        sign = BiSign.from_str(args.sign)
+        _require_printable(p, _bi_mass_exponent(sign, args.n, args.m))
         r = BiResidue(
             residue_from_integer(args.a, p, args.n),
             residue_from_integer(args.b, p, args.m),
         )
-        value = bimu_value(bisign, r)
-        if args.oracle:
-            oracle = bimu_oracle(bisign, r)
-            out = {
-                "value": {**value.to_json_dict(), "sign": str(bisign)},
-                "oracle": {**oracle.to_json_dict(), "sign": str(bisign)},
-                "agree": value.value == oracle.value,
-            }
-        else:
-            out = {**value.to_json_dict(), "sign": str(bisign)}
+        value_of, oracle_of, labels = bimu_value, bimu_oracle, {"sign": str(sign)}
+    value = value_of(sign, r)
+    out = {**value.to_json_dict(), **labels}
+    if args.oracle:
+        oracle = oracle_of(sign, r)
+        out = {
+            "value": out,
+            "oracle": {**oracle.to_json_dict(), **labels},
+            "agree": value.value == oracle.value,
+        }
     print(json.dumps(out))
     return 0
 
@@ -380,64 +369,49 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-class _Command:
-    """One `pmlog` command: what build_parser() and main() need to parse it.
-
-    A plain class: a dataclass or NamedTuple would take as long to build at
-    import as the rest of this module or longer.
-    """
-
-    __slots__ = ("help", "epilog", "add_arguments", "func", "signs")
-
-    def __init__(
-        self,
-        help: str,
-        epilog: str | None,
-        add_arguments: Callable[[argparse.ArgumentParser], None],
-        func: Callable[[argparse.Namespace], int],
-        signs: tuple[str, ...] | None,  # None: the command takes no --sign
-    ) -> None:
-        self.help = help
-        self.epilog = epilog
-        self.add_arguments = add_arguments
-        self.func = func
-        self.signs = signs
-
-
 _SIGN_EPILOG = "each of these commands also requires --sign {+,-,++,+-,-+,--}"
 
+# Each command as (help, epilog, flags, func, signs), where signs is None for
+# a command that takes no --sign.  Plain tuples: a dataclass or NamedTuple
+# would take as long to build at import as the rest of this module or longer.
 COMMANDS = {
-    "value": _Command(
+    "value": (
         "distribution value of one coset (JSON)",
         _SIGN_EPILOG,
-        _add_value_args,
+        _VALUE_FLAGS,
         cmd_value,
         ALL_SIGNS,
     ),
-    "bivalue": _Command(
+    "bivalue": (
         "two-variable value of one coset pair (JSON)",
         _SIGN_EPILOG,
-        _add_value_args,
+        _VALUE_FLAGS,
         cmd_value,
         BIVARIATE_SIGNS,
     ),
-    "table": _Command("one CSV row per coset", _SIGN_EPILOG, _add_table_args, cmd_table, ALL_SIGNS),
-    "series": _Command(
+    "table": ("one CSV row per coset", _SIGN_EPILOG, _TABLE_FLAGS, cmd_table, ALL_SIGNS),
+    "series": (
         "dump a plus/minus logarithm series (JSON)",
         "requires --sign {+,-}",
-        _add_series_args,
+        _SERIES_FLAGS,
         cmd_series,
         UNIVARIATE_SIGNS,
     ),
-    "verify": _Command(
-        "run an identity verification suite (JSON report)", None, _add_verify_args, cmd_verify, None
+    "verify": (
+        "run an identity verification suite (JSON report)", None, _VERIFY_FLAGS, cmd_verify, None
     ),
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, command: _Command) -> None:
-    command.add_arguments(parser)
-    parser.set_defaults(func=command.func, signs=command.signs)
+def _add_command(parser: argparse.ArgumentParser, command: tuple) -> None:
+    _, _, flags, func, signs = command
+    for flag, dest, kind, required, default, help in flags:
+        if kind is bool:
+            typed = {"action": "store_true"}
+        else:
+            typed = {"type": int} if kind is int else {"choices": kind}
+        parser.add_argument(flag, dest=dest, required=required, default=default, help=help, **typed)
+    parser.set_defaults(func=func, signs=signs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,8 +427,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=command.help, epilog=command.epilog), command)
+        help, epilog, *_ = command
+        _add_command(sub.add_parser(name, help=help, epilog=epilog), command)
     return parser
+
+
+def _scan(name: str, command: tuple, tokens: list[str]) -> argparse.Namespace | None:
+    # build_parser()'s namespace for a well-formed `pmlog <name> <tokens>`,
+    # read from the command's flags without building a parser, or None when
+    # unsure.  It reads exact `--flag value` pairs and switches, each at most
+    # once, ints of ASCII digits and listed choices, and needs every required
+    # flag; anything else is left to argparse, with its meaning and messages.
+    _, _, flags, func, signs = command
+    declared = {flag[0]: flag for flag in flags}
+    values = {}
+    stream = iter(tokens)
+    for token in stream:
+        flag = declared.get(token)
+        if flag is None or flag[1] in values:
+            return None
+        _, dest, kind, _, _, _ = flag
+        value = True if kind is bool else next(stream, "")
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the int-to-str digit limit
+                return None
+        elif kind is not bool and value not in kind:
+            return None
+        values[dest] = value
+    for _, dest, _, required, default, _ in flags:
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = default
+    return argparse.Namespace(command=name, func=func, signs=signs, **values)
 
 
 class _UsageError(Exception):
@@ -469,21 +478,23 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def _parse(rest: list[str]) -> argparse.Namespace:
-    # `pmlog <command> ...` is parsed by that command's parser alone, built
+    # A well-formed `pmlog <command> ...` is scanned without building a
+    # parser.  Anything else is parsed by that command's parser alone, built
     # as build_parser() builds its subparser.  Any usage error, and any
     # argument it leaves over, goes back to the full parser, which exits
     # with the message a full parse gives.
-    if rest and rest[0] in COMMANDS:
+    command = COMMANDS.get(rest[0]) if rest else None
+    if command is not None:
         name = rest[0]
-        command = COMMANDS[name]
+        args = _scan(name, command, rest[1:])
+        if args is not None:
+            return args
         # argparse asks for the terminal width in every add_argument; ask
         # once, for the width argparse would compute itself.
         formatter = functools.partial(
             argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
         )
-        parser = _CommandParser(
-            prog=f"pmlog {name}", epilog=command.epilog, formatter_class=formatter
-        )
+        parser = _CommandParser(prog=f"pmlog {name}", epilog=command[1], formatter_class=formatter)
         _add_command(parser, command)
         parser.set_defaults(command=name)
         try:
@@ -515,6 +526,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ResourceCapError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  The rest of its
+        # buffer goes to os.devnull, so that the flush at exit stays quiet.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no stdout, or no file behind it
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print("error: standard output was closed before all output was written", file=sys.stderr)
         return 3
 
 

@@ -234,8 +234,8 @@ def character_sum(p: Prime, n: int, weights: Mapping[int, Fraction | int]) -> Fr
     Uses the collapse law: summing zeta^(k m) over the full group of p^n-th
     roots gives p^n when p^n divides m and 0 otherwise, so the double sum
     reduces to the weights at exponents divisible by p^n.  The literal
-    root-by-root evaluation is kept in character_sum_bruteforce as an
-    independent check.
+    root-by-root evaluation is the independent check in
+    tests/test_cyclotomic.py.
     """
     order = p**n
     total = Fraction(0)
@@ -243,21 +243,3 @@ def character_sum(p: Prime, n: int, weights: Mapping[int, Fraction | int]) -> Fr
         if e % order == 0:
             total += w
     return order * total
-
-
-def character_sum_bruteforce(p: Prime, n: int, weights: Mapping[int, Fraction | int]) -> Fraction:
-    """Evaluate the same sum root by root in the cyclotomic ring (verification only)."""
-    order = p**n
-    if order > ENUMERATION_CAP:
-        raise ResourceCapError(f"{order} roots exceed the enumeration cap")
-    acc = [Fraction(0)] * _ring_dim(p, n)
-    for k in range(order):
-        for e, w in weights.items():
-            if w == 0:
-                continue
-            for idx, s in _monomial_terms(p, n, k * e):
-                acc[idx] += s * w
-    elem = CyclotomicElement(p, n, tuple(acc))
-    if not elem.is_rational():
-        raise ValueError("character sum did not collapse to a rational")
-    return elem.rational_value()

@@ -332,18 +332,6 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> VerificationRepo
     )
 
 
-def coefficient_valuation_profile(s: TruncatedSeries) -> list[tuple[int, int | None]]:
-    """Per-coefficient valuations; None marks a coefficient that is zero at
-    its guaranteed precision (exactly zero or indistinguishable from it)."""
-    profile: list[tuple[int, int | None]] = []
-    for k, (c, g) in enumerate(zip(s.coeffs, s.guarantees)):
-        if c == 0 or pval(c, s.p) >= g:
-            profile.append((k, None))
-        else:
-            profile.append((k, pval(c, s.p)))
-    return profile
-
-
 def dump_dict(s: TruncatedSeries, sign: Sign) -> dict:
     """The stable JSON form of a series: decimal-string big integers throughout."""
     return {

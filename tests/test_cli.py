@@ -1,14 +1,21 @@
 """The command-line surface: output schemas, exit codes, determinism."""
 
+import argparse
 import csv
+import importlib.util
 import io
 import json
+import os
+import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from test_cli_fuzz import sloppy, well_formed
 
 import pmlog.cli as cli
 from pmlog import DistValue, Prime
@@ -488,3 +495,131 @@ def test_command_help_follows_the_terminal_width(capsys, monkeypatch, command, c
     full_parser = cli.build_parser()
     monkeypatch.setattr(cli, "_parse", lambda rest: full_parser.parse_args(rest))
     assert mine == run(capsys, command, "-h")
+
+
+def scan(argv):
+    """The scanner's namespace for a `pmlog` argv, or None when it is unsure."""
+    rest, _ = cli._extract_sign(list(argv))
+    command = cli.COMMANDS.get(rest[0]) if rest else None
+    return None if command is None else cli._scan(rest[0], command, rest[1:])
+
+
+def workload_argvs():
+    # The benchmark's invocations, from its workload module, loaded by path
+    # and only read.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        argv
+        for workload in workloads.WORKLOADS
+        for seed in (1, 2, 3)
+        for argv in workloads.invocations(workload, seed)
+    ]
+
+
+def fuzz_argvs(count):
+    rng = random.Random("scanner differential")
+    draws = [well_formed(rng) for _ in range(count)]
+    return draws + [sloppy(rng, argv) for argv in draws]
+
+
+def test_scanner_matches_the_full_parser():
+    full_parser = cli.build_parser()
+    workloads = workload_argvs()
+    accepted = 0
+    for argv in workloads + fuzz_argvs(1500):
+        try:
+            args = scan(argv)
+        except ValueError:  # --sign without a value: main() reports it first
+            continue
+        if args is None:
+            continue
+        accepted += 1
+        rest, _ = cli._extract_sign(list(argv))
+        try:
+            expected = full_parser.parse_args(rest)
+        except SystemExit:
+            pytest.fail(f"the scanner accepted {argv}, which argparse refuses")
+        assert vars(args) == vars(expected), argv
+    assert all(scan(argv) is not None for argv in workloads)
+    assert accepted > len(workloads) + 1000
+
+
+VALUE_CALL = ["value", "--sign", "-", "--p", "3", "--n", "2", "--a", "5"]
+
+
+def with_a(value):
+    return [*VALUE_CALL[:-1], value]
+
+
+REFUSED = [
+    ["value", "--sign", "-", "--p=3", "--n", "2", "--a", "5"],
+    [*VALUE_CALL, "--orac"],
+    [*VALUE_CALL, "--oracle", "--oracle"],
+    ["value", "--sign", "-", "--p", "2", "--p", "3", "--n", "2", "--a", "5"],
+    with_a("-1"),
+    with_a("+5"),
+    with_a(" 5"),
+    with_a("5_0"),
+    with_a("\u0663"),
+    with_a("7" * 5000),
+    with_a(""),
+    ["verify", "--suite", "bogus", "--p", "2"],
+    [*VALUE_CALL, "--"],
+    ["value", "-h"],
+    VALUE_CALL[:-2],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=range(len(REFUSED)))
+def test_scanner_refuses_what_it_does_not_know(capsys, monkeypatch, argv):
+    assert scan(argv) is None
+    mine = run_untimed(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda rest: cli.build_parser().parse_args(rest))
+    assert mine == run_untimed(capsys, argv)
+
+
+def test_well_formed_calls_build_no_parser(capsys, monkeypatch):
+    calls = []
+    real_add_argument = argparse.ArgumentParser.add_argument
+
+    def add_argument(*args, **kwargs):
+        calls.append(args)
+        return real_add_argument(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", add_argument)
+    for command, argv in VALID_CALLS.items():
+        assert cli.main([command, *argv]) == 0
+    assert calls == []
+    cli.main(["value", "-h"])  # a call the scanner leaves to argparse
+    assert calls
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--sign", "+", "--p", "3", "--n", "8"],
+        ["verify", "--suite", "oracle", "--p", "3", "--max-n", "6"],
+    ],
+)
+def test_closed_stdout_is_reported_without_a_traceback(argv):
+    # Read one line and close the pipe, as `pmlog ... | head -1` does; the
+    # output is far larger than the pipe holds.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pmlog", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert err.decode().splitlines() == [
+        "error: standard output was closed before all output was written"
+    ]

@@ -31,11 +31,15 @@ RESIDUES = ["0", "1", "5", "100", "-1", "10000000000000000000000"]
 PRECISIONS = ["1", "8", "24"]
 SUITES = ["oracle", "additivity", "amice", "biamice", "logproduct", "all"]
 # What a sloppy draw puts in place of a value: out-of-range numbers, bad
-# tokens, and flags or signs where a value belongs.
+# tokens, flags or signs where a value belongs, and ints that int() reads
+# but plain ASCII digits do not spell, or that pass its digit limit.
 BAD_VALUES = ["0", "-1", "-3", "4", "1", "x", "", "2.5", "1e3", "0x10", "bogus",
-              "--", "-", "+", "+++", "--p", "-h"]
+              "--", "-", "+", "+++", "--p", "-h", "+5", " 5", "5_0", "\u0663", "7" * 5000]
+# What it inserts; an entry with a space goes in as that many tokens, so
+# that a flag the call already has comes twice.
 STRAY_TOKENS = ["--oracle", "-h", "--version", "--bogus", "--=x", "--", "--ora", "--max",
-                "--sign", "--sign=+", "--sign=-+", "--m", "--b", "3", "valu", "verify"]
+                "--sign", "--sign=+", "--sign=-+", "--m", "--b", "3", "valu", "verify",
+                "--p=3", "--n=2", "--p 2", "--n 3", "--a 1", "--m 2", "--max-n 2"]
 
 
 def well_formed(rng: random.Random) -> list[str]:
@@ -73,7 +77,7 @@ def sloppy(rng: random.Random, argv: list[str]) -> list[str]:
         elif kind < 0.75:
             del argv[i]
         else:
-            argv.insert(i, rng.choice(STRAY_TOKENS))
+            argv[i:i] = rng.choice(STRAY_TOKENS).split(" ")
         if not argv:
             break
     if rng.random() < 0.1:

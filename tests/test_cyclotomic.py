@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmlog import (
+    ENUMERATION_CAP,
     CyclotomicElement,
     Prime,
     ResourceCapError,
     Sign,
     character_sum,
-    character_sum_bruteforce,
     cyclo_poly,
     enumerate_R,
     eval_at_zeta,
@@ -20,6 +20,7 @@ from pmlog import (
     odd_product,
     zeta_power,
 )
+from pmlog.cyclotomic import _monomial_terms, _ring_dim
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 
@@ -106,6 +107,25 @@ def test_eval_at_zeta_basics():
     assert eval_at_zeta({0: 1}, Prime(3), 2) == CyclotomicElement.one(Prime(3), 2)
     # x mod (1 + x) is -1
     assert eval_at_zeta({1: 1}, Prime(2), 1) == CyclotomicElement.from_rational(Prime(2), 1, -1)
+
+
+def character_sum_bruteforce(p: Prime, n: int, weights) -> Fraction:
+    """character_sum evaluated root by root in the cyclotomic ring: the
+    independent reference the collapse law is checked against."""
+    order = p**n
+    if order > ENUMERATION_CAP:
+        raise ResourceCapError(f"{order} roots exceed the enumeration cap")
+    acc = [Fraction(0)] * _ring_dim(p, n)
+    for k in range(order):
+        for e, w in weights.items():
+            if w == 0:
+                continue
+            for idx, s in _monomial_terms(p, n, k * e):
+                acc[idx] += s * w
+    elem = CyclotomicElement(p, n, tuple(acc))
+    if not elem.is_rational():
+        raise ValueError("character sum did not collapse to a rational")
+    return elem.rational_value()
 
 
 def test_character_sum_examples():

