@@ -25,7 +25,6 @@ from .digits import (
     PRIME_LIMIT,
     Prime,
     Residue,
-    cosets,
     enumerate_R,
     in_S_minus,
     in_S_plus,
@@ -71,7 +70,6 @@ __all__ = [
     "Prime",
     "Residue",
     "residue_from_integer",
-    "cosets",
     "in_S_plus",
     "in_S_minus",
     "enumerate_R",

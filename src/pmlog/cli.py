@@ -10,39 +10,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
-import shutil
 import sys
 import time
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import __version__
-from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign
-from .bivariate import BiResidue, BiSign, biamice_check, bimu_oracle, bimu_value
-from .cyclotomic import _ring_dim
+from .base import ConvergenceError, ResourceCapError, Sign
+from .bivariate import BiResidue, BiSign, bimu_oracle, bimu_value
 from .digits import Prime, digit_tuples, residue_from_integer
-from .distribution import (
-    interpolation_lhs,
-    interpolation_rhs,
-    mass_exponent,
-    mu_level,
-    mu_oracle,
-    mu_oracle_level,
-    mu_value,
-    verify_additivity,
-)
-from .report import Case, VerificationReport, report_json
-from .series import (
-    DEFAULT_P_PREC,
-    DEFAULT_T_PREC,
-    SeriesPrecision,
-    build_log_pm,
-    dump_dict,
-    verify_product_identity,
-)
+from .distribution import mass_exponent, mu_level, mu_oracle, mu_value
+# VerificationReport is also read from this module by the benchmark's self-test.
+from .report import VerificationReport, report_json  # noqa: F401
+from .series import DEFAULT_P_PREC, DEFAULT_T_PREC, SeriesPrecision, build_log_pm, dump_dict
+from .suites import SUITES, run_suite
 
 FORMAT_VERSION = "1"
 TABLE_ROW_CAP = 10**5
@@ -50,8 +33,6 @@ TABLE_ROW_CAP = 10**5
 UNIVARIATE_SIGNS = ("+", "-")
 BIVARIATE_SIGNS = ("++", "+-", "-+", "--")
 ALL_SIGNS = UNIVARIATE_SIGNS + BIVARIATE_SIGNS
-
-SUITES = ("oracle", "additivity", "amice", "biamice", "logproduct", "all")
 
 
 def _extract_sign(argv: list[str]) -> tuple[list[str], str | None]:
@@ -103,7 +84,7 @@ _VALUE_FLAGS = (
 _TABLE_FLAGS = (_P, _N, _M, ("--force", "force", bool, False, False, "override the row cap"))
 _SERIES_FLAGS = (_P, _TPREC, _PPREC)
 _VERIFY_FLAGS = (
-    ("--suite", "suite", SUITES, True, None, None),
+    ("--suite", "suite", (*SUITES, "all"), True, None, None),
     _P,
     ("--max-n", "max_n", int, False, 3, None),
     _TPREC,
@@ -236,136 +217,17 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _refuse_past_cap(suite: str, max_n: int, level_cost: Callable[[int], int], unit: str) -> None:
-    # Add up a suite's cost over its levels before any work, and stop at
-    # the first level that takes the total past the cap.
-    work = 0
-    for n in range(1, max_n + 1):
-        work += level_cost(n)
-        if work > ENUMERATION_CAP:
-            raise ResourceCapError(
-                f"the {suite} suite up to n={max_n} exceeds the enumeration cap"
-                f" of {ENUMERATION_CAP} {unit}"
-            )
-
-
-def _suite_oracle(p: Prime, max_n: int) -> list[Case]:
-    # The cap counts cosets times product-polynomial terms, p^n * p^ceil(n/2)
-    # per level over both signs: the cost of one character sum per coset.
-    # Folding one product per level costs only p^n + p^ceil(n/2), so the
-    # bound is generous.
-    _refuse_past_cap(
-        "oracle", max_n, lambda n: 2 * p**n * p ** ((n + 1) // 2), "coset-term evaluations"
-    )
-    cases = []
-    for sign in (Sign.PLUS, Sign.MINUS):
-        for n in range(1, max_n + 1):
-            oracle = mu_oracle_level(sign, p, n)
-            values = mu_level(sign, p, n)
-            for a, (oracle_value, actual) in enumerate(zip(oracle, values, strict=True)):
-                expected = oracle_value.value
-                cases.append(
-                    Case(
-                        input=f"oracle: sign={sign} n={n} a={a}",
-                        expected=str(expected),
-                        actual=str(actual),
-                        passed=expected == actual,
-                    )
-                )
-    return cases
-
-
-def _suite_additivity(p: Prime, max_n: int) -> list[Case]:
-    # Level n values p^n parents and p^(n+1) children, for both signs.
-    _refuse_past_cap("additivity", max_n, lambda n: 2 * (p**n + p ** (n + 1)), "valued cosets")
-    cases = []
-    for sign in (Sign.PLUS, Sign.MINUS):
-        for n in range(1, max_n + 1):
-            report = verify_additivity(sign, p, n)
-            cases.extend(
-                Case(f"additivity: n={n} {c.input}", c.expected, c.actual, c.passed)
-                for c in report.cases
-            )
-    return cases
-
-
-def _suite_amice(p: Prime, max_n: int) -> list[Case]:
-    # Level n checks 2 signs times n values of k; one check builds about
-    # n + 1 ring elements (the left side, then a factor and a product per
-    # cyclotomic value on the right), each of _ring_dim(p, n) coefficients.
-    _refuse_past_cap(
-        "amice", max_n, lambda n: 2 * n * (n + 1) * _ring_dim(p, n), "ring coefficients"
-    )
-    cases = []
-    for sign in (Sign.PLUS, Sign.MINUS):
-        for n in range(1, max_n + 1):
-            for k in range(1, n + 1):
-                lhs = interpolation_lhs(sign, k, p, n)
-                rhs = interpolation_rhs(sign, k, p, n)
-                cases.append(
-                    Case(
-                        input=f"amice: sign={sign} k={k} n={n}",
-                        expected=str(rhs),
-                        actual=str(lhs),
-                        passed=lhs == rhs,
-                    )
-                )
-    return cases
-
-
-def _suite_biamice(p: Prime, max_n: int) -> list[Case]:
-    # Level n checks 4 sign pairs times n^2 pairs (k1, k2); one check
-    # builds about n + 2 ring elements (two right sides and their product)
-    # and sums over at most p^(n+1) support pairs.
-    _refuse_past_cap(
-        "biamice",
-        max_n,
-        lambda n: 4 * n * n * ((n + 2) * _ring_dim(p, n) + p ** (n + 1)),
-        "ring coefficients and support pairs",
-    )
-    cases = []
-    for token in BIVARIATE_SIGNS:
-        bisign = BiSign.from_str(token)
-        for n in range(1, max_n + 1):
-            for k1 in range(1, n + 1):
-                for k2 in range(1, n + 1):
-                    report = biamice_check(bisign, p, k1, k2, n)
-                    cases.extend(
-                        Case(f"biamice: {c.input}", c.expected, c.actual, c.passed)
-                        for c in report.cases
-                    )
-    return cases
-
-
-def _suite_logproduct(p: Prime, prec: SeriesPrecision) -> list[Case]:
-    report = verify_product_identity(p, prec)
-    return [Case(f"logproduct: {c.input}", c.expected, c.actual, c.passed) for c in report.cases]
-
-
 def cmd_verify(args) -> int:
     p = Prime(args.p)
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     prec = SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec)
     started = time.perf_counter()
-
-    cases: list[Case] = []
-    if args.suite in ("oracle", "all"):
-        cases.extend(_suite_oracle(p, args.max_n))
-    if args.suite in ("additivity", "all"):
-        cases.extend(_suite_additivity(p, args.max_n))
-    if args.suite in ("amice", "all"):
-        cases.extend(_suite_amice(p, args.max_n))
-    if args.suite in ("biamice", "all"):
-        cases.extend(_suite_biamice(p, args.max_n))
-    if args.suite in ("logproduct", "all"):
-        cases.extend(_suite_logproduct(p, prec))
-
-    parameters = {"p": int(p), "max_n": args.max_n, "t_prec": prec.t_prec, "p_prec": prec.p_prec}
-    report = VerificationReport(suite=args.suite, parameters=parameters, cases=cases)
+    report = run_suite(args.suite, p, args.max_n, prec)
     wall_time_ms = (time.perf_counter() - started) * 1000.0
     print(report_json(report.to_json_dict()))
-    print(f"suite {args.suite}: {len(cases)} cases in {wall_time_ms:.1f} ms", file=sys.stderr)
+    cases = len(report.cases)
+    print(f"suite {args.suite}: {cases} cases in {wall_time_ms:.1f} ms", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -466,43 +328,15 @@ def _scan(name: str, command: tuple, tokens: list[str]) -> argparse.Namespace | 
     return argparse.Namespace(command=name, func=func, signs=signs, **values)
 
 
-class _UsageError(Exception):
-    """A command parser met an argument it cannot parse."""
-
-
-class _CommandParser(argparse.ArgumentParser):
-    # Raises instead of printing and exiting, so that the full parser can
-    # report the error in its own words.
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _parse(rest: list[str]) -> argparse.Namespace:
     # A well-formed `pmlog <command> ...` is scanned without building a
-    # parser.  Anything else is parsed by that command's parser alone, built
-    # as build_parser() builds its subparser.  Any usage error, and any
-    # argument it leaves over, goes back to the full parser, which exits
-    # with the message a full parse gives.
+    # parser; anything else goes to the full parser, so help, usage errors
+    # and exit codes stay argparse's own.
     command = COMMANDS.get(rest[0]) if rest else None
     if command is not None:
-        name = rest[0]
-        args = _scan(name, command, rest[1:])
+        args = _scan(rest[0], command, rest[1:])
         if args is not None:
             return args
-        # argparse asks for the terminal width in every add_argument; ask
-        # once, for the width argparse would compute itself.
-        formatter = functools.partial(
-            argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-        )
-        parser = _CommandParser(prog=f"pmlog {name}", epilog=command[1], formatter_class=formatter)
-        _add_command(parser, command)
-        parser.set_defaults(command=name)
-        try:
-            args, extras = parser.parse_known_args(rest[1:])
-            if not extras:
-                return args
-        except _UsageError:
-            pass
     return build_parser().parse_args(rest)
 
 

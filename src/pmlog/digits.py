@@ -116,16 +116,6 @@ def digit_tuples(p: Prime, n: int) -> Iterator[tuple[int, ...]]:
         yield high_first[::-1]
 
 
-def cosets(p: Prime, n: int) -> Iterator[Residue]:
-    """Every residue mod p^n, in increasing order of its representative.
-
-    Walks the digit tuples directly, so no representative is expanded by
-    repeated division.
-    """
-    for digits in digit_tuples(p, n):
-        yield Residue(p=p, n=n, digits=digits)
-
-
 def in_S(sign: Sign, digits: tuple[int, ...]) -> bool:
     """The digit test: True iff the little-endian digits vanish at every
     position of the sign's parity, that is, the residue lies in S(n, sign)."""

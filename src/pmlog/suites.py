@@ -1,0 +1,121 @@
+"""The identity verification suites, as one registry.
+
+A suite yields its cases as plain (input, expected, actual, passed) rows;
+run_suite checks every chosen suite's cost against the enumeration cap
+before any work, then builds one Case per row, named after its suite.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator
+
+from .base import ENUMERATION_CAP, ResourceCapError, Sign
+from .bivariate import BiSign, biamice_check
+from .cyclotomic import _ring_dim
+from .digits import Prime
+from .distribution import (
+    interpolation_lhs,
+    interpolation_rhs,
+    mu_level,
+    mu_oracle_level,
+    verify_additivity,
+)
+from .report import Case, VerificationReport
+from .series import SeriesPrecision, verify_product_identity
+
+Rows = Iterator[tuple[str, str, str, bool]]
+
+
+def _oracle(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
+    for sign in Sign:
+        for n in range(1, max_n + 1):
+            oracle = mu_oracle_level(sign, p, n)
+            values = mu_level(sign, p, n)
+            for a, (oracle_value, actual) in enumerate(zip(oracle, values, strict=True)):
+                expected = oracle_value.value
+                yield f"sign={sign} n={n} a={a}", str(expected), str(actual), expected == actual
+
+
+def _additivity(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
+    for sign in Sign:
+        for n in range(1, max_n + 1):
+            for c in verify_additivity(sign, p, n).cases:
+                yield f"n={n} {c.input}", c.expected, c.actual, c.passed
+
+
+def _amice(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
+    for sign in Sign:
+        for n in range(1, max_n + 1):
+            for k in range(1, n + 1):
+                lhs = interpolation_lhs(sign, k, p, n)
+                rhs = interpolation_rhs(sign, k, p, n)
+                yield f"sign={sign} k={k} n={n}", str(rhs), str(lhs), lhs == rhs
+
+
+def _biamice(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
+    for bisign in (BiSign(first, second) for first in Sign for second in Sign):
+        for n in range(1, max_n + 1):
+            for k1 in range(1, n + 1):
+                for k2 in range(1, n + 1):
+                    for c in biamice_check(bisign, p, k1, k2, n).cases:
+                        yield c.input, c.expected, c.actual, c.passed
+
+
+def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
+    for c in verify_product_identity(p, prec).cases:
+        yield c.input, c.expected, c.actual, c.passed
+
+
+# Each suite, in the order `all` runs them, as (cost, unit, rows): cost(p, n)
+# is the work of level n in the unit named, or None for a suite not bounded
+# by level; rows(p, max_n, prec) yields the suite's cases.
+SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[..., Rows]]] = {
+    # Cosets times product-polynomial terms, p^n * p^ceil(n/2) per level
+    # over both signs: the cost of one character sum per coset.  Folding
+    # one product per level costs only p^n + p^ceil(n/2), so the bound is
+    # generous.
+    "oracle": (lambda p, n: 2 * p**n * p ** ((n + 1) // 2), "coset-term evaluations", _oracle),
+    # Level n values p^n parents and p^(n+1) children, for both signs.
+    "additivity": (lambda p, n: 2 * (p**n + p ** (n + 1)), "valued cosets", _additivity),
+    # Level n checks 2 signs times n values of k; one check builds about
+    # n + 1 ring elements (the left side, then a factor and a product per
+    # cyclotomic value on the right), each of _ring_dim(p, n) coefficients.
+    "amice": (lambda p, n: 2 * n * (n + 1) * _ring_dim(p, n), "ring coefficients", _amice),
+    # Level n checks 4 sign pairs times n^2 pairs (k1, k2); one check
+    # builds about n + 2 ring elements (two right sides and their product)
+    # and sums over at most p^(n+1) support pairs.
+    "biamice": (
+        lambda p, n: 4 * n * n * ((n + 2) * _ring_dim(p, n) + p ** (n + 1)),
+        "ring coefficients and support pairs",
+        _biamice,
+    ),
+    "logproduct": (None, None, _logproduct),
+}
+
+
+def run_suite(name: str, p: Prime, max_n: int, prec: SeriesPrecision) -> VerificationReport:
+    """Run the suite `name`, or every suite in registry order for "all".
+
+    Every chosen suite's cost is checked before any suite runs, so a run
+    past the cap raises ResourceCapError having done no work.
+    """
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)}, all)")
+    chosen = list(SUITES) if name == "all" else [name]
+    for suite in chosen:
+        cost, unit, _ = SUITES[suite]
+        work = 0
+        for n in range(1, max_n + 1) if cost else ():
+            work += cost(p, n)
+            if work > ENUMERATION_CAP:  # the first level past the cap
+                raise ResourceCapError(
+                    f"the {suite} suite up to n={max_n} exceeds the enumeration cap"
+                    f" of {ENUMERATION_CAP} {unit}"
+                )
+    cases = [
+        Case(f"{suite}: {input}", expected, actual, passed)
+        for suite in chosen
+        for input, expected, actual, passed in SUITES[suite][2](p, max_n, prec)
+    ]
+    parameters = {"p": int(p), "max_n": max_n, "t_prec": prec.t_prec, "p_prec": prec.p_prec}
+    return VerificationReport(suite=name, parameters=parameters, cases=cases)

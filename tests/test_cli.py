@@ -18,6 +18,7 @@ import pytest
 from test_cli_fuzz import sloppy, well_formed
 
 import pmlog.cli as cli
+import pmlog.suites as suites
 from pmlog import DistValue, Prime
 
 
@@ -248,10 +249,10 @@ def test_verify_oracle_suite_refuses_past_the_cap_before_any_work(capsys):
 
 def test_verify_oracle_suite_cap_boundary_is_exact(capsys, monkeypatch):
     # p = 3 up to n = 2: 2 * (3 * 3 + 9 * 3) = 72 coset-term evaluations
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", 72)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 72)
     code, _, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "2")
     assert code == 0
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", 71)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 71)
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "2")
     assert code == 3
     assert out == ""
@@ -316,7 +317,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def broken_oracle_level(sign, p, n):
         return [DistValue(Prime(int(p)), Fraction(1, int(p)))] * int(p) ** n
 
-    monkeypatch.setattr(cli, "mu_oracle_level", broken_oracle_level)
+    monkeypatch.setattr(suites, "mu_oracle_level", broken_oracle_level)
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "1")
     assert code == 1
     report = json.loads(out)
@@ -352,10 +353,10 @@ def test_verify_additivity_suite_refuses_past_the_cap_before_any_work(capsys):
 
 def test_verify_additivity_suite_cap_boundary_is_exact(capsys, monkeypatch):
     # p = 3 up to n = 2: 2 * ((3 + 9) + (9 + 27)) = 96 valued cosets
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", 96)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 96)
     code, _, _ = run(capsys, "verify", "--suite", "additivity", "--p", "3", "--max-n", "2")
     assert code == 0
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", 95)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 95)
     code, out, _ = run(capsys, "verify", "--suite", "additivity", "--p", "3", "--max-n", "2")
     assert code == 3
     assert out == ""
@@ -391,10 +392,10 @@ def test_verify_interpolation_suites_refuse_past_the_cap_before_any_work(capsys,
 )
 def test_verify_interpolation_suite_cap_boundary_is_exact(capsys, monkeypatch, suite, cost):
     argv = ["verify", "--suite", suite, "--p", "3", "--max-n", "2"]
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", cost)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", cost)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", cost - 1)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", cost - 1)
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -470,14 +471,16 @@ def run_untimed(capsys, argv):
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_command_parser_matches_the_full_parser(capsys, monkeypatch, command):
-    # Each call runs twice: through main()'s parser for that command alone,
-    # then with the full build_parser() tree for every call.
+    # Each call runs twice: through main()'s own parsing (the scanner, then
+    # the full parser), then with the full build_parser() tree for every call.
     argvs = parity_argvs(command)
     calls = []
     real_build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real_build_parser())
-    per_command = [run_untimed(capsys, argv) for argv in argvs[:2]]
-    assert not calls  # -h and a valid call never build the full tree
+    per_command = [run_untimed(capsys, argvs[0])]
+    calls.clear()
+    per_command.append(run_untimed(capsys, argvs[1]))
+    assert not calls  # a valid call never builds the full tree
     per_command += [run_untimed(capsys, argv) for argv in argvs[2:]]
     monkeypatch.setattr(cli, "_parse", lambda rest: real_build_parser().parse_args(rest))
     full = [run_untimed(capsys, argv) for argv in argvs]
@@ -504,19 +507,35 @@ def scan(argv):
     return None if command is None else cli._scan(rest[0], command, rest[1:])
 
 
+def load_perfbench(name):
+    # A module of the benchmark harness, loaded by path and only read.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def workload_argvs():
-    # The benchmark's invocations, from its workload module, loaded by path
-    # and only read.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    # The benchmark's invocations, from its workload module.
+    workloads = load_perfbench("workloads")
     return [
         argv
         for workload in workloads.WORKLOADS
         for seed in (1, 2, 3)
         for argv in workloads.invocations(workload, seed)
     ]
+
+
+def test_benchmark_traces_every_layer_it_names():
+    # A renamed or removed function would leave its layer's metrics at 0.
+    layertrace = load_perfbench("layertrace")
+    patches, missing = layertrace.install(layertrace.Tracer())
+    try:
+        assert missing == []
+    finally:
+        layertrace.restore(patches)
 
 
 def fuzz_argvs(count):

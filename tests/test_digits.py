@@ -14,12 +14,12 @@ from pmlog import (
     Residue,
     ResourceCapError,
     Sign,
-    cosets,
     enumerate_R,
     in_S_minus,
     in_S_plus,
     residue_from_integer,
 )
+from pmlog.digits import digit_tuples
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 WIDE_PRIMES = PRIMES + [Prime(7), Prime(11), Prime(13)]
@@ -118,15 +118,17 @@ def test_residue_bijection(p):
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_cosets_walk_every_residue_in_order(p):
+    # The coset walk, digit_tuples, gives every residue's digits in order.
     n = 1
     while p**n <= 20000:
-        assert list(cosets(p, n)) == [residue_from_integer(a, p, n) for a in range(p**n)]
+        expected = [residue_from_integer(a, p, n).digits for a in range(p**n)]
+        assert list(digit_tuples(p, n)) == expected
         n += 1
 
 
 def test_cosets_validate_the_exponent():
     with pytest.raises(ValueError):
-        next(cosets(Prime(3), 0))
+        next(digit_tuples(Prime(3), 0))
 
 
 @given(

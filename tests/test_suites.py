@@ -1,0 +1,80 @@
+"""The verify-suite registry: its order, its caps, and what `all` means."""
+
+import argparse
+import json
+
+import pytest
+
+import pmlog.cli as cli
+import pmlog.suites as suites
+from pmlog import Prime, ResourceCapError
+from pmlog.series import SeriesPrecision
+
+
+def verify(capsys, suite, p, max_n):
+    code = cli.main(["verify", "--suite", suite, "--p", str(p), "--max-n", str(max_n)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_suite_choices_are_the_registry_then_all():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == (*suites.SUITES, "all")
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_all_is_the_suites_joined_in_registry_order(capsys, p, max_n):
+    code, out, _ = verify(capsys, "all", p, max_n)
+    assert code == 0
+    joined = []
+    for suite in ("oracle", "additivity", "amice", "biamice", "logproduct"):
+        code, suite_out, _ = verify(capsys, suite, p, max_n)
+        assert code == 0
+        joined += json.loads(suite_out)["cases"]
+    assert json.loads(out)["cases"] == joined
+    assert all(case["input"].split(": ", 1)[0] in suites.SUITES for case in joined)
+
+
+def refuse_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a suite ran before every cap was checked")
+
+    for name in (
+        "mu_oracle_level",
+        "mu_level",
+        "verify_additivity",
+        "interpolation_lhs",
+        "interpolation_rhs",
+        "biamice_check",
+        "verify_product_identity",
+    ):
+        monkeypatch.setattr(suites, name, fail)
+
+
+@pytest.mark.parametrize("p,max_n", [(2, 11), (7, 4)])
+def test_all_checks_every_cap_before_any_suite_runs(capsys, monkeypatch, p, max_n):
+    # oracle, additivity and amice are within the cap here; biamice is not.
+    refuse_any_work(monkeypatch)
+    code, out, err = verify(capsys, "all", p, max_n)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: the biamice suite up to n={max_n} exceeds the enumeration cap"
+        " of 1000000 ring coefficients and support pairs\n"
+    )
+
+
+def test_a_cap_is_reported_for_the_first_suite_past_it(monkeypatch):
+    refuse_any_work(monkeypatch)
+    # p = 3 up to n = 2 costs oracle 72, additivity 96, amice 80, biamice 876
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 95)
+    with pytest.raises(ResourceCapError, match="the additivity suite up to n=2"):
+        suites.run_suite("all", Prime(3), 2, SeriesPrecision(t_prec=8, p_prec=6))
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite"):
+        suites.run_suite("bogus", Prime(3), 2, SeriesPrecision(t_prec=8, p_prec=6))
