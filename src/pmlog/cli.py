@@ -212,8 +212,9 @@ def cmd_series(args) -> int:
     sign = Sign.from_str(args.sign)
     prec = SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec)
     series = build_log_pm(p, sign, prec)
-    _require_printable_integers(x for c in series.coeffs for x in (c.numerator, c.denominator))
-    print(json.dumps(dump_dict(series, sign), indent=2))
+    coeffs = series.coeffs  # reduced Fractions, built once for the gate and the dump
+    _require_printable_integers(x for c in coeffs for x in (c.numerator, c.denominator))
+    print(json.dumps(dump_dict(series, sign, coeffs), indent=2))
     return 0
 
 

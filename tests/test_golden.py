@@ -42,6 +42,22 @@ GOLDEN = {
     "bivalue --sign +- --p 3 --n 3 --m 2 --a 3 --b 1 --oracle": "375c6a6898a2bcc2db934bd8072bef0cc3f0db3d1943b7858e2ab1f037964414",
     "table --sign -- --p 2 --n 4 --m 3": "e7a3cf5dcff38e895af3d09f57915c2fd1f189fd5e72a287fca83cb153836aa1",
     "table --sign + --p 7 --n 3": "b5f9722bb25dd8d8ab53207c4fdc60a3eb68e273e519dd62f92dd00a875ad5ef",
+    # phi_shifted sums binomial rows when 3 (p - 1) <= t_prec and takes the
+    # quotient otherwise: p 13, 1000003 and 31 are on the quotient side, and
+    # so are (13, 12), (11, 10) and (7, 5), where t_prec is about p - 1;
+    # (5, 12), (13, 36) and (11, 30) sit on the switch, and (7, 17) is one
+    # step short of it.
+    "series --sign - --p 13 --tprec 8 --pprec 6": "8f173dab9ca05597a0482de3cca25ea37cff656f11f8e22f153850fdb24df65d",
+    "series --sign + --p 1000003 --tprec 8 --pprec 6": "809e71697432aab34403c026bf6f488d8e4cf8948671e0fffca50a055a031049",
+    "verify --suite logproduct --p 31 --tprec 24 --pprec 12": "aff2f161651254da5baff7e444506ad025250dc097eca1398750bf5014f83f13",
+    "verify --suite logproduct --p 13 --tprec 12 --pprec 8": "fe4ec9eb4a7dd8719b1437dc192e4469e957e4767b4fe58d4a8751cb708f8523",
+    "series --sign + --p 11 --tprec 10 --pprec 8": "0fcca3def8654f3325e468365abcf12a48f92772405661b2354bf8b086083304",
+    "verify --suite logproduct --p 2 --tprec 64 --pprec 40": "1ebbc9d6f6a088006de3d9b27c92da9e970a63175dfc621b44d7d19109ae7fd9",
+    "series --sign - --p 7 --tprec 5 --pprec 8": "73c8a37645ac3746c46425468d5d91ee0e59d6ee3a765cbcc8a3316eff488a28",
+    "verify --suite logproduct --p 5 --tprec 12 --pprec 8": "a22b65698d150217b54d4151f7dec34f659059274ee348f4cc4737744d10ab0b",
+    "verify --suite logproduct --p 13 --tprec 36 --pprec 8": "1810226fe6a8e541201edeacb564caddc13ec5d7a61df1632758a95559d3cb6f",
+    "series --sign + --p 11 --tprec 30 --pprec 8": "1ca53b951e0054b14d7bda7faea30067d88f9b0240b38c1cddf673929f02ed14",
+    "series --sign - --p 7 --tprec 17 --pprec 8": "ad7758f2ff1aeeb9b8b7688eefc5dd197bc8f16d9f289e4ffd524c662baaf522",
 }
 
 

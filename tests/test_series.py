@@ -1,11 +1,13 @@
 """Truncated series construction, the precision bookkeeping, and the product identity."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import pmlog.series as series
 from pmlog import (
     ConvergenceError,
     Prime,
@@ -21,7 +23,7 @@ from pmlog import (
     stabilization_factor_count,
     verify_product_identity,
 )
-from pmlog.series import _EXACT, dump_dict
+from pmlog.series import _binomial_rows, _quotient, dump_dict
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 PREC = SeriesPrecision(t_prec=8, p_prec=6)
@@ -66,27 +68,55 @@ def test_phi_shifted_matches_binomial_expansion(p, m):
     assert phi_shifted(p, m, PREC).coeffs == tuple(expected)
 
 
-@pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5)])
-@pytest.mark.parametrize("t_prec", [1, 8, 24])
+SWITCH_CASES = [
+    (Prime(q), t_prec)
+    for q in (2, 3, 5, 7, 11, 13, 31)
+    for t_prec in sorted({1, 8, 24, q - 2, q - 1, q, 3 * (q - 1) - 1, 3 * (q - 1)})
+    if t_prec >= 1
+]
+SWITCH_IDS = [f"{t}-{p}" for p, t in SWITCH_CASES]  # "t_prec-p", the ids' order before p widened
+
+
+@pytest.mark.parametrize("p, t_prec", SWITCH_CASES, ids=SWITCH_IDS)
 def test_phi_shifted_matches_sum_of_binomials(p, t_prec):
-    # the coefficient of T^k is sum_{t < p} C(p^(m-1) t, k)
+    # the coefficient of T^k is sum_{t < p} C(p^(m-1) t, k); both builders
+    # agree with it on both sides of the switch at t_prec = 3 (p - 1)
     prec = SeriesPrecision(t_prec, 6)
     for m in range(1, 5):
         h = p ** (m - 1)
         expected = [sum(math.comb(h * t, k) for t in range(p)) for k in range(t_prec)]
         assert phi_shifted(p, m, prec).coeffs == tuple(expected)
+        assert _binomial_rows(p, h, t_prec) == expected
+        assert _quotient(p, h, t_prec) == expected
+
+
+@pytest.mark.parametrize("p, t_prec", SWITCH_CASES, ids=SWITCH_IDS)
+def test_phi_shifted_switches_at_three_times_p_minus_one(p, t_prec, monkeypatch):
+    # binomial rows while 3 (p - 1) <= t_prec, the quotient below that
+    def refuse(*args):
+        raise AssertionError("wrong builder")
+
+    unused = "_quotient" if 3 * (p - 1) <= t_prec else "_binomial_rows"
+    monkeypatch.setattr(series, unused, refuse)
+    assert phi_shifted(p, 2, SeriesPrecision(t_prec, 6)).coefficient(0) == p
+
+
+def with_guarantees(p, prec, coeffs, guars):
+    # an exactly known series with the given guarantees in place of M
+    exact = TruncatedSeries.from_coefficients(p, prec, coeffs)
+    return dataclasses.replace(exact, guarantees=tuple(guars))
 
 
 def textbook_mul(x, y):
     # the reference product: a Fraction double loop, with the worst-case
-    # guarantee rule applied pair by pair
+    # guarantee rule applied pair by pair on uncapped valuations
     p, n = x.p, x.prec.t_prec
 
     def v(q):
-        return _EXACT if q == 0 else pval(q, p)
+        return math.inf if q == 0 else pval(q, p)
 
     coeffs = [Fraction(0)] * n
-    guars = [_EXACT] * n
+    guars = [math.inf] * n
     for i in range(n):
         for j in range(n - i):
             ci, cj = x.coeffs[i], y.coeffs[j]
@@ -109,7 +139,7 @@ def random_series(rng, p, prec):
         num = rng.randint(-(p**8), p**8) * p ** rng.randint(0, 4)
         coeffs.append(Fraction(num or 1, den))
     guars = tuple(rng.randint(-6, 12) for _ in range(prec.t_prec))
-    return TruncatedSeries(p, prec, tuple(coeffs), guars)
+    return with_guarantees(p, prec, coeffs, guars)
 
 
 @pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 11, 13)])
@@ -124,11 +154,59 @@ def test_mul_matches_textbook_product(p):
 
 
 def test_mul_with_all_zero_operand():
-    x = TruncatedSeries(Prime(5), PREC, (Fraction(0),) * 8, tuple(range(-3, 5)))
+    x = with_guarantees(Prime(5), PREC, (Fraction(0),) * 8, range(-3, 5))
     y = build_log_pm(Prime(5), Sign.PLUS, PREC)
     product = x * y
     assert product.coeffs == (Fraction(0),) * 8
     assert (product.coeffs, product.guarantees) == textbook_mul(x, y)
+
+
+def cap_cases(p):
+    # series whose valuations reach or pass their guarantees, so the cap
+    # min(v_p(c_k), g_k) binds on their coefficients
+    prec = SeriesPrecision(5, 6)
+    return [
+        # valuations above and at their guarantees, one below, and a zero
+        ([p**5, p**3, Fraction(p**7, p**2), 1, 0], (3, 3, 4, 5, 5)),
+        # the largest guarantee is the one that binds
+        ([p**6, p**9, 1, p, 0], (6, 2, 1, 1, 0)),
+        # denominator p^2 with every guarantee at most -2: p^(2 + max g) <= 1
+        ([Fraction(1, p**2), Fraction(p, p**2), 1, 0, p], (-2, -3, -2, -4, -5)),
+        ([Fraction(1, p**2), 0, 0, 1, 7], (-3, -4, -5, -3, -6)),
+        # a denominator that is not a power of p
+        ([Fraction(p**4, 77 * p), Fraction(1, 35), Fraction(p**2, 11), 0, 1], (3, 0, 2, 2, 1)),
+        # the all-zero operand
+        ([], (4, -1, 0, 7, 2)),
+    ], prec
+
+
+@pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 13)])
+def test_mul_matches_textbook_product_where_the_cap_binds(p):
+    cases, prec = cap_cases(p)
+    series_list = [with_guarantees(p, prec, coeffs, guars) for coeffs, guars in cases]
+    rng = random.Random(int(p) + 100)
+    series_list += [random_series(rng, p, prec) for _ in range(4)]
+    for x in series_list:
+        for y in series_list:
+            product = x * y
+            assert (product.coeffs, product.guarantees) == textbook_mul(x, y)
+
+
+def test_equal_series_may_hold_different_numerators():
+    p = Prime(3)
+    s = build_log_pm(p, Sign.MINUS, PREC)
+    # scaling by p and back multiplies both numerators and denominator by p
+    other = s.scale(p).scale(Fraction(1, p))
+    assert other.nums != s.nums and other.den == 3 * s.den
+    assert other == s and hash(other) == hash(s)
+    x = TruncatedSeries(p, PREC, (1, 3, 0, 9, 0, 0, 0, 2), 3, (6,) * 8)
+    y = TruncatedSeries(p, PREC, (5, 15, 0, 45, 0, 0, 0, 10), 15, (6,) * 8)
+    assert x == y and x.coeffs == y.coeffs
+    assert x != TruncatedSeries(p, PREC, x.nums, 9, x.guarantees)
+    assert x != TruncatedSeries(p, PREC, x.nums, x.den, (5,) + (6,) * 7)
+    assert x != x.coeffs
+    with pytest.raises(ValueError):
+        TruncatedSeries(p, PREC, x.nums, 0, x.guarantees)
 
 
 def test_pval_integer_and_rational_paths_agree():
@@ -233,7 +311,7 @@ def test_valuation_profile_zero_coefficient():
     assert profile[1] == (1, None)
     assert profile[2] == (2, 0)
     # a nonzero coefficient below its guarantee also reads as zero
-    t = TruncatedSeries(Prime(3), PREC, s.coeffs, (1,) * PREC.t_prec)
+    t = with_guarantees(Prime(3), PREC, s.coeffs, (1,) * PREC.t_prec)
     assert coefficient_valuation_profile(t)[0] == (0, 0)
     u = TruncatedSeries.from_coefficients(Prime(3), PREC, [3**6])
     assert coefficient_valuation_profile(u)[0] == (0, None)
@@ -264,8 +342,6 @@ def test_series_arithmetic_requires_matching_precision():
     b = series_log_classical(Prime(3), SeriesPrecision(10, 6))
     with pytest.raises(ValueError):
         _ = a * b
-    with pytest.raises(ValueError):
-        _ = a + b
 
 
 def test_scale_tracks_guarantees():
@@ -282,7 +358,7 @@ def test_scale_tracks_guarantees():
 def test_dump_dict_schema():
     p = Prime(3)
     s = build_log_pm(p, Sign.MINUS, PREC)
-    dump = dump_dict(s, Sign.MINUS)
+    dump = dump_dict(s, Sign.MINUS, s.coeffs)
     assert dump["p"] == 3 and dump["sign"] == "-"
     assert dump["t_prec"] == 8 and dump["p_prec"] == 6
     assert len(dump["coeffs"]) == 8
