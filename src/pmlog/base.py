@@ -9,6 +9,9 @@ from fractions import Fraction
 # operation will attempt before raising ResourceCapError.
 ENUMERATION_CAP = 10**6
 
+# One checked case of a verify suite: (input, expected, actual, passed).
+Row = tuple[str, str, str, bool]
+
 
 class ResourceCapError(Exception):
     """An operation would enumerate past the configured cap."""

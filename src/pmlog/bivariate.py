@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import ENUMERATION_CAP, ResourceCapError, Sign
+from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign
 from .cyclotomic import eval_at_zeta
 from .digits import Prime, Residue
 from .distribution import DistValue, interpolation_rhs, mu_oracle, mu_value, support_masses
-from .report import Case, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,9 @@ def bimu_oracle(s: BiSign, r: BiResidue) -> DistValue:
     return mu_oracle(s.first, r.first) * mu_oracle(s.second, r.second)
 
 
-def biamice_check(s: BiSign, p: Prime, k1: int, k2: int, n: int) -> VerificationReport:
-    """Check the two-dimensional interpolation identity at (zeta_k1, zeta_k2).
+def biamice_check(s: BiSign, p: Prime, k1: int, k2: int, n: int) -> Row:
+    """Check the two-dimensional interpolation identity at (zeta_k1, zeta_k2),
+    as one (input, expected, actual, passed) row.
 
     Sums zeta_k1^a zeta_k2^b times the distribution value over the coset
     pairs mod p^n that carry mass (the product of the two coordinates'
@@ -77,14 +77,4 @@ def biamice_check(s: BiSign, p: Prime, k1: int, k2: int, n: int) -> Verification
             weights[e] = weights.get(e, Fraction(0)) + va * vb
     lhs = eval_at_zeta(weights, p, n)
     rhs = interpolation_rhs(s.first, k1, p, n) * interpolation_rhs(s.second, k2, p, n)
-    case = Case(
-        input=f"sign={s} k1={k1} k2={k2} n={n}",
-        expected=str(rhs),
-        actual=str(lhs),
-        passed=lhs == rhs,
-    )
-    return VerificationReport(
-        suite="biamice",
-        parameters={"sign": str(s), "p": int(p), "k1": k1, "k2": k2, "n": n},
-        cases=[case],
-    )
+    return f"sign={s} k1={k1} k2={k2} n={n}", str(rhs), str(lhs), lhs == rhs

@@ -157,9 +157,6 @@ class CyclotomicElement:
             self.p, self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.p, self.level, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .base import ENUMERATION_CAP, ResourceCapError, Sign, pval
+from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, pval
 from .cyclotomic import (
     CyclotomicElement,
     SparsePoly,
@@ -34,24 +34,6 @@ from .digits import (
     in_S,
     residue_from_integer,
 )
-from .report import Case, VerificationReport
-
-__all__ = [
-    "Sign",
-    "DistValue",
-    "StepFunction",
-    "mass_exponent",
-    "mu_value",
-    "mu_level",
-    "mu_oracle",
-    "mu_oracle_level",
-    "total_mass",
-    "support_masses",
-    "integrate",
-    "interpolation_lhs",
-    "interpolation_rhs",
-    "verify_additivity",
-]
 
 
 def _is_negative_p_power(q: Fraction, p: int) -> bool:
@@ -288,29 +270,21 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
     return acc * prefactor
 
 
-def verify_additivity(sign: Sign, p: Prime, n: int) -> VerificationReport:
+def verify_additivity(sign: Sign, p: Prime, n: int) -> list[Row]:
     """Check that refining every coset mod p^n into its p children mod p^(n+1)
-    preserves the assigned mass."""
+    preserves the assigned mass: one (input, expected, actual, passed) row
+    per coset."""
     modulus = p**n
     children = mu_level(sign, p, n + 1)
     # The children as integer numerators over their common denominator, so
     # each coset's sum is exact, whatever the values, without Fraction sums.
     den = math.lcm(*(c.denominator for c in children))
     numerators = [c.numerator * (den // c.denominator) for c in children]
-    cases = []
+    rows = []
     # The children of a mod p^n are a + j p^n, j < p: every p^n-th child.
     for a, parent in enumerate(mu_level(sign, p, n)):
         total = Fraction(sum(numerators[a::modulus]), den)
-        cases.append(
-            Case(
-                input=f"sign={sign} a={a} mod {p}^{n}",
-                expected=str(parent),
-                actual=str(total),
-                passed=total == parent,
-            )
+        rows.append(
+            (f"n={n} sign={sign} a={a} mod {p}^{n}", str(parent), str(total), total == parent)
         )
-    return VerificationReport(
-        suite="additivity",
-        parameters={"sign": str(sign), "p": int(p), "n": n},
-        cases=cases,
-    )
+    return rows

@@ -34,9 +34,8 @@ from fractions import Fraction
 from itertools import count, islice, pairwise
 from operator import add, mul
 
-from .base import ConvergenceError, Sign, pval
+from .base import ConvergenceError, Row, Sign, pval
 from .digits import Prime
-from .report import Case, VerificationReport
 
 # Hard bound on the number of partial-product factors.
 FACTOR_CAP = 64
@@ -235,33 +234,26 @@ def _moves_at_precision(extended: TruncatedSeries, product: TruncatedSeries) -> 
     )
 
 
-def _partial_products(
-    p: Prime, sign: Sign, prec: SeriesPrecision, factor_cap: int
-) -> Iterator[TruncatedSeries]:
+def _partial_products(p: Prime, sign: Sign, prec: SeriesPrecision) -> Iterator[TruncatedSeries]:
     # The products of the first 0, 1, 2, ... factors Phi(p, e(j))(1 + T) / p,
-    # before the leading 1/p; asking for more than factor_cap factors raises.
+    # before the leading 1/p.
     product = TruncatedSeries.one(p, prec)
     yield product
     for j in count(1):
-        if j > factor_cap:
-            raise ConvergenceError(
-                f"partial product did not stabilize within {factor_cap} factors"
-            )
         product = product * _phi_factor(p, _factor_level(sign, j), prec)
         yield product
 
 
 def _stabilized_product(
-    p: Prime, sign: Sign, prec: SeriesPrecision, factor_cap: int
+    p: Prime, sign: Sign, prec: SeriesPrecision
 ) -> tuple[TruncatedSeries, int]:
     # The first partial product that the next factor leaves unmoved, and
-    # its number of factors.
-    pairs = enumerate(pairwise(_partial_products(p, sign, prec, factor_cap)))
-    return next(
-        (product, factors)
-        for factors, (product, extended) in pairs
-        if not _moves_at_precision(extended, product)
-    )
+    # its number of factors; needing more than FACTOR_CAP factors raises.
+    products = islice(_partial_products(p, sign, prec), FACTOR_CAP + 1)
+    for factors, (product, extended) in enumerate(pairwise(products)):
+        if not _moves_at_precision(extended, product):
+            return product, factors
+    raise ConvergenceError(f"partial product did not stabilize within {FACTOR_CAP} factors")
 
 
 def log_pm_partial_product(
@@ -270,37 +262,34 @@ def log_pm_partial_product(
     """(1/p) times the product of the first factor_count factors, no stopping rule."""
     if factor_count < 0:
         raise ValueError("factor_count must be >= 0")
-    products = _partial_products(p, sign, prec, factor_count)
+    products = _partial_products(p, sign, prec)
     return next(islice(products, factor_count, None)).scale(Fraction(1, p))
 
 
-def stabilization_factor_count(
-    p: Prime, sign: Sign, prec: SeriesPrecision, factor_cap: int = FACTOR_CAP
-) -> int:
+def stabilization_factor_count(p: Prime, sign: Sign, prec: SeriesPrecision) -> int:
     """The number of factors after which the partial product has stabilized."""
-    _, factors = _stabilized_product(p, sign, prec, factor_cap)
+    _, factors = _stabilized_product(p, sign, prec)
     return factors
 
 
-def build_log_pm(
-    p: Prime, sign: Sign, prec: SeriesPrecision, factor_cap: int = FACTOR_CAP
-) -> TruncatedSeries:
+def build_log_pm(p: Prime, sign: Sign, prec: SeriesPrecision) -> TruncatedSeries:
     """The plus or minus logarithm as a stabilized partial product.
 
     Multiplies factors Phi(p, e(j))(1 + T) / p, with e(j) even for plus and
     odd for minus, until the next factor moves no coefficient at its
     guaranteed precision, then applies the leading 1/p.
     """
-    product, _ = _stabilized_product(p, sign, prec, factor_cap)
+    product, _ = _stabilized_product(p, sign, prec)
     return product.scale(Fraction(1, p))
 
 
-def verify_product_identity(p: Prime, prec: SeriesPrecision) -> VerificationReport:
+def verify_product_identity(p: Prime, prec: SeriesPrecision) -> list[Row]:
     """Check p^2 * T * log_plus * log_minus against the classical logarithm.
 
-    Reports, for every T-power below t_prec, the valuation of the residual
-    and the guaranteed bound it must meet; a coefficient passes when the
-    residual vanishes or its valuation reaches the bound.
+    Gives one (input, expected, actual, passed) row for every T-power below
+    t_prec: the valuation of the residual and the guaranteed bound it must
+    meet; a coefficient passes when the residual vanishes or its valuation
+    reaches the bound.
     """
     log_plus = build_log_pm(p, Sign.PLUS, prec)
     log_minus = build_log_pm(p, Sign.MINUS, prec)
@@ -310,7 +299,7 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> VerificationRepo
     den = math.lcm(lhs.den, classical.den)
     el, ec = den // lhs.den, den // classical.den
     shift = pval(den, p)
-    cases = []
+    rows = []
     for k in range(prec.t_prec):
         if k == 0:
             residual = 0  # both sides have no constant term
@@ -320,19 +309,8 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> VerificationRepo
             bound = min(lhs.guarantees[k - 1], classical.guarantees[k])
         v = None if residual == 0 else pval(residual, p) - shift
         actual = "v_p(residual) = " + ("exact" if v is None else str(v))
-        cases.append(
-            Case(
-                input=f"T^{k}",
-                expected=f"v_p(residual) >= {bound}",
-                actual=actual,
-                passed=v is None or v >= bound,
-            )
-        )
-    return VerificationReport(
-        suite="logproduct",
-        parameters={"p": int(p), "t_prec": prec.t_prec, "p_prec": prec.p_prec},
-        cases=cases,
-    )
+        rows.append((f"T^{k}", f"v_p(residual) >= {bound}", actual, v is None or v >= bound))
+    return rows
 
 
 def dump_dict(s: TruncatedSeries, sign: Sign, coeffs: tuple[Fraction, ...]) -> dict:

@@ -1,15 +1,18 @@
 """The identity verification suites, as one registry.
 
-A suite yields its cases as plain (input, expected, actual, passed) rows;
-run_suite checks every chosen suite's cost against the enumeration cap
-before any work, then builds one Case per row, named after its suite.
+A suite yields its cases as plain (input, expected, actual, passed) rows,
+and the library checks it draws on (verify_additivity, biamice_check,
+verify_product_identity) return such rows too.  run_suite checks every
+chosen suite's cost against the enumeration cap before any work, then
+builds one Case per row, named after its suite: it is the one place a
+Case or a VerificationReport is made.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .base import ENUMERATION_CAP, ResourceCapError, Sign
+from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign
 from .bivariate import BiSign, biamice_check
 from .cyclotomic import _ring_dim
 from .digits import Prime
@@ -23,7 +26,7 @@ from .distribution import (
 from .report import Case, VerificationReport
 from .series import SeriesPrecision, verify_product_identity
 
-Rows = Iterator[tuple[str, str, str, bool]]
+Rows = Iterator[Row]
 
 
 def _oracle(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
@@ -39,8 +42,7 @@ def _oracle(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
 def _additivity(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
     for sign in Sign:
         for n in range(1, max_n + 1):
-            for c in verify_additivity(sign, p, n).cases:
-                yield f"n={n} {c.input}", c.expected, c.actual, c.passed
+            yield from verify_additivity(sign, p, n)
 
 
 def _amice(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
@@ -57,13 +59,11 @@ def _biamice(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
         for n in range(1, max_n + 1):
             for k1 in range(1, n + 1):
                 for k2 in range(1, n + 1):
-                    for c in biamice_check(bisign, p, k1, k2, n).cases:
-                        yield c.input, c.expected, c.actual, c.passed
+                    yield biamice_check(bisign, p, k1, k2, n)
 
 
 def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
-    for c in verify_product_identity(p, prec).cases:
-        yield c.input, c.expected, c.actual, c.passed
+    yield from verify_product_identity(p, prec)
 
 
 # Each suite, in the order `all` runs them, as (cost, unit, rows): cost(p, n)

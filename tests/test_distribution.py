@@ -259,24 +259,23 @@ def test_interpolation_rhs_validates_range():
     ],
 )
 def test_additivity_reports_pass(sign, p, n):
-    report = verify_additivity(sign, p, n)
-    assert report.passed
-    assert len(report.cases) == p**n
+    rows = verify_additivity(sign, p, n)
+    assert all(passed for *_, passed in rows)
+    assert len(rows) == p**n
 
 
 @pytest.mark.parametrize("p,n", [(P2, 5), (P3, 3), (P5, 2), (Prime(7), 2)])
 def test_additivity_sums_each_cosets_own_children(p, n):
-    # The report against a per-coset sum over a + j p^n, j < p.
+    # The rows against a per-coset sum over a + j p^n, j < p.
     for sign in SIGNS:
-        report = verify_additivity(sign, p, n)
-        for a, case in enumerate(report.cases):
+        for a, (input, expected, actual, _) in enumerate(verify_additivity(sign, p, n)):
             children = sum(
                 (mu_value(sign, residue_from_integer(a + j * p**n, p, n + 1)).value for j in range(p)),
                 Fraction(0),
             )
-            assert case.input == f"sign={sign} a={a} mod {p}^{n}"
-            assert case.expected == str(mu_value(sign, residue_from_integer(a, p, n)).value)
-            assert case.actual == str(children)
+            assert input == f"n={n} sign={sign} a={a} mod {p}^{n}"
+            assert expected == str(mu_value(sign, residue_from_integer(a, p, n)).value)
+            assert actual == str(children)
 
 
 def test_additivity_cap():

@@ -269,18 +269,18 @@ def test_monotone_refinement(p, sign, finer):
     [SeriesPrecision(8, 6), SeriesPrecision(10, 6), SeriesPrecision(12, 8)],
 )
 def test_product_identity_passes(p, prec):
-    report = verify_product_identity(p, prec)
-    assert report.passed, [c for c in report.cases if not c.passed]
-    assert len(report.cases) == prec.t_prec
+    rows = verify_product_identity(p, prec)
+    assert all(passed for *_, passed in rows), [row for row in rows if not row[3]]
+    assert len(rows) == prec.t_prec
 
 
 def test_product_identity_linear_term_exact():
     # p^2 * (1/p) * (1/p) = 1 matches the leading logarithm coefficient exactly
     for p in PRIMES:
-        report = verify_product_identity(p, PREC)
-        linear = next(c for c in report.cases if c.input == "T^1")
-        assert linear.passed
-        assert linear.actual == "v_p(residual) = exact"
+        rows = verify_product_identity(p, PREC)
+        _, _, actual, passed = next(row for row in rows if row[0] == "T^1")
+        assert passed
+        assert actual == "v_p(residual) = exact"
 
 
 def coefficient_valuation_profile(s: TruncatedSeries) -> list[tuple[int, int | None]]:
@@ -318,13 +318,15 @@ def test_valuation_profile_zero_coefficient():
 
 
 @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
-def test_factor_cap_boundary(sign):
+def test_factor_cap_boundary(sign, monkeypatch):
     p = Prime(3)
     count = stabilization_factor_count(p, sign, PREC)
     # the check needs factor count + 1 to see that it moves nothing
-    assert stabilization_factor_count(p, sign, PREC, factor_cap=count + 1) == count
-    with pytest.raises(ConvergenceError):
-        stabilization_factor_count(p, sign, PREC, factor_cap=count)
+    monkeypatch.setattr(series, "FACTOR_CAP", count + 1)
+    assert stabilization_factor_count(p, sign, PREC) == count
+    monkeypatch.setattr(series, "FACTOR_CAP", count)
+    with pytest.raises(ConvergenceError, match=f"did not stabilize within {count} factors"):
+        stabilization_factor_count(p, sign, PREC)
     # the plain partial product takes no stopping rule and no cap
     assert log_pm_partial_product(p, sign, PREC, 0) == TruncatedSeries.one(p, PREC).scale(
         Fraction(1, p)
@@ -332,9 +334,10 @@ def test_factor_cap_boundary(sign):
     assert log_pm_partial_product(p, sign, PREC, 70).coefficient(0) == Fraction(1, p)
 
 
-def test_factor_cap_raises():
-    with pytest.raises(ConvergenceError):
-        build_log_pm(Prime(2), Sign.MINUS, PREC, factor_cap=1)
+def test_factor_cap_raises(monkeypatch):
+    monkeypatch.setattr(series, "FACTOR_CAP", 1)
+    with pytest.raises(ConvergenceError, match="did not stabilize within 1 factors"):
+        build_log_pm(Prime(2), Sign.MINUS, PREC)
 
 
 def test_series_arithmetic_requires_matching_precision():

@@ -5,9 +5,22 @@ import json
 
 import pytest
 
+import pmlog.bivariate as bivariate
 import pmlog.cli as cli
+import pmlog.distribution as distribution
+import pmlog.series as series
 import pmlog.suites as suites
-from pmlog import Prime, ResourceCapError
+from pmlog import (
+    BiSign,
+    Case,
+    Prime,
+    ResourceCapError,
+    Sign,
+    VerificationReport,
+    biamice_check,
+    verify_additivity,
+    verify_product_identity,
+)
 from pmlog.series import SeriesPrecision
 
 
@@ -78,3 +91,37 @@ def test_a_cap_is_reported_for_the_first_suite_past_it(monkeypatch):
 def test_run_suite_rejects_an_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         suites.run_suite("bogus", Prime(3), 2, SeriesPrecision(t_prec=8, p_prec=6))
+
+
+def library_rows(name, p, max_n, prec):
+    # The library check behind each suite, called in the registry's order.
+    if name == "additivity":
+        for sign in Sign:
+            for n in range(1, max_n + 1):
+                yield from verify_additivity(sign, p, n)
+    elif name == "biamice":
+        for first in Sign:
+            for second in Sign:
+                for n in range(1, max_n + 1):
+                    for k1 in range(1, n + 1):
+                        for k2 in range(1, n + 1):
+                            yield biamice_check(BiSign(first, second), p, k1, k2, n)
+    else:
+        yield from verify_product_identity(p, prec)
+
+
+@pytest.mark.parametrize("max_n", [1, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["additivity", "biamice", "logproduct"])
+def test_the_registry_adds_only_the_suite_prefix(name, p, max_n):
+    prec = SeriesPrecision(t_prec=6, p_prec=4)
+    report = suites.run_suite(name, Prime(p), max_n, prec)
+    rows = list(library_rows(name, Prime(p), max_n, prec))
+    assert rows
+    assert report.cases == [Case(f"{name}: {i}", e, a, ok) for i, e, a, ok in rows]
+
+
+@pytest.mark.parametrize("module", [distribution, bivariate, series])
+def test_only_the_registry_builds_cases(module):
+    held = [name for name, value in vars(module).items() if value in (Case, VerificationReport)]
+    assert held == []
