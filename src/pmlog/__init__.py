@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign, pval
 from .bivariate import BiResidue, BiSign, biamice_check, bimu_oracle, bimu_value
 from .cyclotomic import (
-    CycloPoly,
     CyclotomicElement,
     character_sum,
     cyclo_poly,
@@ -45,7 +44,7 @@ from .distribution import (
     total_mass,
     verify_additivity,
 )
-from .report import Case, VerificationReport
+from .report import VerificationReport
 from .series import (
     FACTOR_CAP,
     SeriesPrecision,
@@ -73,7 +72,6 @@ __all__ = [
     "in_S_plus",
     "in_S_minus",
     "enumerate_R",
-    "CycloPoly",
     "CyclotomicElement",
     "cyclo_poly",
     "even_product",
@@ -107,6 +105,5 @@ __all__ = [
     "bimu_value",
     "bimu_oracle",
     "biamice_check",
-    "Case",
     "VerificationReport",
 ]

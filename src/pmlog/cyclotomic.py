@@ -29,25 +29,12 @@ from .digits import Prime
 SparsePoly = dict[int, int]
 
 
-@dataclass(frozen=True)
-class CycloPoly:
-    """The p^level-th cyclotomic polynomial as a sparse exponent map."""
-
-    p: Prime
-    level: int
-    coefficients: Mapping[int, int]
-
-    @property
-    def degree(self) -> int:
-        return self.p ** (self.level - 1) * (self.p - 1)
-
-
-def cyclo_poly(p: Prime, n: int) -> CycloPoly:
+def cyclo_poly(p: Prime, n: int) -> SparsePoly:
     """The p^n-th cyclotomic polynomial: p unit monomials at multiples of p^(n-1)."""
     if n < 1:
         raise ValueError("level n must be >= 1")
     h = p ** (n - 1)
-    return CycloPoly(p=p, level=n, coefficients={h * t: 1 for t in range(p)})
+    return {h * t: 1 for t in range(p)}
 
 
 def _sparse_mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -66,10 +53,8 @@ def _indexed_product(p: Prime, count: int, first: int) -> SparsePoly:
     if p**count > ENUMERATION_CAP:
         raise ResourceCapError(f"support of {p}^{count} terms exceeds the enumeration cap")
     prod: SparsePoly = {0: 1}
-    m = first
-    for _ in range(count):
-        prod = _sparse_mul(prod, dict(cyclo_poly(p, m).coefficients))
-        m += 2
+    for m in range(first, first + 2 * count, 2):
+        prod = _sparse_mul(prod, cyclo_poly(p, m))
     return prod
 
 
@@ -126,9 +111,7 @@ class CyclotomicElement:
 
     @classmethod
     def from_rational(cls, p: Prime, n: int, q: Fraction | int) -> "CyclotomicElement":
-        coeffs = [Fraction(0)] * _ring_dim(p, n)
-        coeffs[0] = Fraction(q)
-        return cls(p, n, tuple(coeffs))
+        return eval_at_zeta({0: q}, p, n)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -152,10 +135,7 @@ class CyclotomicElement:
         )
 
     def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check_same_ring(other)
-        return CyclotomicElement(
-            self.p, self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -164,8 +144,7 @@ class CyclotomicElement:
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
         self._check_same_ring(other)
-        d = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * d - 1)
+        conv = [Fraction(0)] * (2 * len(self.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci == 0:
                 continue
@@ -173,18 +152,10 @@ class CyclotomicElement:
                 if cj == 0:
                     continue
                 conv[i + j] += ci * cj
-        out = [Fraction(0)] * d
-        for e, c in enumerate(conv):
-            if c == 0:
-                continue
-            for idx, s in _monomial_terms(self.p, self.level, e):
-                out[idx] += s * c
-        return CyclotomicElement(self.p, self.level, tuple(out))
+        return eval_at_zeta(dict(enumerate(conv)), self.p, self.level)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    # Python calls __rmul__ only when the left operand is not an element.
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         terms = []
@@ -203,21 +174,18 @@ def zeta_power(p: Prime, n: int, e: int) -> CyclotomicElement:
     """The canonical reduction of zeta^e in the level-n ring; e may be negative."""
     if n < 1:
         raise ValueError("level n must be >= 1")
-    coeffs = [Fraction(0)] * _ring_dim(p, n)
-    for idx, s in _monomial_terms(p, n, e):
-        coeffs[idx] += s
-    return CyclotomicElement(p, n, tuple(coeffs))
+    return eval_at_zeta({e: 1}, p, n)
 
 
-def eval_at_zeta(poly, p: Prime, n: int) -> CyclotomicElement:
+def eval_at_zeta(poly: Mapping[int, Fraction | int], p: Prime, n: int) -> CyclotomicElement:
     """Substitute x -> zeta into a sparse polynomial and reduce.
 
-    Accepts a CycloPoly or any exponent-to-coefficient mapping; exponents
-    may be negative, coefficients integral or rational.
+    Takes any exponent-to-coefficient mapping; exponents may be negative,
+    coefficients integral or rational.  The one loop that folds monomials
+    onto the power basis: zeta_power, from_rational and products use it.
     """
-    items = poly.coefficients if isinstance(poly, CycloPoly) else poly
     coeffs = [Fraction(0)] * _ring_dim(p, n)
-    for e, c in items.items():
+    for e, c in poly.items():
         if c == 0:
             continue
         for idx, s in _monomial_terms(p, n, e):

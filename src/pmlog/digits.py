@@ -86,9 +86,6 @@ class Residue:
             total = total * self.p + d
         return total
 
-    def __str__(self) -> str:
-        return f"{self.value} mod {self.p}^{self.n}"
-
 
 def residue_from_integer(a: int, p: Prime, n: int) -> Residue:
     """Reduce a into [0, p^n) and expand it in base p.

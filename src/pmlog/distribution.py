@@ -262,11 +262,9 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
     prefactor = Fraction(1, p ** ((level + 1 + q) // 2))
     zeta_exp = p ** (n - k)  # zeta_k as a power of the level-n root
     acc = CyclotomicElement.one(p, n)
-    m = first
-    for _ in range(count):
+    for m in range(first, first + 2 * count, 2):
         phi = cyclo_poly(p, m)
-        acc = acc * eval_at_zeta({e * zeta_exp: c for e, c in phi.coefficients.items()}, p, n)
-        m += 2
+        acc = acc * eval_at_zeta({e * zeta_exp: c for e, c in phi.items()}, p, n)
     return acc * prefactor
 
 

@@ -1,4 +1,4 @@
-"""Structured results for the machine-checked identity suites."""
+"""Reports of the identity suites: each case is a base.Row, from its check to the JSON."""
 
 from __future__ import annotations
 
@@ -6,26 +6,18 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-
-@dataclass(frozen=True)
-class Case:
-    """One checked instance: what was fed in, what was expected, what came out."""
-
-    input: str
-    expected: str
-    actual: str
-    passed: bool
+from .base import Row
 
 
 @dataclass
 class VerificationReport:
     suite: str
     parameters: dict
-    cases: list[Case] = field(default_factory=list)
+    cases: list[Row] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(case.passed for case in self.cases)
+        return all(passed for _, _, _, passed in self.cases)
 
     def to_json_dict(self) -> dict:
         # Timing is deliberately excluded: reports must be byte-identical
@@ -35,8 +27,8 @@ class VerificationReport:
             "parameters": dict(self.parameters),
             "overall_pass": self.passed,
             "cases": [
-                {"input": c.input, "expected": c.expected, "actual": c.actual, "pass": c.passed}
-                for c in self.cases
+                {"input": input, "expected": expected, "actual": actual, "pass": passed}
+                for input, expected, actual, passed in self.cases
             ],
         }
 

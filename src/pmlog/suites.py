@@ -4,8 +4,8 @@ A suite yields its cases as plain (input, expected, actual, passed) rows,
 and the library checks it draws on (verify_additivity, biamice_check,
 verify_product_identity) return such rows too.  run_suite checks every
 chosen suite's cost against the enumeration cap before any work, then
-builds one Case per row, named after its suite: it is the one place a
-Case or a VerificationReport is made.
+prefixes each row's input with its suite's name.  A case stays such a
+row up to the printed report; run_suite makes the one VerificationReport.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .distribution import (
     mu_oracle_level,
     verify_additivity,
 )
-from .report import Case, VerificationReport
+from .report import VerificationReport
 from .series import SeriesPrecision, verify_product_identity
 
 Rows = Iterator[Row]
@@ -113,7 +113,7 @@ def run_suite(name: str, p: Prime, max_n: int, prec: SeriesPrecision) -> Verific
                     f" of {ENUMERATION_CAP} {unit}"
                 )
     cases = [
-        Case(f"{suite}: {input}", expected, actual, passed)
+        (f"{suite}: {input}", expected, actual, passed)
         for suite in chosen
         for input, expected, actual, passed in SUITES[suite][2](p, max_n, prec)
     ]

@@ -538,6 +538,17 @@ def test_benchmark_traces_every_layer_it_names():
         layertrace.restore(patches)
 
 
+def test_no_source_line_is_longer_than_100_characters():
+    # Keeps a line-count budget for src/ from being met by joining lines.
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []
+
+
 def fuzz_argvs(count):
     rng = random.Random("scanner differential")
     draws = [well_formed(rng) for _ in range(count)]

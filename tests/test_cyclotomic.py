@@ -1,5 +1,6 @@
 """The p-power cyclotomic quotient rings, sparse products, and character sums."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,22 +27,21 @@ PRIMES = [Prime(2), Prime(3), Prime(5)]
 
 
 def test_cyclo_poly_examples():
-    assert dict(cyclo_poly(Prime(3), 1).coefficients) == {0: 1, 1: 1, 2: 1}
-    assert dict(cyclo_poly(Prime(2), 3).coefficients) == {0: 1, 4: 1}
+    assert cyclo_poly(Prime(3), 1) == {0: 1, 1: 1, 2: 1}
+    assert cyclo_poly(Prime(2), 3) == {0: 1, 4: 1}
     # evaluating at 1 sums the coefficients
-    assert sum(cyclo_poly(Prime(5), 1).coefficients.values()) == 5
+    assert sum(cyclo_poly(Prime(5), 1).values()) == 5
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cyclo_poly_structure(p, n):
     poly = cyclo_poly(p, n)
-    coeffs = dict(poly.coefficients)
-    assert len(coeffs) == p
-    assert set(coeffs.values()) == {1}
-    assert set(coeffs) == {t * p ** (n - 1) for t in range(p)}
-    assert poly.degree == p ** (n - 1) * (p - 1)
-    assert max(coeffs) == poly.degree
+    assert len(poly) == p
+    assert set(poly.values()) == {1}
+    assert set(poly) == {t * p ** (n - 1) for t in range(p)}
+    # the degree, p^(n-1) (p - 1), is the ring's dimension
+    assert max(poly) == p ** (n - 1) * (p - 1) == _ring_dim(p, n)
 
 
 def test_even_product_examples():
@@ -186,6 +186,45 @@ def test_reduction_is_canonical(p):
     for e in range(p**n):
         assert zeta_power(p, n, e + p**n) == zeta_power(p, n, e)
         assert zeta_power(p, n, e - p**n) == zeta_power(p, n, e)
+
+
+def reduce_mod_phi(poly, p, n):
+    """Remainder of a dense polynomial (low degree first) on long division by
+    Phi(p, n)(x) = sum_{t < p} x^(p^(n-1) t): the textbook reduction, built
+    without _monomial_terms, to check the ring's one reduction against."""
+    h, d = p ** (n - 1), _ring_dim(p, n)
+    rem = list(poly) + [Fraction(0)] * max(0, d - len(poly))
+    for top in range(len(rem) - 1, d - 1, -1):
+        q = rem[top]  # Phi is monic of degree d: subtract q x^(top-d) Phi
+        for t in range(p):
+            rem[top - d + t * h] -= q
+    return tuple(rem[:d])
+
+
+def random_element(rng, p, n):
+    coeffs = [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else Fraction(0)
+        for _ in range(_ring_dim(p, n))
+    ]
+    return CyclotomicElement(p, n, tuple(coeffs))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ring_product_matches_schoolbook_product_reduced_by_long_division(p, n):
+    rng = random.Random(f"ring product {p} {n}")
+    for _ in range(6):
+        a, b = random_element(rng, p, n), random_element(rng, p, n)
+        schoolbook = [Fraction(0)] * (2 * _ring_dim(p, n) - 1)
+        for i, ai in enumerate(a.coeffs):
+            for j, bj in enumerate(b.coeffs):
+                schoolbook[i + j] += ai * bj
+        assert (a * b).coeffs == reduce_mod_phi(schoolbook, p, n)
+    q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    assert CyclotomicElement.from_rational(p, n, q).coeffs == reduce_mod_phi([q], p, n)
+    for e in range(2 * p**n):
+        monomial = [Fraction(0)] * e + [Fraction(1)]
+        assert zeta_power(p, n, e).coeffs == reduce_mod_phi(monomial, p, n)
 
 
 def test_mismatched_rings_raise():

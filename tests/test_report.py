@@ -6,7 +6,7 @@ import random
 import pytest
 
 import pmlog.cli as cli
-from pmlog.report import Case, VerificationReport, report_json
+from pmlog.report import VerificationReport, report_json
 
 # Characters that JSON must escape or that ensure_ascii turns into \u
 # escapes: quotes, backslashes, control characters, non-ASCII text and a
@@ -25,7 +25,7 @@ def random_report(rng, cases):
         suite=random_text(rng),
         parameters=parameters,
         cases=[
-            Case(random_text(rng), random_text(rng), random_text(rng), rng.random() < 0.8)
+            (random_text(rng), random_text(rng), random_text(rng), rng.random() < 0.8)
             for _ in range(cases)
         ],
     )
@@ -40,7 +40,7 @@ def test_writer_matches_json_dumps_on_seeded_reports(seed):
 
 
 def test_writer_matches_json_dumps_on_failing_and_empty_reports():
-    failing = VerificationReport("oracle", {"p": 3}, [Case('a"b', "1/9", "0", False)])
+    failing = VerificationReport("oracle", {"p": 3}, [('a"b', "1/9", "0", False)])
     assert failing.to_json_dict()["overall_pass"] is False
     empty = VerificationReport("additivity", {"p": 2, "max_n": 1}, [])
     for report in (failing, empty):
