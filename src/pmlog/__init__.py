@@ -32,8 +32,8 @@ from .digits import (
 from .distribution import (
     DistValue,
     StepFunction,
+    amice_level,
     integrate,
-    interpolation_lhs,
     interpolation_rhs,
     mass_exponent,
     mu_level,
@@ -97,8 +97,8 @@ __all__ = [
     "total_mass",
     "support_masses",
     "integrate",
-    "interpolation_lhs",
     "interpolation_rhs",
+    "amice_level",
     "verify_additivity",
     "BiSign",
     "BiResidue",

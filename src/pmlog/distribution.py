@@ -11,10 +11,13 @@ digit test.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, pval
 from .cyclotomic import (
@@ -225,21 +228,6 @@ def integrate(sign: Sign, f: StepFunction):
     return total
 
 
-def interpolation_lhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement:
-    """The integral of x -> zeta_k^x against the plus/minus distribution, as
-    an element of the level-n ring (1 <= k <= n).
-
-    The same number as integrating the step function a -> zeta^(p^(n-k) a),
-    computed as one substitution of zeta into the sparse polynomial
-    sum of mass(a) x^(p^(n-k) a) over the support.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("require 1 <= k <= n")
-    zeta_exp = p ** (n - k)  # zeta_k as a power of the level-n root
-    weights = {zeta_exp * a: mass for a, mass in support_masses(sign, p, n).items()}
-    return eval_at_zeta(weights, p, n)
-
-
 def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement:
     """The closed-form value of the plus/minus logarithm at zeta_k - 1, as an
     element of the level-n ring (1 <= k <= n).
@@ -266,6 +254,40 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
         phi = cyclo_poly(p, m)
         acc = acc * eval_at_zeta({e * zeta_exp: c for e, c in phi.items()}, p, n)
     return acc * prefactor
+
+
+def amice_level(signs: Sequence[Sign], p: Prime, n: int) -> list[Row]:
+    """The level-n interpolation identity on Z_p^d, d = len(signs) of 1 or 2:
+    one (input, expected, actual, passed) row per k-tuple in 1..n, in order.
+
+    The left side integrates x -> zeta_k1^x1 ... zeta_kd^xd against the
+    product of the coordinates' distributions: the support product, each
+    coset tuple weighted by its mass, summed into one eval_at_zeta call.
+    The right side is the product of the one-variable closed forms.  Each
+    coordinate's support and each of its n right sides are built once.
+    """
+    if not (1 <= len(signs) <= 2 and n >= 1):
+        raise ValueError("require one or two signs and n >= 1")
+    supports = [support_masses(sign, p, n).items() for sign in signs]
+    terms = [
+        ([a for a, _ in combo], math.prod(mass for _, mass in combo))
+        for combo in itertools.product(*supports)
+    ]
+    rhs = [[interpolation_rhs(sign, k, p, n) for k in range(1, n + 1)] for sign in signs]
+    names = ["k"] if len(signs) == 1 else ["k1", "k2"]
+    label = "".join(map(str, signs))
+    rows = []
+    for ks in itertools.product(range(1, n + 1), repeat=len(signs)):
+        zeta_exps = [p ** (n - k) for k in ks]  # each zeta_k as a power of the level-n root
+        weights: dict[int, Fraction] = {}
+        for cosets, mass in terms:
+            e = sum(map(operator.mul, zeta_exps, cosets))
+            weights[e] = weights.get(e, 0) + mass
+        lhs = eval_at_zeta(weights, p, n)
+        expected = functools.reduce(operator.mul, (r[k - 1] for r, k in zip(rhs, ks)))
+        ks_label = " ".join(f"{name}={k}" for name, k in zip(names, ks))
+        rows.append((f"sign={label} {ks_label} n={n}", str(expected), str(lhs), lhs == expected))
+    return rows
 
 
 def verify_additivity(sign: Sign, p: Prime, n: int) -> list[Row]:

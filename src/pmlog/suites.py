@@ -1,28 +1,25 @@
 """The identity verification suites, as one registry.
 
 A suite yields its cases as plain (input, expected, actual, passed) rows,
-and the library checks it draws on (verify_additivity, biamice_check,
-verify_product_identity) return such rows too.  run_suite checks every
-chosen suite's cost against the enumeration cap before any work, then
-prefixes each row's input with its suite's name.  A case stays such a
-row up to the printed report; run_suite makes the one VerificationReport.
+and the library checks it draws on (verify_additivity, amice_level,
+biamice_check, verify_product_identity) return such rows too.  run_suite
+checks every chosen suite's cost against the enumeration cap before any
+work, then prefixes each row's input with its suite's name.  A case stays
+such a row up to the printed report; run_suite makes the one
+VerificationReport.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Callable, Iterator
 
 from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign
 from .bivariate import BiSign, biamice_check
 from .cyclotomic import _ring_dim
 from .digits import Prime
-from .distribution import (
-    interpolation_lhs,
-    interpolation_rhs,
-    mu_level,
-    mu_oracle_level,
-    verify_additivity,
-)
+from .distribution import amice_level, mu_level, mu_oracle_level, verify_additivity
 from .report import VerificationReport
 from .series import SeriesPrecision, verify_product_identity
 
@@ -45,21 +42,12 @@ def _additivity(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
             yield from verify_additivity(sign, p, n)
 
 
-def _amice(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
-    for sign in Sign:
+def _amice(p: Prime, max_n: int, prec: SeriesPrecision, d: int = 1) -> Rows:
+    # amice (d = 1) and biamice (d = 2): every sign tuple, then every level.
+    # Two variables go through biamice_check, the two-variable entry.
+    for signs in itertools.product(Sign, repeat=d):
         for n in range(1, max_n + 1):
-            for k in range(1, n + 1):
-                lhs = interpolation_lhs(sign, k, p, n)
-                rhs = interpolation_rhs(sign, k, p, n)
-                yield f"sign={sign} k={k} n={n}", str(rhs), str(lhs), lhs == rhs
-
-
-def _biamice(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
-    for bisign in (BiSign(first, second) for first in Sign for second in Sign):
-        for n in range(1, max_n + 1):
-            for k1 in range(1, n + 1):
-                for k2 in range(1, n + 1):
-                    yield biamice_check(bisign, p, k1, k2, n)
+            yield from amice_level(signs, p, n) if d == 1 else biamice_check(BiSign(*signs), p, n)
 
 
 def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
@@ -77,17 +65,20 @@ SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[.
     "oracle": (lambda p, n: 2 * p**n * p ** ((n + 1) // 2), "coset-term evaluations", _oracle),
     # Level n values p^n parents and p^(n+1) children, for both signs.
     "additivity": (lambda p, n: 2 * (p**n + p ** (n + 1)), "valued cosets", _additivity),
-    # Level n checks 2 signs times n values of k; one check builds about
-    # n + 1 ring elements (the left side, then a factor and a product per
-    # cyclotomic value on the right), each of _ring_dim(p, n) coefficients.
+    # Level n builds, per sign, n left sides and n right sides.  The right
+    # sides of the matching parity, about n / 2 of them, take a value and a
+    # product per cyclotomic factor, about n + 2 ring elements each; the
+    # others are zero.  So about n (n + 1) ring elements of _ring_dim(p, n)
+    # coefficients per sign.
     "amice": (lambda p, n: 2 * n * (n + 1) * _ring_dim(p, n), "ring coefficients", _amice),
-    # Level n checks 4 sign pairs times n^2 pairs (k1, k2); one check
-    # builds about n + 2 ring elements (two right sides and their product)
-    # and sums over at most p^(n+1) support pairs.
+    # Level n builds, per sign pair, both coordinates' right sides as for
+    # amice, then per (k1, k2) one left side summed over the support
+    # product (at most p^(n+1) coset pairs) and one product of right
+    # sides; n + 2 ring elements and p^(n+1) pairs per (k1, k2) bound that.
     "biamice": (
         lambda p, n: 4 * n * n * ((n + 2) * _ring_dim(p, n) + p ** (n + 1)),
         "ring coefficients and support pairs",
-        _biamice,
+        functools.partial(_amice, d=2),
     ),
     "logproduct": (None, None, _logproduct),
 }

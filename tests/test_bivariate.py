@@ -130,14 +130,19 @@ def test_fubini_for_product_step_functions(p):
                 assert double == left * right
 
 
+def pairs(n):
+    return [(k1, k2) for k1 in range(1, n + 1) for k2 in range(1, n + 1)]
+
+
 @pytest.mark.parametrize("p", [P2, P3])
 def test_biamice_passes(p):
     for s in ALL_BISIGNS:
         for n in range(1, 3):
-            for k1 in range(1, n + 1):
-                for k2 in range(1, n + 1):
-                    *_, passed = biamice_check(s, p, k1, k2, n)
-                    assert passed, (str(s), k1, k2, n)
+            rows = biamice_check(s, p, n)
+            labels = [f"sign={s} k1={k1} k2={k2} n={n}" for k1, k2 in pairs(n)]
+            assert [label for label, *_ in rows] == labels
+            for label, _, _, passed in rows:
+                assert passed, label
 
 
 @pytest.mark.parametrize("p,max_n", [(P2, 3), (P3, 2)])
@@ -145,16 +150,14 @@ def test_biamice_lhs_matches_coset_pair_scan(p, max_n):
     # the support-product sum must equal the sum over every coset pair
     for s in ALL_BISIGNS:
         for n in range(1, max_n + 1):
-            for k1 in range(1, n + 1):
-                for k2 in range(1, n + 1):
-                    weights = {}
-                    for a in range(p**n):
-                        for b in range(p**n):
-                            e = p ** (n - k1) * a + p ** (n - k2) * b
-                            v = bimu_value(s, bires(p, n, n, a, b)).value
-                            weights[e] = weights.get(e, Fraction(0)) + v
-                    _, _, actual, _ = biamice_check(s, p, k1, k2, n)
-                    assert actual == str(eval_at_zeta(weights, p, n))
+            for (k1, k2), (_, _, actual, _) in zip(pairs(n), biamice_check(s, p, n), strict=True):
+                weights = {}
+                for a in range(p**n):
+                    for b in range(p**n):
+                        e = p ** (n - k1) * a + p ** (n - k2) * b
+                        v = bimu_value(s, bires(p, n, n, a, b)).value
+                        weights[e] = weights.get(e, Fraction(0)) + v
+                assert actual == str(eval_at_zeta(weights, p, n))
 
 
 def test_biamice_parity_mismatch_is_zero_on_both_sides():
@@ -163,7 +166,8 @@ def test_biamice_parity_mismatch_is_zero_on_both_sides():
 
     s = BiSign.from_str("+-")
     p, n, k1, k2 = P3, 2, 2, 2
-    _, expected, actual, passed = biamice_check(s, p, k1, k2, n)
+    rows = {label: row for label, *row in biamice_check(s, p, n)}
+    expected, actual, passed = rows[f"sign=+- k1={k1} k2={k2} n={n}"]
     assert passed
     rhs = interpolation_rhs(s.first, k1, p, n) * interpolation_rhs(s.second, k2, p, n)
     assert rhs.is_zero()
@@ -172,6 +176,6 @@ def test_biamice_parity_mismatch_is_zero_on_both_sides():
 
 def test_biamice_validates_arguments():
     with pytest.raises(ValueError):
-        biamice_check(BiSign.from_str("++"), P3, 3, 1, 2)
+        biamice_check(BiSign.from_str("++"), P3, 0)
     with pytest.raises(ResourceCapError):
-        biamice_check(BiSign.from_str("++"), P2, 1, 1, 10)
+        biamice_check(BiSign.from_str("++"), P2, 10)

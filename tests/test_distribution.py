@@ -16,10 +16,10 @@ from pmlog import (
     ResourceCapError,
     Sign,
     StepFunction,
+    amice_level,
     in_S_minus,
     in_S_plus,
     integrate,
-    interpolation_lhs,
     interpolation_rhs,
     mu_level,
     mu_oracle,
@@ -192,20 +192,22 @@ def test_support_masses_refuse_a_dropped_coset(monkeypatch):
 
 @pytest.mark.parametrize("p,max_n", [(P2, 5), (P3, 3), (P5, 2), (Prime(7), 2)])
 def test_interpolation_lhs_matches_step_function_integral(p, max_n):
+    # the left sides of the one-variable amice_level rows
     for sign in SIGNS:
         for n in range(1, max_n + 1):
-            for k in range(1, n + 1):
+            rows = amice_level((sign,), p, n)
+            assert len(rows) == n
+            for k, (label, _, lhs, _) in enumerate(rows, start=1):
+                assert label == f"sign={sign} k={k} n={n}"
                 zeta_exp = p ** (n - k)
                 f = StepFunction.from_function(p, n, lambda a: zeta_power(p, n, zeta_exp * a))
-                lhs = interpolation_lhs(sign, k, p, n)
-                assert lhs == integrate(sign, f) == coset_scan_integral(sign, f), (sign, k, n)
+                assert lhs == str(integrate(sign, f)) == str(coset_scan_integral(sign, f))
 
 
-def test_interpolation_lhs_validates_range():
-    with pytest.raises(ValueError):
-        interpolation_lhs(Sign.MINUS, 3, P3, 2)
-    with pytest.raises(ValueError):
-        interpolation_lhs(Sign.MINUS, 0, P3, 2)
+def test_amice_level_validates_arguments():
+    for signs, n in (((), 2), ((Sign.PLUS,) * 3, 2), ((Sign.MINUS,), 0)):
+        with pytest.raises(ValueError):
+            amice_level(signs, P3, n)
 
 
 @pytest.mark.parametrize("p", [P2, P3, P5])

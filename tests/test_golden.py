@@ -26,6 +26,10 @@ GOLDEN = {
     "verify --suite biamice --p 2 --max-n 5": "fc8897054d5e92697130815f4f64a52ba9c94606e5d7892f0cee51e6c54fbab4",
     "verify --suite biamice --p 3 --max-n 4": "23cf74d097d65261b261f8fe50e1dd7cfcf33659b3f8959f81bfb17bd4ad354c",
     "verify --suite biamice --p 5 --max-n 3": "dd311d44f2734289a8d36aea60c3f559612a7ff5fb59e4ca6420b03014af2205",
+    # The benchmark's own interp invocations.
+    "verify --suite amice --p 2 --max-n 6": "b0929eca36df9ea71415fa0c28bfb3b92adee11186b163a178b82ba4159bc4a9",
+    "verify --suite biamice --p 2 --max-n 4": "1cfa2c5e6c719f4e338650191b8e12ab1dbcd62d109558faf6680d2c4fc503f4",
+    "verify --suite biamice --p 3 --max-n 3": "48086b4bed192c5a3213198bc2cc8ed532185d46b37ae4ae8a50362101047f2c",
     "verify --suite all --p 2 --max-n 5": "2dd57b136fddbe81cab7e6e9d0eba0efc72bf271e3eed9d4e6aa1232df69e28d",
     "verify --suite all --p 3 --max-n 4": "1de0d02b343b9fee75489ccc0d5081dfa578adeabbbebecc92359b2dcee721da",
     "verify --suite all --p 5 --max-n 3": "df0671e036d81222f52175c1720f84c8d6895fdc9ea5d755f44caef61055f912",

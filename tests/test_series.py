@@ -21,6 +21,7 @@ from pmlog import (
     pval,
     series_log_classical,
     stabilization_factor_count,
+    support_masses,
     verify_product_identity,
 )
 from pmlog.series import _binomial_rows, _quotient, dump_dict
@@ -338,6 +339,46 @@ def test_factor_cap_raises(monkeypatch):
     monkeypatch.setattr(series, "FACTOR_CAP", 1)
     with pytest.raises(ConvergenceError, match="did not stabilize within 1 factors"):
         build_log_pm(Prime(2), Sign.MINUS, PREC)
+
+
+def support_sum(sign, p, n, t_prec):
+    # sum of mu(a + p^n Z_p) C(a, k) over the level-n support, k < t_prec:
+    # the level-n distribution's Amice transform, with C(a, k) by the integer
+    # recurrence C(a, k + 1) = C(a, k) (a - k) / (k + 1) and no series code.
+    masses = support_masses(sign, p, n)
+    den = math.lcm(*(mass.denominator for mass in masses.values()))
+    totals = [0] * t_prec
+    for a, mass in masses.items():
+        term = mass.numerator * (den // mass.denominator)  # mass * C(a, 0), over den
+        for k in range(t_prec):
+            totals[k] += term
+            term = term * (a - k) // (k + 1)
+    return tuple(Fraction(t, den) for t in totals)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_partial_product_is_the_amice_sum_over_the_support(p):
+    # (1/p) prod_{j <= K} Phi(p, e(j))(1 + T) / p expands over digit choices
+    # onto the level-n support, K = floor((n + parity) / 2), each term with
+    # mass p^(-K-1).  t_prec on both sides of 3 (p - 1) runs both builders.
+    for t_prec in (3 * (p - 1) - 1, 3 * (p - 1) + 2):
+        prec = SeriesPrecision(t_prec, p_prec=4)
+        for sign in Sign:
+            n = 1
+            while p ** ((n + sign.parity) // 2) <= 1000:
+                partial = log_pm_partial_product(Prime(p), sign, prec, (n + sign.parity) // 2)
+                assert partial.coeffs == support_sum(sign, p, n, t_prec), (t_prec, sign, n)
+                n += 1
+
+
+@pytest.mark.parametrize("p,t_prec,p_prec,factors", [(2, 12, 12, 7), (3, 10, 8, 4), (5, 8, 6, 3)])
+def test_stabilized_log_pm_is_the_amice_sum_of_its_level(p, t_prec, p_prec, factors):
+    # The stopping rule takes `factors` factors here, so the stabilized
+    # series is the level 2 factors (plus) or 2 factors - 1 (minus) sum.
+    prec = SeriesPrecision(t_prec, p_prec)
+    for sign in Sign:
+        n = 2 * factors - sign.parity
+        assert build_log_pm(Prime(p), sign, prec).coeffs == support_sum(sign, p, n, t_prec)
 
 
 def test_series_arithmetic_requires_matching_precision():

@@ -1,6 +1,8 @@
 """The verify-suite registry: its order, its caps, and what `all` means."""
 
 import argparse
+import collections
+import itertools
 import json
 
 import pytest
@@ -16,6 +18,7 @@ from pmlog import (
     ResourceCapError,
     Sign,
     VerificationReport,
+    amice_level,
     biamice_check,
     verify_additivity,
     verify_product_identity,
@@ -58,8 +61,7 @@ def refuse_any_work(monkeypatch):
         "mu_oracle_level",
         "mu_level",
         "verify_additivity",
-        "interpolation_lhs",
-        "interpolation_rhs",
+        "amice_level",
         "biamice_check",
         "verify_product_identity",
     ):
@@ -98,20 +100,22 @@ def library_rows(name, p, max_n, prec):
         for sign in Sign:
             for n in range(1, max_n + 1):
                 yield from verify_additivity(sign, p, n)
+    elif name == "amice":
+        for sign in Sign:
+            for n in range(1, max_n + 1):
+                yield from amice_level((sign,), p, n)
     elif name == "biamice":
         for first in Sign:
             for second in Sign:
                 for n in range(1, max_n + 1):
-                    for k1 in range(1, n + 1):
-                        for k2 in range(1, n + 1):
-                            yield biamice_check(BiSign(first, second), p, k1, k2, n)
+                    yield from biamice_check(BiSign(first, second), p, n)
     else:
         yield from verify_product_identity(p, prec)
 
 
 @pytest.mark.parametrize("max_n", [1, 3])
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("name", ["additivity", "biamice", "logproduct"])
+@pytest.mark.parametrize("name", ["additivity", "amice", "biamice", "logproduct"])
 def test_the_registry_adds_only_the_suite_prefix(name, p, max_n):
     prec = SeriesPrecision(t_prec=6, p_prec=4)
     report = suites.run_suite(name, Prime(p), max_n, prec)
@@ -124,3 +128,33 @@ def test_the_registry_adds_only_the_suite_prefix(name, p, max_n):
 def test_only_the_registry_builds_cases(module):
     held = [name for name, value in vars(module).items() if value is VerificationReport]
     assert held == []
+
+
+def count_calls(monkeypatch, name):
+    # Count the calls of distribution.<name> by arguments, wherever pmlog holds it.
+    real, calls = getattr(distribution, name), collections.Counter()
+
+    def counted(*args):
+        calls[args] += 1
+        return real(*args)
+
+    for module in (distribution, bivariate, suites):
+        if vars(module).get(name) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,d,p,total", [("biamice", 2, 2, (32, 80)), ("amice", 1, 3, (8, 20))])
+def test_amice_suites_build_each_support_and_right_side_once_per_level(
+    monkeypatch, name, d, p, total
+):
+    supports = count_calls(monkeypatch, "support_masses")
+    rights = count_calls(monkeypatch, "interpolation_rhs")
+    suites.run_suite(name, Prime(p), 4, SeriesPrecision(t_prec=8, p_prec=6))
+    # one support per (sign tuple, n, coordinate), one right side per k too
+    levels = [(signs, n) for signs in itertools.product(Sign, repeat=d) for n in range(1, 5)]
+    assert supports == collections.Counter((s, p, n) for signs, n in levels for s in signs)
+    assert rights == collections.Counter(
+        (s, k, p, n) for signs, n in levels for s in signs for k in range(1, n + 1)
+    )
+    assert (supports.total(), rights.total()) == total
