@@ -3,7 +3,8 @@
 The p^n-th cyclotomic polynomial is taken in the p-power form
 Phi(p, n)(T) = sum_{t < p} T^(p^(n-1) t).  The quotient ring
 Q[x] / Phi(p, n)(x) is represented densely on the power basis
-1, x, ..., x^(d-1) with d = p^(n-1)(p-1); the class of x is the
+1, x, ..., x^(d-1) with d = p^(n-1)(p-1), as integer numerators over one
+denominator (`coeffs` views them as Fractions); the class of x is the
 distinguished primitive p^n-th root of unity zeta.  Every p^n-th root of
 unity, primitive or not, is a power of zeta, so a single ring per (p, n)
 carries all the character sums.
@@ -19,9 +20,10 @@ maps rather than ring elements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .base import ENUMERATION_CAP, ResourceCapError
 from .digits import Prime
@@ -87,23 +89,37 @@ def _monomial_terms(p: int, n: int, e: int) -> Iterator[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CyclotomicElement:
-    """An element of Q[x] / Phi(p, level)(x) on the power basis of x."""
+    """An element of Q[x] / Phi(p, level)(x) on the power basis of x: integer
+    numerators over one positive denominator, in lowest terms on construction."""
 
     p: Prime
     level: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        if len(self.coeffs) != _ring_dim(self.p, self.level):
+        if len(self.nums) != _ring_dim(self.p, self.level):
             raise ValueError(
-                f"expected {_ring_dim(self.p, self.level)} coefficients, got {len(self.coeffs)}"
+                f"expected {_ring_dim(self.p, self.level)} coefficients, got {len(self.nums)}"
             )
+        if self.den == 0:
+            raise ValueError("the denominator must be nonzero")
+        g = math.gcd(self.den, *self.nums) if self.den > 0 else -math.gcd(self.den, *self.nums)
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(c // g for c in self.nums))
+            object.__setattr__(self, "den", self.den // g)
+
+    @classmethod
+    def from_coeffs(cls, p: Prime, n: int, coeffs) -> "CyclotomicElement":
+        """The element with these rational coefficients on the power basis."""
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return cls(p, n, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     @classmethod
     def zero(cls, p: Prime, n: int) -> "CyclotomicElement":
-        return cls(p, n, (Fraction(0),) * _ring_dim(p, n))
+        return cls(p, n, (0,) * _ring_dim(p, n))
 
     @classmethod
     def one(cls, p: Prime, n: int) -> "CyclotomicElement":
@@ -113,16 +129,21 @@ class CyclotomicElement:
     def from_rational(cls, p: Prime, n: int, q: Fraction | int) -> "CyclotomicElement":
         return eval_at_zeta({0: q}, p, n)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built afresh on each read."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element has nonzero coefficients above degree 0")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def _check_same_ring(self, other: "CyclotomicElement") -> None:
         if self.p != other.p or self.level != other.level:
@@ -130,9 +151,9 @@ class CyclotomicElement:
 
     def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         self._check_same_ring(other)
-        return CyclotomicElement(
-            self.p, self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self.den, other.den
+        nums = tuple(x * b + y * a for x, y in zip(self.nums, other.nums))
+        return CyclotomicElement(self.p, self.level, nums, a * b)
 
     def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         return self + other * -1
@@ -140,28 +161,28 @@ class CyclotomicElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CyclotomicElement(self.p, self.level, tuple(a * q for a in self.coeffs))
+            nums = tuple(c * q.numerator for c in self.nums)
+            return CyclotomicElement(self.p, self.level, nums, self.den * q.denominator)
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
         self._check_same_ring(other)
-        conv = [Fraction(0)] * (2 * len(self.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if cj == 0:
-                    continue
-                conv[i + j] += ci * cj
-        return eval_at_zeta(dict(enumerate(conv)), self.p, self.level)
+        conv = [0] * (2 * len(self.nums) - 1)
+        right = [(j, c) for j, c in enumerate(other.nums) if c]
+        for i, ci in enumerate(self.nums):
+            if ci:
+                for j, cj in right:
+                    conv[i + j] += ci * cj
+        return _fold(enumerate(conv), self.p, self.level, self.den * other.den)
 
     # Python calls __rmul__ only when the left operand is not an element.
     __rmul__ = __mul__
 
     def __str__(self) -> str:
         terms = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
+        for e, num in enumerate(self.nums):
+            if num == 0:
                 continue
+            c = Fraction(num, self.den)
             if e == 0:
                 terms.append(str(c))
             else:
@@ -177,20 +198,26 @@ def zeta_power(p: Prime, n: int, e: int) -> CyclotomicElement:
     return eval_at_zeta({e: 1}, p, n)
 
 
+def _fold(terms: Iterable[tuple[int, int]], p: Prime, n: int, den: int) -> CyclotomicElement:
+    # The element sum of c x^e / den over integer (e, c) pairs.
+    nums = [0] * _ring_dim(p, n)
+    for e, c in terms:
+        if c:
+            for idx, s in _monomial_terms(p, n, e):
+                nums[idx] += s * c
+    return CyclotomicElement(p, n, tuple(nums), den)
+
+
 def eval_at_zeta(poly: Mapping[int, Fraction | int], p: Prime, n: int) -> CyclotomicElement:
     """Substitute x -> zeta into a sparse polynomial and reduce.
 
     Takes any exponent-to-coefficient mapping; exponents may be negative,
-    coefficients integral or rational.  The one loop that folds monomials
-    onto the power basis: zeta_power, from_rational and products use it.
+    coefficients integral or rational.  The coefficients are put over their
+    one least common denominator and the integer numerators folded onto the
+    power basis: zeta_power, from_rational and products use this fold.
     """
-    coeffs = [Fraction(0)] * _ring_dim(p, n)
-    for e, c in poly.items():
-        if c == 0:
-            continue
-        for idx, s in _monomial_terms(p, n, e):
-            coeffs[idx] += s * c
-    return CyclotomicElement(p, n, tuple(coeffs))
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    return _fold(((e, c.numerator * (den // c.denominator)) for e, c in poly.items()), p, n, den)
 
 
 def character_sum(p: Prime, n: int, weights: Mapping[int, Fraction | int]) -> Fraction:

@@ -24,7 +24,6 @@ from .cyclotomic import (
     CyclotomicElement,
     SparsePoly,
     character_sum,
-    cyclo_poly,
     eval_at_zeta,
     even_product,
     odd_product,
@@ -232,28 +231,21 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
     """The closed-form value of the plus/minus logarithm at zeta_k - 1, as an
     element of the level-n ring (1 <= k <= n).
 
-    Zero when the parity of k disagrees with the sign; otherwise a scaled
-    product of cyclotomic values at zeta_k.  For k below the matching
-    parity level, extra factors evaluate to p and cancel against the
-    matching power of p in the prefactor, so the level used internally is
-    n rounded up to the right parity.
+    Zero when the parity of k disagrees with the sign; otherwise the
+    product's prefactor times the cyclotomic values at zeta_k.  Each level
+    m > k gives Phi(p, m)(zeta_k) = p, and those factors cancel against the
+    prefactor, so only the levels below k are multiplied out, as one sparse
+    product evaluated once at zeta_k, over p^(k//2 + 1) whatever n is.
     """
     if not 1 <= k <= n:
         raise ValueError("require 1 <= k <= n")
-    q = sign.parity
-    if k % 2 == q:
+    if k % 2 == sign.parity:
         return CyclotomicElement.zero(p, n)
-    # Plus takes odd k and multiplies the values at even levels 2, 4, ...;
-    # minus takes even k and the odd levels 1, 3, ...
-    level = n if n % 2 != q else n + 1
-    count, first = (level - 1 + q) // 2, 2 - q
-    prefactor = Fraction(1, p ** ((level + 1 + q) // 2))
-    zeta_exp = p ** (n - k)  # zeta_k as a power of the level-n root
-    acc = CyclotomicElement.one(p, n)
-    for m in range(first, first + 2 * count, 2):
-        phi = cyclo_poly(p, m)
-        acc = acc * eval_at_zeta({e * zeta_exp: c for e, c in phi.items()}, p, n)
-    return acc * prefactor
+    # Plus takes odd k and the even levels 2, 4, ..., k - 1; minus takes
+    # even k and the odd levels 1, 3, ..., k - 1.
+    product = (even_product if sign is Sign.PLUS else odd_product)(p, k // 2)
+    zeta_exp, scale = p ** (n - k), p ** (k // 2 + 1)  # zeta_k as a power of the level-n root
+    return eval_at_zeta({e * zeta_exp: Fraction(c, scale) for e, c in product.items()}, p, n)
 
 
 def amice_level(signs: Sequence[Sign], p: Prime, n: int) -> list[Row]:
@@ -273,17 +265,20 @@ def amice_level(signs: Sequence[Sign], p: Prime, n: int) -> list[Row]:
         ([a for a, _ in combo], math.prod(mass for _, mass in combo))
         for combo in itertools.product(*supports)
     ]
+    # The masses as integer numerators over one denominator, as in verify_additivity.
+    den = math.lcm(*(mass.denominator for _, mass in terms))
+    terms = [(cosets, mass.numerator * (den // mass.denominator)) for cosets, mass in terms]
     rhs = [[interpolation_rhs(sign, k, p, n) for k in range(1, n + 1)] for sign in signs]
     names = ["k"] if len(signs) == 1 else ["k1", "k2"]
     label = "".join(map(str, signs))
     rows = []
     for ks in itertools.product(range(1, n + 1), repeat=len(signs)):
         zeta_exps = [p ** (n - k) for k in ks]  # each zeta_k as a power of the level-n root
-        weights: dict[int, Fraction] = {}
-        for cosets, mass in terms:
+        weights: dict[int, int] = {}
+        for cosets, num in terms:
             e = sum(map(operator.mul, zeta_exps, cosets))
-            weights[e] = weights.get(e, 0) + mass
-        lhs = eval_at_zeta(weights, p, n)
+            weights[e] = weights.get(e, 0) + num
+        lhs = eval_at_zeta(weights, p, n) * Fraction(1, den)
         expected = functools.reduce(operator.mul, (r[k - 1] for r, k in zip(rhs, ks)))
         ks_label = " ".join(f"{name}={k}" for name, k in zip(names, ks))
         rows.append((f"sign={label} {ks_label} n={n}", str(expected), str(lhs), lhs == expected))

@@ -65,19 +65,27 @@ SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[.
     "oracle": (lambda p, n: 2 * p**n * p ** ((n + 1) // 2), "coset-term evaluations", _oracle),
     # Level n values p^n parents and p^(n+1) children, for both signs.
     "additivity": (lambda p, n: 2 * (p**n + p ** (n + 1)), "valued cosets", _additivity),
-    # Level n builds, per sign, n left sides and n right sides.  The right
-    # sides of the matching parity, about n / 2 of them, take a value and a
-    # product per cyclotomic factor, about n + 2 ring elements each; the
-    # others are zero.  So about n (n + 1) ring elements of _ring_dim(p, n)
-    # coefficients per sign.
-    "amice": (lambda p, n: 2 * n * (n + 1) * _ring_dim(p, n), "ring coefficients", _amice),
-    # Level n builds, per sign pair, both coordinates' right sides as for
-    # amice, then per (k1, k2) one left side summed over the support
-    # product (at most p^(n+1) coset pairs) and one product of right
-    # sides; n + 2 ring elements and p^(n+1) pairs per (k1, k2) bound that.
+    # The Amice checks count, per level n, the dimension of each ring element
+    # built, each term eval_at_zeta folds, each nonzero coefficient product
+    # and each support tuple.  With f = floor(n/2) and c = ceil(n/2), the
+    # plus and minus supports have p^f and p^c cosets, and the right side at
+    # k is one sparse product of p^(k//2) terms.  amice builds, per sign, n
+    # right sides and n left sides, each scaled once.
+    "amice": (
+        lambda p, n: 8 * n * _ring_dim(p, n) + (2 * n + 1) * (p ** (n // 2) + p ** ((n + 1) // 2)),
+        "ring coefficients, terms, products and support tuples",
+        _amice,
+    ),
+    # biamice builds, per sign pair, both coordinates' right sides, then per
+    # (k1, k2) a left side over the support product, its scaling and a
+    # product of right sides.  The four pairs have (p^f + p^c)^2 support
+    # tuples, and a coordinate's right sides under p^c (plus) or p^(f+1)
+    # (minus) nonzero coefficients summed over k.
     "biamice": (
-        lambda p, n: 4 * n * n * ((n + 2) * _ring_dim(p, n) + p ** (n + 1)),
-        "ring coefficients and support pairs",
+        lambda p, n: 4 * (4 * n * n + 2 * n) * _ring_dim(p, n)
+        + (n + 1) ** 2 * (p ** (n // 2) + p ** ((n + 1) // 2)) ** 2
+        + (p ** ((n + 1) // 2) + p ** (n // 2 + 1)) ** 2,
+        "ring coefficients, terms, products and support tuples",
         functools.partial(_amice, d=2),
     ),
     "logproduct": (None, None, _logproduct),

@@ -383,11 +383,13 @@ def test_verify_interpolation_suites_refuse_past_the_cap_before_any_work(capsys,
 @pytest.mark.parametrize(
     "suite,cost",
     [
-        # p = 3 up to n = 2, ring dimensions 2 and 6:
-        # amice 2 * n * (n + 1) * dim: 8 + 72
-        ("amice", 80),
-        # biamice 4 * n^2 * ((n + 2) * dim + p^(n + 1)): 60 + 816
-        ("biamice", 876),
+        # p = 3 up to n = 2, ring dimensions 2 and 6, supports p^f and p^c
+        # with f = floor(n/2), c = ceil(n/2), 1 and 3 at n = 1, 3 and 3 at n = 2:
+        # amice 8 n dim + (2n + 1)(p^f + p^c): (16 + 12) + (96 + 30)
+        ("amice", 154),
+        # biamice 4 (4n^2 + 2n) dim + (n + 1)^2 (p^f + p^c)^2 + (p^c + p^(f+1))^2:
+        # (48 + 64 + 36) + (480 + 324 + 144)
+        ("biamice", 1096),
     ],
 )
 def test_verify_interpolation_suite_cap_boundary_is_exact(capsys, monkeypatch, suite, cost):

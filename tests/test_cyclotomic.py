@@ -1,5 +1,6 @@
 """The p-power cyclotomic quotient rings, sparse products, and character sums."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -122,7 +123,7 @@ def character_sum_bruteforce(p: Prime, n: int, weights) -> Fraction:
                 continue
             for idx, s in _monomial_terms(p, n, k * e):
                 acc[idx] += s * w
-    elem = CyclotomicElement(p, n, tuple(acc))
+    elem = CyclotomicElement.from_coeffs(p, n, acc)
     if not elem.is_rational():
         raise ValueError("character sum did not collapse to a rational")
     return elem.rational_value()
@@ -206,7 +207,7 @@ def random_element(rng, p, n):
         Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else Fraction(0)
         for _ in range(_ring_dim(p, n))
     ]
-    return CyclotomicElement(p, n, tuple(coeffs))
+    return CyclotomicElement.from_coeffs(p, n, coeffs)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -225,6 +226,65 @@ def test_ring_product_matches_schoolbook_product_reduced_by_long_division(p, n):
     for e in range(2 * p**n):
         monomial = [Fraction(0)] * e + [Fraction(1)]
         assert zeta_power(p, n, e).coeffs == reduce_mod_phi(monomial, p, n)
+
+
+def fraction_str(coeffs):
+    """An element's printed form, built from its Fraction coefficients."""
+    terms = []
+    for e, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        var = "" if e == 0 else "z" if e == 1 else f"z^{e}"
+        terms.append(str(c) if e == 0 else var if c == 1 else f"{c}*{var}")
+    return " + ".join(terms) if terms else "0"
+
+
+def fraction_product(a, b, p, n):
+    schoolbook = [Fraction(0)] * (2 * _ring_dim(p, n) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            schoolbook[i + j] += ai * bj
+    return reduce_mod_phi(schoolbook, p, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_ring_elements_are_integers_over_one_reduced_denominator(p, n):
+    p = Prime(p)
+    # Each operation against the same operation on Fraction coefficients:
+    # the stored denominator is positive and in lowest terms, coeffs is the
+    # Fraction result, str prints it, and == and hash follow coeffs.
+    rng = random.Random(f"ring form {p} {n}")
+    zero = CyclotomicElement.zero(p, n)
+    built = [(zero, zero.coeffs)]
+    for _ in range(8):
+        a = random_element(rng, p, n)
+        built.append((a, a.coeffs))
+    for _ in range(40):
+        (x, fx), (y, fy) = rng.choice(built), rng.choice(built)
+        q = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        e = rng.randint(-2 * p**n, 2 * p**n)
+        results = [
+            (x + y, tuple(a + b for a, b in zip(fx, fy))),
+            (x - y, tuple(a - b for a, b in zip(fx, fy))),
+            (x * q, tuple(a * q for a in fx)),
+            (x * y, fraction_product(fx, fy, p, n)),
+            (CyclotomicElement.from_rational(p, n, q), reduce_mod_phi([q], p, n)),
+            (zeta_power(p, n, e), reduce_mod_phi([Fraction(0)] * (e % p**n) + [1], p, n)),
+        ]
+        for z, fz in results:
+            assert z.den > 0 and math.gcd(z.den, *z.nums) == 1
+            assert z.coeffs == fz
+            assert str(z) == fraction_str(fz)
+        built += results
+    for (x, fx), (y, fy) in zip(built, reversed(built)):
+        assert (x == y) == (fx == fy)
+        if fx == fy:
+            assert hash(x) == hash(y)
+    a, b = built[1][0], built[2][0]
+    # one value reached by different routes
+    for same in (b * a, (a + b - b) * b, CyclotomicElement.from_coeffs(p, n, (a * b).coeffs)):
+        assert same == a * b and hash(same) == hash(a * b)
+    assert a * 3 * Fraction(1, 3) == a and a - a == zero and hash(a - a) == hash(zero)
 
 
 def test_mismatched_rings_raise():

@@ -17,6 +17,8 @@ from pmlog import (
     Sign,
     StepFunction,
     amice_level,
+    cyclo_poly,
+    eval_at_zeta,
     in_S_minus,
     in_S_plus,
     integrate,
@@ -249,6 +251,33 @@ def test_interpolation_rhs_validates_range():
         interpolation_rhs(Sign.PLUS, 3, P3, 2)
     with pytest.raises(ValueError):
         interpolation_rhs(Sign.PLUS, 0, P3, 2)
+
+
+def interpolation_rhs_by_every_level(sign, k, p, n):
+    """The right side as the prefactor times the value at zeta_k of every
+    cyclotomic factor up to n rounded up to the sign's parity, one ring
+    multiply per factor: the levels past k, each the rational p, included."""
+    q = sign.parity
+    if k % 2 == q:
+        return CyclotomicElement.zero(p, n)
+    level = n if n % 2 != q else n + 1
+    count, first = (level - 1 + q) // 2, 2 - q
+    acc = CyclotomicElement.one(p, n)
+    for m in range(first, first + 2 * count, 2):
+        phi = cyclo_poly(p, m)
+        acc = acc * eval_at_zeta({e * p ** (n - k): c for e, c in phi.items()}, p, n)
+    return acc * Fraction(1, p ** ((level + 1 + q) // 2))
+
+
+@pytest.mark.parametrize("p", [P2, P3, P5, Prime(7)])
+def test_interpolation_rhs_matches_the_product_over_every_level(p):
+    for sign in SIGNS:
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                expected = interpolation_rhs_by_every_level(sign, k, p, n)
+                actual = interpolation_rhs(sign, k, p, n)
+                assert actual == expected, (str(sign), k, n)
+                assert (actual.coeffs, str(actual)) == (expected.coeffs, str(expected))
 
 
 @pytest.mark.parametrize(

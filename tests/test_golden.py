@@ -30,6 +30,10 @@ GOLDEN = {
     "verify --suite amice --p 2 --max-n 6": "b0929eca36df9ea71415fa0c28bfb3b92adee11186b163a178b82ba4159bc4a9",
     "verify --suite biamice --p 2 --max-n 4": "1cfa2c5e6c719f4e338650191b8e12ab1dbcd62d109558faf6680d2c4fc503f4",
     "verify --suite biamice --p 3 --max-n 3": "48086b4bed192c5a3213198bc2cc8ed532185d46b37ae4ae8a50362101047f2c",
+    # Larger p, where the right sides skip the most levels above k.
+    "verify --suite amice --p 7 --max-n 4": "d0611db93fbd2fcf8b52b5f58d090bf901ac1d1479985dcfcf6d8c2d2e4ceb8c",
+    "verify --suite amice --p 13 --max-n 3": "bca9b9b02ccb901661145cf8fa53872a3c8671ab1a20321c4b4a334ac5c88fbf",
+    "verify --suite biamice --p 7 --max-n 2": "17f13bc1e1babb59f72ce81b4f56e58026a13964ea5cc9e2d832e8f49622e89f",
     "verify --suite all --p 2 --max-n 5": "2dd57b136fddbe81cab7e6e9d0eba0efc72bf271e3eed9d4e6aa1232df69e28d",
     "verify --suite all --p 3 --max-n 4": "1de0d02b343b9fee75489ccc0d5081dfa578adeabbbebecc92359b2dcee721da",
     "verify --suite all --p 5 --max-n 3": "df0671e036d81222f52175c1720f84c8d6895fdc9ea5d755f44caef61055f912",

@@ -4,16 +4,20 @@ import argparse
 import collections
 import itertools
 import json
+import math
 
 import pytest
 
 import pmlog.bivariate as bivariate
 import pmlog.cli as cli
+import pmlog.cyclotomic as cyclotomic
 import pmlog.distribution as distribution
 import pmlog.series as series
 import pmlog.suites as suites
 from pmlog import (
+    ENUMERATION_CAP,
     BiSign,
+    CyclotomicElement,
     Prime,
     ResourceCapError,
     Sign,
@@ -77,13 +81,13 @@ def test_all_checks_every_cap_before_any_suite_runs(capsys, monkeypatch, p, max_
     assert out == ""
     assert err == (
         f"error: the biamice suite up to n={max_n} exceeds the enumeration cap"
-        " of 1000000 ring coefficients and support pairs\n"
+        " of 1000000 ring coefficients, terms, products and support tuples\n"
     )
 
 
 def test_a_cap_is_reported_for_the_first_suite_past_it(monkeypatch):
     refuse_any_work(monkeypatch)
-    # p = 3 up to n = 2 costs oracle 72, additivity 96, amice 80, biamice 876
+    # p = 3 up to n = 2 costs oracle 72, additivity 96, amice 154, biamice 1096
     monkeypatch.setattr(suites, "ENUMERATION_CAP", 95)
     with pytest.raises(ResourceCapError, match="the additivity suite up to n=2"):
         suites.run_suite("all", Prime(3), 2, SeriesPrecision(t_prec=8, p_prec=6))
@@ -158,3 +162,62 @@ def test_amice_suites_build_each_support_and_right_side_once_per_level(
         (s, k, p, n) for signs, n in levels for s in signs for k in range(1, n + 1)
     )
     assert (supports.total(), rights.total()) == total
+
+
+def count_amice_work(monkeypatch):
+    # The Amice checks' work per level n, in the units their declared costs
+    # count: the ring dimension of each element built, each nonzero term
+    # eval_at_zeta folds, each nonzero coefficient product of a multiply
+    # (a scalar times an element's nonzero coefficients), and each tuple of
+    # the support product.
+    work, running = collections.Counter(), []
+    real_level, real_eval = distribution.amice_level, cyclotomic.eval_at_zeta
+    real_mul, real_post = CyclotomicElement.__mul__, CyclotomicElement.__post_init__
+
+    def nonzero(x):
+        return sum(1 for c in x.nums if c)
+
+    def level(signs, p, n):
+        running.append(n)
+        work[n] += math.prod(len(distribution.support_masses(s, p, n)) for s in signs)
+        try:
+            return real_level(signs, p, n)
+        finally:
+            running.pop()
+
+    def evaluate(poly, p, n):
+        work[running[-1]] += sum(1 for c in poly.values() if c)
+        return real_eval(poly, p, n)
+
+    def multiply(self, other):
+        is_element = isinstance(other, CyclotomicElement)
+        work[running[-1]] += nonzero(self) * (nonzero(other) if is_element else 1)
+        return real_mul(self, other)
+
+    def build(self):
+        work[running[-1]] += len(self.nums)
+        real_post(self)
+
+    fakes = {"amice_level": (real_level, level), "eval_at_zeta": (real_eval, evaluate)}
+    for module in (cyclotomic, distribution, bivariate, suites):
+        for name, (real, fake) in fakes.items():
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, fake)
+    monkeypatch.setattr(CyclotomicElement, "__mul__", multiply)
+    monkeypatch.setattr(CyclotomicElement, "__post_init__", build)
+    return work
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", ["amice", "biamice"])
+def test_amice_suites_do_no_more_work_per_level_than_they_declare(monkeypatch, name, p):
+    cost, prec = suites.SUITES[name][0], SeriesPrecision(t_prec=8, p_prec=6)
+    top, total = 0, 0  # the largest max_n within the cap
+    while total + cost(p, top + 1) <= ENUMERATION_CAP:
+        top, total = top + 1, total + cost(p, top + 1)
+    work = count_amice_work(monkeypatch)
+    assert all(passed for *_, passed in suites.run_suite(name, Prime(p), top, prec).cases)
+    assert sorted(work) == list(range(1, top + 1))
+    assert all(work[n] <= cost(p, n) for n in work), (dict(work), [cost(p, n) for n in work])
+    with pytest.raises(ResourceCapError):
+        suites.run_suite(name, Prime(p), top + 1, prec)
