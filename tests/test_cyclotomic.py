@@ -234,7 +234,7 @@ def fraction_str(coeffs):
     for e, c in enumerate(coeffs):
         if c == 0:
             continue
-        var = "" if e == 0 else "z" if e == 1 else f"z^{e}"
+        var = "z" if e == 1 else f"z^{e}"
         terms.append(str(c) if e == 0 else var if c == 1 else f"{c}*{var}")
     return " + ".join(terms) if terms else "0"
 
