@@ -33,6 +33,7 @@ from .distribution import (
     DistValue,
     StepFunction,
     amice_level,
+    digit_test_level,
     integrate,
     interpolation_rhs,
     mass_exponent,
@@ -92,6 +93,7 @@ __all__ = [
     "mass_exponent",
     "mu_value",
     "mu_level",
+    "digit_test_level",
     "mu_oracle",
     "mu_oracle_level",
     "total_mass",

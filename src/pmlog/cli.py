@@ -9,7 +9,6 @@ error.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -20,8 +19,8 @@ from typing import Iterable
 from . import __version__
 from .base import ConvergenceError, ResourceCapError, Sign
 from .bivariate import BiResidue, BiSign, bimu_oracle, bimu_value
-from .digits import Prime, digit_tuples, residue_from_integer
-from .distribution import mass_exponent, mu_level, mu_oracle, mu_value
+from .digits import Prime, digit_strings, residue_from_integer
+from .distribution import digit_test_level, mass_exponent, mu_oracle, mu_value
 # VerificationReport is also read from this module by the benchmark's self-test.
 from .report import VerificationReport, report_json  # noqa: F401
 from .series import DEFAULT_P_PREC, DEFAULT_T_PREC, SeriesPrecision, build_log_pm, dump_dict
@@ -156,54 +155,57 @@ def _bi_mass_exponent(bisign: BiSign, n: int, m: int) -> int:
     return mass_exponent(bisign.first, n) + mass_exponent(bisign.second, m)
 
 
-def _digit_str(digits: tuple[int, ...]) -> str:
-    return "|".join(map(str, digits))
-
-
 def cmd_table(args) -> int:
     p = Prime(args.p)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    out = sys.stdout
+    # The in_S, value_num and value_den fields of a coset without mass; a
+    # coset with mass has in_S true and value 1/p^e.  Each text is built once
+    # and placed at every coset by the digit test.
+    zero = "false,0,1\n"
     if len(args.sign) == 1:
         if args.m is not None:
             raise ValueError("--m requires a two-character sign")
         sign = Sign.from_str(args.sign)
-        _require_printable(p, mass_exponent(sign, args.n))
+        e = mass_exponent(sign, args.n)
+        _require_printable(p, e)
         rows = p**args.n
         if rows > TABLE_ROW_CAP and not args.force:
             raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
-        values = mu_level(sign, p, args.n)
-        writer.writerow(["a", "digits", "in_S", "value_num", "value_den"])
-        for a, (digits, v) in enumerate(zip(digit_tuples(p, args.n), values, strict=True)):
-            # The digit test gave the value; in_S says the coset carries mass.
-            in_S = "true" if v else "false"
-            writer.writerow([a, _digit_str(digits), in_S, v.numerator, v.denominator])
+        texts = digit_test_level(sign, p, args.n, f"true,1,{p**e}\n", zero)
+        # a = lo + p^h hi, so its digits are lo's, then hi's: one block of
+        # rows per hi, written as it is built.
+        h = (args.n + 1) // 2
+        low, width = digit_strings(p, h), p**h
+        out.write("a,digits,in_S,value_num,value_den\n")
+        for hi, high in enumerate(digit_strings(p, args.n - h)):
+            start, high = hi * width, f"|{high}" if high else ""
+            block = zip(range(start, start + width), low, texts[start : start + width])
+            out.writelines([f"{a},{lo}{high},{text}" for a, lo, text in block])
     else:
         if args.m is None:
             raise ValueError("bivariate signs require --m")
         bisign = BiSign.from_str(args.sign)
-        _require_printable(p, _bi_mass_exponent(bisign, args.n, args.m))
+        e = _bi_mass_exponent(bisign, args.n, args.m)
+        _require_printable(p, e)
         rows = p ** (args.n + args.m)
         if rows > TABLE_ROW_CAP and not args.force:
             raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
-        # A pair's value is the product of its coordinates' values.
-        first = mu_level(bisign.first, p, args.n)
-        second = mu_level(bisign.second, p, args.m)
-        second_digits = [_digit_str(digits) for digits in digit_tuples(p, args.m)]
-        writer.writerow(["a", "b", "digits", "in_S", "value_num", "value_den"])
-        for a, (digits, va) in enumerate(zip(digit_tuples(p, args.n), first, strict=True)):
-            digits_a = _digit_str(digits)
-            for b, (digits_b, vb) in enumerate(zip(second_digits, second, strict=True)):
-                v = va * vb
-                writer.writerow(
-                    [
-                        a,
-                        b,
-                        f"{digits_a}/{digits_b}",
-                        "true" if v else "false",
-                        v.numerator,
-                        v.denominator,
-                    ]
-                )
+        # A pair carries mass when both coordinates do.  A row is "a,b,<a's
+        # digits>/" then an end, "<b's digits>,in_S,value_num,value_den",
+        # that depends on b and on whether a carries mass: one list of ends
+        # for each case, placed at every a by the digit test.
+        inside = digit_test_level(bisign.second, p, args.m, f"true,1,{p**e}\n", zero)
+        b_digits = digit_strings(p, args.m)
+        ends = digit_test_level(
+            bisign.first,
+            p,
+            args.n,
+            [f"{digits},{text}" for digits, text in zip(b_digits, inside)],
+            [f"{digits},{zero}" for digits in b_digits],
+        )
+        out.write("a,b,digits,in_S,value_num,value_den\n")
+        for a, (digits, end) in enumerate(zip(digit_strings(p, args.n), ends, strict=True)):
+            out.writelines([f"{a},{b},{digits}/{text}" for b, text in enumerate(end)])
     return 0
 
 

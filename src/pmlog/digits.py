@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .base import ENUMERATION_CAP, ResourceCapError, Sign
 
@@ -103,14 +102,14 @@ def residue_from_integer(a: int, p: Prime, n: int) -> Residue:
     return Residue(p=p, n=n, digits=tuple(digits))
 
 
-def digit_tuples(p: Prime, n: int) -> Iterator[tuple[int, ...]]:
-    """The little-endian digit vector of every residue mod p^n, in
-    increasing order of its representative, without building a Residue."""
-    if n < 1:
-        raise ValueError("modulus exponent n must be >= 1")
+def digit_strings(p: Prime, n: int) -> list[str]:
+    """The little-endian digits of every residue mod p^n joined by "|", in
+    increasing order of its representative; n = 0 gives [""]."""
+    if n < 0:
+        raise ValueError("digit count n must be >= 0")
     # product() varies its last place fastest; that place is the units digit.
-    for high_first in itertools.product(range(p), repeat=n):
-        yield high_first[::-1]
+    places = itertools.product(map(str, range(p)), repeat=n)
+    return ["|".join(high_first[::-1]) for high_first in places]
 
 
 def in_S(sign: Sign, digits: tuple[int, ...]) -> bool:

@@ -28,14 +28,7 @@ from .cyclotomic import (
     even_product,
     odd_product,
 )
-from .digits import (
-    Prime,
-    Residue,
-    digit_tuples,
-    enumerate_R,
-    in_S,
-    residue_from_integer,
-)
+from .digits import Prime, Residue, enumerate_R, in_S, residue_from_integer
 
 
 def _is_negative_p_power(q: Fraction, p: int) -> bool:
@@ -126,19 +119,43 @@ def mu_value(sign: Sign, r: Residue) -> DistValue:
     return DistValue(r.p, Fraction(0))
 
 
-def mu_level(sign: Sign, p: Prime, n: int) -> list[Fraction]:
-    """mu_value of every coset mod p^n, indexed by its representative a.
-
-    The digit test runs on each coset's digit vector in one walk, with no
-    Residue or DistValue per coset: a level has only two values, its mass
-    p^(-mass_exponent) and zero, and the list shares one object of each.
-    """
+def _require_level(p: Prime, n: int) -> None:
     if n < 1:
         raise ValueError("modulus exponent n must be >= 1")
     if p**n > ENUMERATION_CAP:
         raise ResourceCapError(f"{p}^{n} cosets exceed the enumeration cap")
-    mass, zero = Fraction(1, p ** mass_exponent(sign, n)), Fraction(0)
-    return [mass if in_S(sign, digits) else zero for digits in digit_tuples(p, n)]
+
+
+def digit_test_level(sign: Sign, p: Prime, n: int, inside, outside) -> list:
+    """A list indexed by the cosets a mod p^n: `inside` at each coset whose
+    digits pass the sign's digit test, `outside` at the others.
+
+    The test runs one digit position at a time over the whole level, from
+    the units digit up: with a = r + p^j d and r < p^j, the level over the
+    positions below j + 1 repeats the level over the positions below j once
+    for each digit d at position j, and at a tested position only d = 0
+    keeps it.  The list grows in place.  Callers place one object per value
+    (a mass, a numerator, a printed text), so each distinct value is built
+    once, not once per coset.
+    """
+    _require_level(p, n)
+    level = [inside]
+    for position in range(n):
+        if position % 2 == sign.parity:
+            level.extend(itertools.repeat(outside, (p - 1) * len(level)))
+        else:
+            level *= p
+    return level
+
+
+def mu_level(sign: Sign, p: Prime, n: int) -> list[Fraction]:
+    """mu_value of every coset mod p^n, indexed by its representative a.
+
+    A level has only two values, its mass p^(-mass_exponent) and zero, and
+    the list shares one object of each, placed by digit_test_level.
+    """
+    _require_level(p, n)
+    return digit_test_level(sign, p, n, Fraction(1, p ** mass_exponent(sign, n)), Fraction(0))
 
 
 def _oracle_product(sign: Sign, p: Prime, n: int) -> tuple[SparsePoly, int]:
@@ -177,7 +194,10 @@ def mu_oracle_level(sign: Sign, p: Prime, n: int) -> list[DistValue]:
     folded = [0] * order
     for e, c in poly.items():
         folded[e % order] += c
-    return [DistValue(p, Fraction(order * c, den)) for c in folded]
+    # One DistValue per distinct sum, shared by its cosets: each value that
+    # appears is still validated, once.
+    values = {c: DistValue(p, Fraction(order * c, den)) for c in set(folded)}
+    return list(map(values.__getitem__, folded))
 
 
 def total_mass(sign: Sign, p: Prime) -> Fraction:
@@ -279,7 +299,10 @@ def amice_level(signs: Sequence[Sign], p: Prime, n: int) -> list[Row]:
             e = sum(map(operator.mul, zeta_exps, cosets))
             weights[e] = weights.get(e, 0) + num
         lhs = eval_at_zeta(weights, p, n) * Fraction(1, den)
-        expected = functools.reduce(operator.mul, (r[k - 1] for r, k in zip(rhs, ks)))
+        factors = [r[k - 1] for r, k in zip(rhs, ks)]
+        # A right side of the wrong parity is zero, and so is the product.
+        zero = next((f for f in factors if f.is_zero()), None)
+        expected = functools.reduce(operator.mul, factors) if zero is None else zero
         ks_label = " ".join(f"{name}={k}" for name, k in zip(names, ks))
         rows.append((f"sign={label} {ks_label} n={n}", str(expected), str(lhs), lhs == expected))
     return rows
@@ -290,16 +313,20 @@ def verify_additivity(sign: Sign, p: Prime, n: int) -> list[Row]:
     preserves the assigned mass: one (input, expected, actual, passed) row
     per coset."""
     modulus = p**n
-    children = mu_level(sign, p, n + 1)
-    # The children as integer numerators over their common denominator, so
-    # each coset's sum is exact, whatever the values, without Fraction sums.
-    den = math.lcm(*(c.denominator for c in children))
-    numerators = [c.numerator * (den // c.denominator) for c in children]
-    rows = []
-    # The children of a mod p^n are a + j p^n, j < p: every p^n-th child.
-    for a, parent in enumerate(mu_level(sign, p, n)):
-        total = Fraction(sum(numerators[a::modulus]), den)
-        rows.append(
-            (f"n={n} sign={sign} a={a} mod {p}^{n}", str(parent), str(total), total == parent)
-        )
-    return rows
+    # Both levels as integer numerators over the children's denominator
+    # p^e, placed by the digit test: a child in the support has numerator
+    # 1, a parent p^(e - its own mass exponent).
+    e = mass_exponent(sign, n + 1)
+    children = digit_test_level(sign, p, n + 1, 1, 0)
+    parents = digit_test_level(sign, p, n, p ** (e - mass_exponent(sign, n)), 0)
+    den = p**e
+    # The children of a mod p^n are a + j p^n, j < p: the j-th block of p^n.
+    totals = map(sum, zip(*(children[j * modulus : (j + 1) * modulus] for j in range(p))))
+    pairs = list(zip(parents, totals))
+    # A level has few distinct (parent, total) pairs; each is printed once.
+    texts = {
+        pair: (str(Fraction(pair[0], den)), str(Fraction(pair[1], den)), pair[0] == pair[1])
+        for pair in set(pairs)
+    }
+    prefix, suffix = f"n={n} sign={sign.value} a=", f" mod {p}^{n}"
+    return [(f"{prefix}{a}{suffix}", *texts[pair]) for a, pair in enumerate(pairs)]

@@ -31,9 +31,15 @@ def _oracle(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
         for n in range(1, max_n + 1):
             oracle = mu_oracle_level(sign, p, n)
             values = mu_level(sign, p, n)
-            for a, (oracle_value, actual) in enumerate(zip(oracle, values, strict=True)):
-                expected = oracle_value.value
-                yield f"sign={sign} n={n} a={a}", str(expected), str(actual), expected == actual
+            # Both levels share one object per distinct value, so each pair
+            # of objects is printed and compared once, not once per coset.
+            pairs = list(zip(map(id, oracle), map(id, values), strict=True))
+            texts = {
+                pair: (str(o.value), str(v), o.value == v)
+                for pair, (o, v) in dict(zip(pairs, zip(oracle, values))).items()
+            }
+            prefix = f"sign={sign.value} n={n} a="
+            yield from [(f"{prefix}{a}", *texts[pair]) for a, pair in enumerate(pairs)]
 
 
 def _additivity(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:

@@ -1,6 +1,7 @@
 """The command-line surface: output schemas, exit codes, determinism."""
 
 import argparse
+import contextlib
 import csv
 import importlib.util
 import io
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +21,16 @@ from test_cli_fuzz import sloppy, well_formed
 
 import pmlog.cli as cli
 import pmlog.suites as suites
-from pmlog import DistValue, Prime
+from pmlog import (
+    BiSign,
+    DistValue,
+    Prime,
+    Sign,
+    mu_level,
+    mu_oracle,
+    mu_value,
+    residue_from_integer,
+)
 
 
 def run(capsys, *argv):
@@ -429,6 +440,105 @@ def test_forced_table_is_held_to_the_enumeration_cap(capsys):
     assert code == 3
     assert out == ""
     assert "cap" in err
+
+
+def reference_table(sign, p, n, m=None):
+    """The table a per-coset scan writes: the csv module over each coset's
+    digits and its mu_value, or for two variables the product of the
+    coordinates' values, as bimu_value takes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+
+    def cells(v):
+        return ["true" if v else "false", v.numerator, v.denominator]
+
+    def digits(r):
+        return "|".join(map(str, r.digits))
+
+    if m is None:
+        sign = Sign.from_str(sign)
+        writer.writerow(["a", "digits", "in_S", "value_num", "value_den"])
+        for a in range(p**n):
+            r = residue_from_integer(a, p, n)
+            writer.writerow([a, digits(r), *cells(mu_value(sign, r).value)])
+    else:
+        sign = BiSign.from_str(sign)
+        writer.writerow(["a", "b", "digits", "in_S", "value_num", "value_den"])
+        # bimu_value is the product of the coordinates' mu_value; each
+        # coordinate's coset is valued once, and each pair multiplied.
+        second = []
+        for b in range(p**m):
+            rb = residue_from_integer(b, p, m)
+            second.append((digits(rb), mu_value(sign.second, rb).value))
+        for a in range(p**n):
+            ra = residue_from_integer(a, p, n)
+            va, digits_a = mu_value(sign.first, ra).value, digits(ra)
+            for b, (digits_b, vb) in enumerate(second):
+                writer.writerow([a, b, f"{digits_a}/{digits_b}", *cells(va * vb)])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_table_matches_a_per_coset_scan(capsys, p):
+    # Every sign, and every n (and m) with p^(n+m) <= 5000: odd and even n,
+    # n below, at and above m, and a one-digit level, whose upper half of
+    # digits is empty.
+    shapes = [(sign, n, None) for sign in "+-" for n in range(1, 13) if p**n <= 5000]
+    shapes += [
+        (sign, n, m)
+        for sign in ("++", "+-", "-+", "--")
+        for n in range(1, 13)
+        for m in range(1, 13)
+        if p ** (n + m) <= 5000
+    ]
+    for sign, n, m in shapes:
+        argv = ["table", "--sign", sign, "--p", str(p), "--n", str(n)]
+        code, out, _ = run(capsys, *argv, *(["--m", str(m)] if m else []))
+        assert code == 0
+        assert out == reference_table(sign, Prime(p), n, m), (sign, n, m)
+
+
+@pytest.mark.parametrize("p,max_n", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_level_suites_match_per_coset_references(capsys, p, max_n):
+    # The oracle and additivity rows against the same rows built coset by
+    # coset from mu_oracle and mu_value.
+    argv = ["verify", "--p", str(p), "--max-n", str(max_n)]
+    prime, oracle, additivity = Prime(p), [], []
+    for sign in Sign:
+        for n in range(1, max_n + 1):
+            for a in range(p**n):
+                r = residue_from_integer(a, prime, n)
+                expected, actual = mu_oracle(sign, r).value, mu_value(sign, r).value
+                oracle.append([f"oracle: sign={sign} n={n} a={a}", expected, actual])
+                children = [residue_from_integer(a + j * p**n, prime, n + 1) for j in range(p)]
+                total = sum((mu_value(sign, c).value for c in children), Fraction(0))
+                label = f"additivity: n={n} sign={sign} a={a} mod {p}^{n}"
+                additivity.append([label, actual, total])
+    for suite, reference in (("oracle", oracle), ("additivity", additivity)):
+        code, out, _ = run(capsys, *argv, "--suite", suite)
+        assert code == 0
+        assert [list(c.values()) for c in json.loads(out)["cases"]] == [
+            [label, str(x), str(y), x == y] for label, x, y in reference
+        ]
+
+
+def test_forced_table_streams_its_rows():
+    # A forced table is written a block of rows at a time: its allocation
+    # peak stays within twice that of the level's values alone, where one
+    # string of the whole table would be several times the size.
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    argv = ["table", "--sign", "+", "--p", "3", "--n", "10", "--force"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        table = peak(lambda: cli.main(argv))
+    level = peak(lambda: mu_level(Sign.PLUS, Prime(3), 10))
+    assert table <= 2 * level, (table, level)
 
 
 VALID_CALLS = {

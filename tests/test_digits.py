@@ -19,7 +19,7 @@ from pmlog import (
     in_S_plus,
     residue_from_integer,
 )
-from pmlog.digits import digit_tuples
+from pmlog.digits import digit_strings
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 WIDE_PRIMES = PRIMES + [Prime(7), Prime(11), Prime(13)]
@@ -118,17 +118,18 @@ def test_residue_bijection(p):
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_cosets_walk_every_residue_in_order(p):
-    # The coset walk, digit_tuples, gives every residue's digits in order.
+    # The coset walk, digit_strings, gives every residue's digits in order.
+    assert digit_strings(p, 0) == [""]
     n = 1
     while p**n <= 20000:
-        expected = [residue_from_integer(a, p, n).digits for a in range(p**n)]
-        assert list(digit_tuples(p, n)) == expected
+        expected = ["|".join(map(str, residue_from_integer(a, p, n).digits)) for a in range(p**n)]
+        assert digit_strings(p, n) == expected
         n += 1
 
 
 def test_cosets_validate_the_exponent():
     with pytest.raises(ValueError):
-        next(digit_tuples(Prime(3), 0))
+        digit_strings(Prime(3), -1)
 
 
 @given(

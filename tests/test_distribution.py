@@ -18,6 +18,7 @@ from pmlog import (
     StepFunction,
     amice_level,
     cyclo_poly,
+    digit_test_level,
     eval_at_zeta,
     in_S_minus,
     in_S_plus,
@@ -33,6 +34,7 @@ from pmlog import (
     verify_additivity,
     zeta_power,
 )
+from pmlog.digits import in_S
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 SIGNS = [Sign.PLUS, Sign.MINUS]
@@ -61,6 +63,20 @@ def test_mu_level_matches_mu_value(p):
             assert len(level) == p**n
             for a, value in enumerate(level):
                 assert value == mu_value(sign, residue_from_integer(a, p, n)).value, (sign, n, a)
+            n += 1
+
+
+@pytest.mark.parametrize("p", [P2, P3, P5, Prime(7)])
+def test_digit_test_level_places_by_the_digit_test(p):
+    # Any two objects land where each coset's own digits put them.
+    for sign in SIGNS:
+        n = 1
+        while p**n <= 20000:
+            expected = [
+                "in" if in_S(sign, residue_from_integer(a, p, n).digits) else "out"
+                for a in range(p**n)
+            ]
+            assert digit_test_level(sign, p, n, "in", "out") == expected, (sign, n)
             n += 1
 
 

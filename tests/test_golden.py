@@ -66,6 +66,12 @@ GOLDEN = {
     "verify --suite logproduct --p 13 --tprec 36 --pprec 8": "1810226fe6a8e541201edeacb564caddc13ec5d7a61df1632758a95559d3cb6f",
     "series --sign + --p 11 --tprec 30 --pprec 8": "1ca53b951e0054b14d7bda7faea30067d88f9b0240b38c1cddf673929f02ed14",
     "series --sign - --p 7 --tprec 17 --pprec 8": "ad7758f2ff1aeeb9b8b7688eefc5dd197bc8f16d9f289e4ffd524c662baaf522",
+    # The benchmark's scan invocations not pinned above, an odd-n table and
+    # a table with n < m, which the level-at-once tables split in halves.
+    "table --sign + --p 3 --n 8": "0aff028e9ceec4cf5b16ba2c1cc6cdfc4136656d4dad3a809969b783b52a1728",
+    "verify --suite oracle --p 3 --max-n 6": "25469333055fb6755567af0da096d015b888fdd94fc146c1ec3cf8e887386118",
+    "table --sign - --p 2 --n 9": "e35dead0db32c2f7d506ca4bf3f852c979203c49a54983df09c3ed2d79f11ef6",
+    "table --sign +- --p 5 --n 2 --m 3": "a2f412eef397ad167fb2196689d054fbc4335cf500c88b569a17aa1d3cfde1d0",
 }
 
 

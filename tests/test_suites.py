@@ -5,12 +5,14 @@ import collections
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 import pmlog.bivariate as bivariate
 import pmlog.cli as cli
 import pmlog.cyclotomic as cyclotomic
+import pmlog.digits as digits
 import pmlog.distribution as distribution
 import pmlog.series as series
 import pmlog.suites as suites
@@ -18,6 +20,7 @@ from pmlog import (
     ENUMERATION_CAP,
     BiSign,
     CyclotomicElement,
+    DistValue,
     Prime,
     ResourceCapError,
     Sign,
@@ -221,3 +224,62 @@ def test_amice_suites_do_no_more_work_per_level_than_they_declare(monkeypatch, n
     assert all(work[n] <= cost(p, n) for n in work), (dict(work), [cost(p, n) for n in work])
     with pytest.raises(ResourceCapError):
         suites.run_suite(name, Prime(p), top + 1, prec)
+
+
+def count_level_work(monkeypatch):
+    # The per-coset work a level-at-once suite could fall back to: calls of
+    # the digit test in_S, DistValues built per mu_oracle_level level (with
+    # the distinct values each level holds), and Fraction.__str__ calls.
+    work, distinct, running = collections.Counter(), {}, []
+    real_level, real_in_s = distribution.mu_oracle_level, digits.in_S
+    real_post, real_str = DistValue.__post_init__, Fraction.__str__
+
+    def oracle_level(sign, p, n):
+        running.append((sign, n))
+        try:
+            level = real_level(sign, p, n)
+        finally:
+            running.pop()
+        distinct[sign, n] = len({v.value for v in level})
+        return level
+
+    def in_s(sign, digits):
+        work["in_S"] += 1
+        return real_in_s(sign, digits)
+
+    def build(self):
+        work[running[-1] if running else "DistValue"] += 1
+        real_post(self)
+
+    def text(self):
+        work["str"] += 1
+        return real_str(self)
+
+    fakes = {"mu_oracle_level": (real_level, oracle_level), "in_S": (real_in_s, in_s)}
+    for module in (digits, distribution, suites):
+        for name, (real, fake) in fakes.items():
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, fake)
+    monkeypatch.setattr(DistValue, "__post_init__", build)
+    monkeypatch.setattr(Fraction, "__str__", text)
+    return work, distinct
+
+
+@pytest.mark.parametrize("name", ["oracle", "additivity"])
+def test_level_suites_value_and_print_a_level_at_once(monkeypatch, name):
+    # At p = 3 up to n = 6 each suite values 2184 cosets over both signs
+    # (additivity also their 6552 children); the work counted here must not
+    # grow with them.
+    work, distinct = count_level_work(monkeypatch)
+    report = suites.run_suite(name, Prime(3), 6, SeriesPrecision(t_prec=8, p_prec=6))
+    assert report.passed
+    levels = [(sign, n) for sign in Sign for n in range(1, 7)]
+    # mu_level and verify_additivity apply the digit test by position, not per coset.
+    assert work["in_S"] == 0
+    # One DistValue per distinct folded sum of each oracle level, none elsewhere.
+    if name == "oracle":
+        assert set(distinct) == set(levels)
+        assert all(work[level] <= distinct[level] for level in levels), (work, distinct)
+    assert work["DistValue"] == 0
+    # Each level prints its few distinct (expected, actual) pairs once.
+    assert work["str"] <= 4 * len(levels), work["str"]
