@@ -158,9 +158,9 @@ def _bi_mass_exponent(bisign: BiSign, n: int, m: int) -> int:
 def cmd_table(args) -> int:
     p = Prime(args.p)
     out = sys.stdout
-    # The in_S, value_num and value_den fields of a coset without mass; a
-    # coset with mass has in_S true and value 1/p^e.  Each text is built once
-    # and placed at every coset by the digit test.
+    # The in_S, value_num and value_den fields and the line end of a coset
+    # without mass; a coset with mass has in_S true and value 1/p^e.  Each
+    # text is built once and placed at every coset by the digit test.
     zero = "false,0,1\n"
     if len(args.sign) == 1:
         if args.m is not None:
@@ -196,13 +196,9 @@ def cmd_table(args) -> int:
         # for each case, placed at every a by the digit test.
         inside = digit_test_level(bisign.second, p, args.m, f"true,1,{p**e}\n", zero)
         b_digits = digit_strings(p, args.m)
-        ends = digit_test_level(
-            bisign.first,
-            p,
-            args.n,
-            [f"{digits},{text}" for digits, text in zip(b_digits, inside)],
-            [f"{digits},{zero}" for digits in b_digits],
-        )
+        with_mass = [f"{digits},{text}" for digits, text in zip(b_digits, inside)]
+        without = [f"{digits},{zero}" for digits in b_digits]
+        ends = digit_test_level(bisign.first, p, args.n, with_mass, without)
         out.write("a,b,digits,in_S,value_num,value_den\n")
         for a, (digits, end) in enumerate(zip(digit_strings(p, args.n), ends, strict=True)):
             out.writelines([f"{a},{b},{digits}/{text}" for b, text in enumerate(end)])

@@ -154,7 +154,7 @@ def mu_level(sign: Sign, p: Prime, n: int) -> list[Fraction]:
     A level has only two values, its mass p^(-mass_exponent) and zero, and
     the list shares one object of each, placed by digit_test_level.
     """
-    _require_level(p, n)
+    _require_level(p, n)  # before p^e is built, so a bad n raises what it should
     return digit_test_level(sign, p, n, Fraction(1, p ** mass_exponent(sign, n)), Fraction(0))
 
 
