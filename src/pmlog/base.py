@@ -1,4 +1,4 @@
-"""Shared primitives: the plus/minus selector, resource limits, p-adic valuation."""
+"""Shared primitives: the plus/minus selector, resource limits, p-adic valuation, value classes."""
 
 from __future__ import annotations
 
@@ -19,6 +19,37 @@ class ResourceCapError(Exception):
 
 class ConvergenceError(Exception):
     """An iterative construction failed to stabilize under its factor cap."""
+
+
+class Value:
+    """Base of the value classes.  A subclass's __init__ checks its fields, then
+    stores each (named in __slots__) and their tuple, by which values compare,
+    hash, pickle and print, as a frozen dataclass's do; fields are read-only."""
+
+    __slots__ = ("_fields",)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields == other._fields if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields))
+        return f"{type(self).__qualname__}({shown})"
+
+
+# The stores that get past Value.__setattr__, looked up once since values are
+# built often: a field by name, and the field tuple by its slot's own setter.
+store, store_fields = object.__setattr__, Value._fields.__set__
 
 
 class Sign(enum.Enum):

@@ -7,19 +7,20 @@ two-dimensional interpolation identity all factor accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign
+from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, Value, store, store_fields
 from .digits import Prime, Residue
 from .distribution import DistValue, amice_level, mu_oracle, mu_value
 
 
-@dataclass(frozen=True)
-class BiSign:
+class BiSign(Value):
     """An ordered pair of signs, one per coordinate."""
 
-    first: Sign
-    second: Sign
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Sign, second: Sign) -> None:
+        store(self, "first", first)
+        store(self, "second", second)
+        store_fields(self, (first, second))
 
     @classmethod
     def from_str(cls, token: str) -> "BiSign":
@@ -31,16 +32,17 @@ class BiSign:
         return self.first.value + self.second.value
 
 
-@dataclass(frozen=True)
-class BiResidue:
+class BiResidue(Value):
     """A pair of cosets (a mod p^n, b mod p^m) over one common prime."""
 
-    first: Residue
-    second: Residue
+    __slots__ = ("first", "second")
 
-    def __post_init__(self) -> None:
-        if self.first.p != self.second.p:
+    def __init__(self, first: Residue, second: Residue) -> None:
+        if first.p != second.p:
             raise ValueError("coordinates must share one prime")
+        store(self, "first", first)
+        store(self, "second", second)
+        store_fields(self, (first, second))
 
 
 def bimu_value(s: BiSign, r: BiResidue) -> DistValue:

@@ -233,8 +233,8 @@ def cmd_verify(args) -> int:
 _SIGN_EPILOG = "each of these commands also requires --sign {+,-,++,+-,-+,--}"
 
 # Each command as (help, epilog, flags, func, signs), where signs is None for
-# a command that takes no --sign.  Plain tuples: a dataclass or NamedTuple
-# would take as long to build at import as the rest of this module or longer.
+# a command that takes no --sign.  Plain tuples: importing dataclasses costs
+# more than all of pmlog does, and a NamedTuple class is compiled at import.
 COMMANDS = {
     "value": (
         "distribution value of one coset (JSON)",

@@ -21,11 +21,10 @@ maps rather than ring elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .base import ENUMERATION_CAP, ResourceCapError
+from .base import ENUMERATION_CAP, ResourceCapError, Value, store, store_fields
 from .digits import Prime
 
 SparsePoly = dict[int, int]
@@ -87,29 +86,27 @@ def _monomial_terms(p: int, n: int, e: int) -> Iterator[tuple[int, int]]:
             yield (r + t * h, -1)
 
 
-@dataclass(frozen=True)
-class CyclotomicElement:
+class CyclotomicElement(Value):
     """An element of Q[x] / Phi(p, level)(x) on the power basis of x: integer
     numerators over one positive denominator, in lowest terms on construction."""
 
-    p: Prime
-    level: int
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("p", "level", "nums", "den")
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
+    def __init__(self, p: Prime, level: int, nums: tuple[int, ...], den: int = 1) -> None:
+        if level < 1:
             raise ValueError("level must be >= 1")
-        if len(self.nums) != _ring_dim(self.p, self.level):
-            raise ValueError(
-                f"expected {_ring_dim(self.p, self.level)} coefficients, got {len(self.nums)}"
-            )
-        if self.den == 0:
+        if len(nums) != _ring_dim(p, level):
+            raise ValueError(f"expected {_ring_dim(p, level)} coefficients, got {len(nums)}")
+        if den == 0:
             raise ValueError("the denominator must be nonzero")
-        g = math.gcd(self.den, *self.nums) if self.den > 0 else -math.gcd(self.den, *self.nums)
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         if g != 1:
-            object.__setattr__(self, "nums", tuple(c // g for c in self.nums))
-            object.__setattr__(self, "den", self.den // g)
+            nums, den = tuple(c // g for c in nums), den // g
+        store(self, "p", p)
+        store(self, "level", level)
+        store(self, "nums", nums)
+        store(self, "den", den)
+        store_fields(self, (p, level, nums, den))
 
     @classmethod
     def from_coeffs(cls, p: Prime, n: int, coeffs) -> "CyclotomicElement":

@@ -12,9 +12,8 @@ the S sets, which is checked in the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .base import ENUMERATION_CAP, ResourceCapError, Sign
+from .base import ENUMERATION_CAP, ResourceCapError, Sign, Value, store, store_fields
 
 
 # Miller-Rabin with the first 13 primes as bases is exact for every
@@ -61,21 +60,22 @@ class Prime(int):
         return super().__new__(cls, p)
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Value):
     """A congruence class a mod p^n as a little-endian base-p digit vector."""
 
-    p: Prime
-    n: int
-    digits: tuple[int, ...]
+    __slots__ = ("p", "n", "digits")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, p: Prime, n: int, digits: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("modulus exponent n must be >= 1")
-        if len(self.digits) != self.n:
-            raise ValueError(f"expected {self.n} digits, got {len(self.digits)}")
-        if any(d < 0 or d >= self.p for d in self.digits):
-            raise ValueError(f"digits must lie in [0, {self.p - 1}]")
+        if len(digits) != n:
+            raise ValueError(f"expected {n} digits, got {len(digits)}")
+        if min(digits) < 0 or max(digits) >= p:
+            raise ValueError(f"digits must lie in [0, {p - 1}]")
+        store(self, "p", p)
+        store(self, "n", n)
+        store(self, "digits", digits)
+        store_fields(self, (p, n, digits))
 
     @property
     def value(self) -> int:

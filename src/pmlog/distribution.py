@@ -15,11 +15,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, pval
+from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, Value, pval, store, store_fields
 from .cyclotomic import (
     CyclotomicElement,
     SparsePoly,
@@ -40,16 +39,17 @@ def _is_negative_p_power(q: Fraction, p: int) -> bool:
     return den == 1
 
 
-@dataclass(frozen=True)
-class DistValue:
+class DistValue(Value):
     """A distribution value: exactly zero or a pure negative power of p."""
 
-    p: Prime
-    value: Fraction
+    __slots__ = ("p", "value")
 
-    def __post_init__(self) -> None:
-        if self.value != 0 and not _is_negative_p_power(self.value, self.p):
-            raise ValueError(f"{self.value} is neither 0 nor a negative power of {self.p}")
+    def __init__(self, p: Prime, value: Fraction) -> None:
+        if value and not _is_negative_p_power(value, p):
+            raise ValueError(f"{value} is neither 0 nor a negative power of {p}")
+        store(self, "p", p)
+        store(self, "value", value)
+        store_fields(self, (p, value))
 
     @property
     def is_zero(self) -> bool:
@@ -73,25 +73,26 @@ class DistValue:
         }
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(Value):
     """A function on Z_p constant on cosets mod p^n, with one value per coset.
 
     Values may be rationals or cyclotomic elements; rational scalars act on
     either, so integration lands in whatever ring the values inhabit.
     """
 
-    p: Prime
-    n: int
-    values: Mapping[Residue, object]
+    __slots__ = ("p", "n", "values")
 
-    def __post_init__(self) -> None:
-        total = self.p**self.n
-        if len(self.values) != total:
-            raise ValueError(f"expected {total} coset values, got {len(self.values)}")
+    def __init__(self, p: Prime, n: int, values: Mapping[Residue, object]) -> None:
+        total = p**n
+        if len(values) != total:
+            raise ValueError(f"expected {total} coset values, got {len(values)}")
         for a in range(total):
-            if residue_from_integer(a, self.p, self.n) not in self.values:
-                raise ValueError(f"missing value for coset {a} mod {self.p}^{self.n}")
+            if residue_from_integer(a, p, n) not in values:
+                raise ValueError(f"missing value for coset {a} mod {p}^{n}")
+        store(self, "p", p)
+        store(self, "n", n)
+        store(self, "values", values)
+        store_fields(self, (p, n, values))
 
     @classmethod
     def from_function(cls, p: Prime, n: int, fn: Callable[[int], object]) -> "StepFunction":

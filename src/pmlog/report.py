@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .base import Row
+from .base import Row, Value
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    parameters: dict
-    cases: list[Row] = field(default_factory=list)
+class VerificationReport(Value):
+    # Unlike the other values, a report is filled in place, so it is unhashable.
+    __slots__ = ("suite", "parameters", "cases")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _fields = property(lambda self: (self.suite, self.parameters, self.cases))
+
+    def __init__(self, suite: str, parameters: dict, cases: list[Row] | None = None) -> None:
+        self.suite = suite
+        self.parameters = parameters
+        self.cases = [] if cases is None else cases
 
     @property
     def passed(self) -> bool:

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, pairwise
 from operator import add, mul
 
-from .base import ConvergenceError, Row, Sign, pval
+from .base import ConvergenceError, Row, Sign, Value, pval, store, store_fields
 from .digits import Prime
 
 # Hard bound on the number of partial-product factors.
@@ -44,35 +43,37 @@ DEFAULT_T_PREC = 8
 DEFAULT_P_PREC = 6
 
 
-@dataclass(frozen=True)
-class SeriesPrecision:
+class SeriesPrecision(Value):
     """Joint precision: coefficients of T^0 .. T^(t_prec - 1), each mod p^p_prec."""
 
-    t_prec: int
-    p_prec: int
+    __slots__ = ("t_prec", "p_prec")
 
-    def __post_init__(self) -> None:
-        if self.t_prec < 1 or self.p_prec < 1:
+    def __init__(self, t_prec: int, p_prec: int) -> None:
+        if t_prec < 1 or p_prec < 1:
             raise ValueError("t_prec and p_prec must be >= 1")
+        store(self, "t_prec", t_prec)
+        store(self, "p_prec", p_prec)
+        store_fields(self, (t_prec, p_prec))
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Integer numerators over one positive denominator, plus per-coefficient
     p-adic guarantees."""
 
-    p: Prime
-    prec: SeriesPrecision
-    nums: tuple[int, ...]
-    den: int
-    guarantees: tuple[int, ...]
+    __slots__ = ("p", "prec", "nums", "den", "guarantees")
 
-    def __post_init__(self) -> None:
-        n = self.prec.t_prec
-        if len(self.nums) != n or len(self.guarantees) != n:
+    def __init__(self, p: Prime, prec: SeriesPrecision, nums: tuple, den: int, guarantees: tuple):
+        n = prec.t_prec
+        if len(nums) != n or len(guarantees) != n:
             raise ValueError(f"expected {n} coefficients and guarantees")
-        if self.den < 1:
+        if den < 1:
             raise ValueError("the common denominator must be positive")
+        store(self, "p", p)
+        store(self, "prec", prec)
+        store(self, "nums", nums)
+        store(self, "den", den)
+        store(self, "guarantees", guarantees)
+        store_fields(self, (p, prec, nums, den, guarantees))
 
     @classmethod
     def from_coefficients(cls, p: Prime, prec: SeriesPrecision, coeffs) -> "TruncatedSeries":

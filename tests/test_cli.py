@@ -1,6 +1,7 @@
 """The command-line surface: output schemas, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import importlib.util
@@ -659,6 +660,51 @@ def test_no_source_line_is_longer_than_100_characters():
         if len(line) > 100
     ]
     assert long == []
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+
+
+def test_no_source_module_imports_dataclasses():
+    # Importing dataclasses (and with it inspect, ast, dis and tokenize)
+    # took longer than all of pmlog's own modules; the value classes are
+    # slotted classes instead.
+    importers = [
+        path.name
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        if any(
+            name.split(".")[0] == "dataclasses"
+            for name in imported_modules(ast.parse(path.read_text()))
+        )
+    ]
+    assert importers == []
+
+
+def test_setup_loads_every_module_but_not_dataclasses_or_inspect():
+    # What `import pmlog.cli` and one build_parser() add to sys.modules in a
+    # fresh isolated interpreter: every pmlog module, none of them deferred,
+    # and neither dataclasses nor inspect.
+    package = Path(cli.__file__).resolve().parent
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import pmlog.cli; pmlog.cli.build_parser(); "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(package.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(run.stdout.split())
+    own = {f"pmlog.{path.stem}" for path in package.glob("*.py") if path.stem != "__main__"}
+    assert own - {"pmlog.__init__"} | {"pmlog"} <= added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 def fuzz_argvs(count):

@@ -175,7 +175,7 @@ def count_amice_work(monkeypatch):
     # the support product.
     work, running = collections.Counter(), []
     real_level, real_eval = distribution.amice_level, cyclotomic.eval_at_zeta
-    real_mul, real_post = CyclotomicElement.__mul__, CyclotomicElement.__post_init__
+    real_mul, real_init = CyclotomicElement.__mul__, CyclotomicElement.__init__
 
     def nonzero(x):
         return sum(1 for c in x.nums if c)
@@ -197,9 +197,9 @@ def count_amice_work(monkeypatch):
         work[running[-1]] += nonzero(self) * (nonzero(other) if is_element else 1)
         return real_mul(self, other)
 
-    def build(self):
-        work[running[-1]] += len(self.nums)
-        real_post(self)
+    def build(self, p, level, nums, den=1):
+        work[running[-1]] += len(nums)
+        real_init(self, p, level, nums, den)
 
     fakes = {"amice_level": (real_level, level), "eval_at_zeta": (real_eval, evaluate)}
     for module in (cyclotomic, distribution, bivariate, suites):
@@ -207,7 +207,7 @@ def count_amice_work(monkeypatch):
             if vars(module).get(name) is real:
                 monkeypatch.setattr(module, name, fake)
     monkeypatch.setattr(CyclotomicElement, "__mul__", multiply)
-    monkeypatch.setattr(CyclotomicElement, "__post_init__", build)
+    monkeypatch.setattr(CyclotomicElement, "__init__", build)
     return work
 
 
@@ -232,7 +232,7 @@ def count_level_work(monkeypatch):
     # the distinct values each level holds), and Fraction.__str__ calls.
     work, distinct, running = collections.Counter(), {}, []
     real_level, real_in_s = distribution.mu_oracle_level, digits.in_S
-    real_post, real_str = DistValue.__post_init__, Fraction.__str__
+    real_init, real_str = DistValue.__init__, Fraction.__str__
 
     def oracle_level(sign, p, n):
         running.append((sign, n))
@@ -247,9 +247,9 @@ def count_level_work(monkeypatch):
         work["in_S"] += 1
         return real_in_s(sign, digits)
 
-    def build(self):
+    def build(self, p, value):
         work[running[-1] if running else "DistValue"] += 1
-        real_post(self)
+        real_init(self, p, value)
 
     def text(self):
         work["str"] += 1
@@ -260,7 +260,7 @@ def count_level_work(monkeypatch):
         for name, (real, fake) in fakes.items():
             if vars(module).get(name) is real:
                 monkeypatch.setattr(module, name, fake)
-    monkeypatch.setattr(DistValue, "__post_init__", build)
+    monkeypatch.setattr(DistValue, "__init__", build)
     monkeypatch.setattr(Fraction, "__str__", text)
     return work, distinct
 

@@ -1,0 +1,256 @@
+"""The contract of the nine value classes: construction by position or
+keyword, validation and its messages, immutability, equality and hash by
+fields, the Name(field=value, ...) repr, and pickle/copy round trips."""
+
+import copy
+import pickle
+import types
+from fractions import Fraction
+
+import pytest
+
+from pmlog import (
+    BiResidue,
+    BiSign,
+    CyclotomicElement,
+    DistValue,
+    Prime,
+    Residue,
+    SeriesPrecision,
+    Sign,
+    StepFunction,
+    TruncatedSeries,
+    VerificationReport,
+    residue_from_integer,
+)
+
+P2, P3 = Prime(2), Prime(3)
+
+
+def fields(cls):
+    """Fresh, valid (and already reduced) field values for cls, in field order."""
+    return {
+        Residue: lambda: {"p": P3, "n": 2, "digits": (1, 0)},
+        DistValue: lambda: {"p": P3, "value": Fraction(1, 9)},
+        StepFunction: lambda: {
+            "p": P3,
+            "n": 1,
+            "values": {residue_from_integer(a, P3, 1): Fraction(a) for a in range(3)},
+        },
+        CyclotomicElement: lambda: {"p": P3, "level": 1, "nums": (1, 2), "den": 3},
+        SeriesPrecision: lambda: {"t_prec": 2, "p_prec": 4},
+        TruncatedSeries: lambda: {
+            "p": P3,
+            "prec": SeriesPrecision(2, 4),
+            "nums": (1, 2),
+            "den": 3,
+            "guarantees": (4, 4),
+        },
+        BiSign: lambda: {"first": Sign.PLUS, "second": Sign.MINUS},
+        BiResidue: lambda: {
+            "first": residue_from_integer(1, P3, 2),
+            "second": residue_from_integer(5, P3, 3),
+        },
+        VerificationReport: lambda: {
+            "suite": "oracle",
+            "parameters": {"p": 3},
+            "cases": [("a", "1/9", "1/9", True)],
+        },
+    }[cls]()
+
+
+# One field changed to another valid value.
+CHANGED = {
+    Residue: {"digits": (2, 0)},
+    DistValue: {"value": Fraction(0)},
+    StepFunction: {"values": {residue_from_integer(a, P3, 1): Fraction(1) for a in range(3)}},
+    CyclotomicElement: {"den": 1},
+    SeriesPrecision: {"p_prec": 5},
+    TruncatedSeries: {"guarantees": (4, 3)},
+    BiSign: {"second": Sign.PLUS},
+    BiResidue: {"second": residue_from_integer(5, P3, 2)},
+    VerificationReport: {"cases": []},
+}
+
+CLASSES = list(CHANGED)
+# StepFunction hashes its values dict, which raises; a report is mutable.
+HASHABLE = [cls for cls in CLASSES if cls not in (StepFunction, VerificationReport)]
+FROZEN = [cls for cls in CLASSES if cls is not VerificationReport]
+
+
+def make(cls, **changes):
+    return cls(**{**fields(cls), **changes})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_keyword_and_positional_construction_agree(cls):
+    given = fields(cls)
+    by_keyword, by_position = cls(**given), cls(*fields(cls).values())
+    assert by_keyword == by_position
+    assert {name: getattr(by_keyword, name) for name in given} == given
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_equality_is_by_fields(cls):
+    a, b = make(cls), make(cls)
+    assert a == b and not a != b
+    assert a != make(cls, **CHANGED[cls]) and not a == make(cls, **CHANGED[cls])
+
+
+@pytest.mark.parametrize("cls", HASHABLE, ids=lambda cls: cls.__name__)
+def test_hash_is_by_fields(cls):
+    a, b = make(cls), make(cls)
+    assert hash(a) == hash(b)
+    assert len({a, b, make(cls, **CHANGED[cls])}) == 2
+    if cls is not TruncatedSeries:
+        # the hash of the field tuple, so sets of values keep their order
+        assert hash(a) == hash(tuple(fields(cls).values()))
+
+
+def test_step_functions_and_reports_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(make(StepFunction))
+    with pytest.raises(TypeError):
+        hash(make(VerificationReport))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_another_class_with_the_same_fields_is_unequal(cls):
+    a = make(cls)
+    assert a != types.SimpleNamespace(**fields(cls))
+    assert types.SimpleNamespace(**fields(cls)) != a
+    if cls is not TruncatedSeries:  # it compares with isinstance
+        other = type("Other", (cls,), {})
+        assert a != other(**fields(cls)) and other(**fields(cls)) != a
+
+
+def test_a_sign_pair_is_not_a_residue_pair():
+    r = fields(BiResidue)
+    assert BiSign(**r) != BiResidue(**r) and BiResidue(**r) != BiSign(**r)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_values_refuse_assignment_and_deletion(cls):
+    a = make(cls)
+    for name in fields(cls):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == make(cls)
+
+
+def test_reports_are_mutable():
+    report = make(VerificationReport)
+    report.suite = "additivity"
+    report.cases.append(("b", "0", "0", True))
+    assert report == make(VerificationReport, suite="additivity", cases=report.cases)
+    del report.parameters
+    with pytest.raises(AttributeError):
+        report.parameters
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_repr_names_each_field(cls):
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields(cls).items())
+    assert repr(make(cls)) == f"{cls.__qualname__}({shown})"
+
+
+def test_repr_examples():
+    assert repr(make(Residue)) == "Residue(p=3, n=2, digits=(1, 0))"
+    assert repr(make(DistValue)) == "DistValue(p=3, value=Fraction(1, 9))"
+    assert repr(make(BiSign)) == "BiSign(first=<Sign.PLUS: '+'>, second=<Sign.MINUS: '-'>)"
+    assert repr(SeriesPrecision(t_prec=8, p_prec=6)) == "SeriesPrecision(t_prec=8, p_prec=6)"
+
+
+def round_trips(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_pickle_and_copy_round_trips(cls):
+    a = make(cls)
+    for b in round_trips(a):
+        assert type(b) is cls and b == a
+        if cls in HASHABLE:
+            assert hash(b) == hash(a)
+
+
+def test_copies_of_a_report_share_or_copy_its_cases_like_a_dataclass():
+    report = make(VerificationReport)
+    assert copy.copy(report).cases is report.cases
+    deep = copy.deepcopy(report)
+    assert deep.cases is not report.cases and deep.cases == report.cases
+
+
+REFUSED = [
+    (Residue, {"n": 0, "digits": ()}, "modulus exponent n must be >= 1"),
+    (Residue, {"digits": (1,)}, "expected 2 digits, got 1"),
+    (Residue, {"digits": (1, 3)}, "digits must lie in [0, 2]"),
+    (Residue, {"digits": (-1, 0)}, "digits must lie in [0, 2]"),
+    (DistValue, {"value": Fraction(1, 2)}, "1/2 is neither 0 nor a negative power of 3"),
+    (DistValue, {"value": Fraction(3)}, "3 is neither 0 nor a negative power of 3"),
+    (DistValue, {"value": Fraction(2, 9)}, "2/9 is neither 0 nor a negative power of 3"),
+    (
+        StepFunction,
+        {"values": {residue_from_integer(0, P3, 1): 0}},
+        "expected 3 coset values, got 1",
+    ),
+    (
+        StepFunction,
+        {"values": {residue_from_integer(a, P3, 1 + (a == 2)): 0 for a in range(3)}},
+        "missing value for coset 2 mod 3^1",
+    ),
+    (CyclotomicElement, {"level": 0}, "level must be >= 1"),
+    (CyclotomicElement, {"nums": (1,)}, "expected 2 coefficients, got 1"),
+    (CyclotomicElement, {"den": 0}, "the denominator must be nonzero"),
+    (SeriesPrecision, {"t_prec": 0}, "t_prec and p_prec must be >= 1"),
+    (SeriesPrecision, {"p_prec": 0}, "t_prec and p_prec must be >= 1"),
+    (TruncatedSeries, {"nums": (1,)}, "expected 2 coefficients and guarantees"),
+    (TruncatedSeries, {"guarantees": (4, 4, 4)}, "expected 2 coefficients and guarantees"),
+    (TruncatedSeries, {"den": 0}, "the common denominator must be positive"),
+    (BiResidue, {"second": residue_from_integer(1, P2, 2)}, "coordinates must share one prime"),
+]
+
+
+@pytest.mark.parametrize("cls, changes, message", REFUSED)
+def test_invalid_fields_raise_the_same_messages(cls, changes, message):
+    with pytest.raises(ValueError) as refused:
+        make(cls, **changes)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "nums, den, reduced",
+    [
+        ((2, 4), 6, ((1, 2), 3)),
+        ((2, 4), -6, ((-1, -2), 3)),
+        ((0, 0), 5, ((0, 0), 1)),
+        ((0, 0), -5, ((0, 0), 1)),
+        ((3, 0), 1, ((3, 0), 1)),
+    ],
+)
+def test_cyclotomic_elements_are_reduced_on_construction(nums, den, reduced):
+    x = CyclotomicElement(P3, 1, nums, den)
+    assert (x.nums, x.den) == reduced
+    same = CyclotomicElement(P3, 1, *reduced)
+    assert x == same and hash(x) == hash(same)
+    assert repr(x) == f"CyclotomicElement(p=3, level=1, nums={reduced[0]!r}, den={reduced[1]})"
+
+
+def test_series_compare_by_value_not_by_numerators():
+    a = make(TruncatedSeries, nums=(2, 4), den=6)
+    b = make(TruncatedSeries)
+    assert a.nums == (2, 4) and a == b and hash(a) == hash(b)
+
+
+def test_reports_built_without_cases_do_not_share_a_list():
+    a, b = VerificationReport("oracle", {}), VerificationReport(suite="oracle", parameters={})
+    assert a.cases == [] and a.cases is not b.cases
+    a.cases.append(("a", "1", "1", True))
+    assert b.cases == []
