@@ -702,8 +702,8 @@ def test_setup_loads_every_module_but_not_dataclasses_or_inspect():
         check=True,
     )
     added = set(run.stdout.split())
-    own = {f"pmlog.{path.stem}" for path in package.glob("*.py") if path.stem != "__main__"}
-    assert own - {"pmlog.__init__"} | {"pmlog"} <= added
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    assert {"pmlog"} | {f"pmlog.{name}" for name in modules} <= added
     assert added & {"dataclasses", "inspect"} == set()
 
 
