@@ -7,7 +7,7 @@ two-dimensional interpolation identity all factor accordingly.
 
 from __future__ import annotations
 
-from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, Value, store, store_fields
+from .base import Row, Sign, Value, store, store_fields
 from .digits import Prime, Residue
 from .distribution import DistValue, amice_level, mu_oracle, mu_value
 
@@ -58,6 +58,4 @@ def bimu_oracle(s: BiSign, r: BiResidue) -> DistValue:
 def biamice_check(s: BiSign, p: Prime, n: int) -> list[Row]:
     """The two-dimensional interpolation identity at level n: one row per
     (k1, k2), the one-variable check taken coordinate by coordinate."""
-    if p ** (2 * n) > ENUMERATION_CAP:
-        raise ResourceCapError(f"{p}^{2 * n} coset pairs exceed the enumeration cap")
     return amice_level((s.first, s.second), p, n)

@@ -22,7 +22,7 @@ from .bivariate import BiResidue, BiSign, bimu_oracle, bimu_value
 from .digits import Prime, digit_strings, residue_from_integer
 from .distribution import digit_test_level, mass_exponent, mu_oracle, mu_value
 # VerificationReport is also read from this module by the benchmark's self-test.
-from .report import VerificationReport, report_json  # noqa: F401
+from .report import VerificationReport, write_report  # noqa: F401
 from .series import DEFAULT_P_PREC, DEFAULT_T_PREC, SeriesPrecision, build_log_pm, dump_dict
 from .suites import SUITES, run_suite
 
@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     report = run_suite(args.suite, p, args.max_n, prec)
     wall_time_ms = (time.perf_counter() - started) * 1000.0
-    print(report_json(report.to_json_dict()))
+    write_report(report, sys.stdout)
     cases = len(report.cases)
     print(f"suite {args.suite}: {cases} cases in {wall_time_ms:.1f} ms", file=sys.stderr)
     return 0 if report.passed else 1

@@ -26,6 +26,8 @@ class VerificationReport(Value):
     def to_json_dict(self) -> dict:
         # Timing is deliberately excluded: reports must be byte-identical
         # across runs.  Wall time goes to stderr diagnostics instead.
+        # write_report writes json.dumps of this dict without building it;
+        # the tests compare the two.
         return {
             "suite": self.suite,
             "parameters": dict(self.parameters),
@@ -37,32 +39,48 @@ class VerificationReport(Value):
         }
 
 
-# One case of a report as json.dumps(..., indent=2) lays it out.
-_CASE = (
-    '    {{\n      "input": {},\n      "expected": {},\n      "actual": {},\n'
-    '      "pass": {}\n    }}'
-)
+# The cases written by one out.write.
+WRITE_BLOCK = 4096
+
+# A case as json.dumps(..., indent=2) lays it out: _OPEN, its escaped input,
+# then the tail of its (expected, actual, passed) fields; cases are joined
+# by a comma.
+_OPEN = '\n    {\n      "input": '
+_TAIL = ',\n      "expected": {},\n      "actual": {},\n      "pass": {}\n    }}'
 
 
-def report_json(d: dict) -> str:
-    """Exactly json.dumps(d, indent=2) for d = VerificationReport.to_json_dict().
+def write_report(report: VerificationReport, out) -> None:
+    """Write exactly json.dumps(report.to_json_dict(), indent=2) + "\\n" to out.
 
-    With an indent, json.dumps runs its pure-Python encoder.  Here only the
-    small header goes through it; each case is written from a fixed
-    template, its strings escaped by the C string encoder that json.dumps
-    uses.  This relies on the shape to_json_dict() gives: string fields and
-    a bool per case, and "cases" as the last key.
+    It writes from report.cases, WRITE_BLOCK cases per out.write, and makes
+    no per-case dict and no string of the whole report.  Only the header
+    goes through json.dumps, whose encoder is pure Python with an indent.
+    A report's cases share few (expected, actual, passed) tails, so each
+    distinct tail is escaped and formatted once, and each input is escaped
+    by the C string encoder that json.dumps uses.
     """
-    header = json.dumps({k: v for k, v in d.items() if k != "cases"}, indent=2)
-    cases = ",\n".join(
-        _CASE.format(
-            encode_basestring_ascii(c["input"]),
-            encode_basestring_ascii(c["expected"]),
-            encode_basestring_ascii(c["actual"]),
-            "true" if c["pass"] else "false",
+    cases = report.cases
+    tails = dict.fromkeys(row[1:] for row in cases)
+    for expected, actual, passed in tails:
+        tails[expected, actual, passed] = _TAIL.format(
+            encode_basestring_ascii(expected),
+            encode_basestring_ascii(actual),
+            "true" if passed else "false",
         )
-        for c in d["cases"]
-    )
-    body = f"[\n{cases}\n  ]" if cases else "[]"
-    # The header ends in "\n}"; the cases go in before that brace.
-    return f'{header[:-2]},\n  "cases": {body}\n}}'
+    # "overall_pass" comes before the cases, so every verdict is read first.
+    header = {
+        "suite": report.suite,
+        "parameters": report.parameters,
+        "overall_pass": all(passed for _, _, passed in tails),
+    }
+    # The header's text ends in "\n}"; the cases go in before that brace.
+    out.write(json.dumps(header, indent=2)[:-2] + ',\n  "cases": [')
+    comma = ""
+    for start in range(0, len(cases), WRITE_BLOCK):
+        texts = [
+            f"{_OPEN}{encode_basestring_ascii(input)}{tails[expected, actual, passed]}"
+            for input, expected, actual, passed in cases[start : start + WRITE_BLOCK]
+        ]
+        out.write(comma + ",".join(texts))
+        comma = ","
+    out.write("\n  ]\n}\n" if cases else "]\n}\n")

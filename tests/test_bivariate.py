@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import pmlog.bivariate as bivariate
+import pmlog.suites as suites
 from pmlog import (
     BiResidue,
     BiSign,
     Prime,
     ResourceCapError,
+    SeriesPrecision,
     Sign,
     biamice_check,
     bimu_oracle,
@@ -174,8 +177,16 @@ def test_biamice_parity_mismatch_is_zero_on_both_sides():
     assert expected == "0" and actual == "0"
 
 
-def test_biamice_validates_arguments():
+def test_biamice_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
         biamice_check(BiSign.from_str("++"), P3, 0)
+    # The registry's declared cost is the one cap: past it, run_suite raises
+    # before biamice_check builds any level.
+    levels, real = [], bivariate.amice_level
+    monkeypatch.setattr(bivariate, "amice_level", lambda *args: levels.append(args) or real(*args))
+    prec = SeriesPrecision(t_prec=8, p_prec=6)
+    assert suites.run_suite("biamice", P2, 1, prec).passed
+    assert len(levels) == 4
     with pytest.raises(ResourceCapError):
-        biamice_check(BiSign.from_str("++"), P2, 10)
+        suites.run_suite("biamice", P2, 10, prec)
+    assert len(levels) == 4

@@ -424,6 +424,8 @@ def test_verify_interpolation_suite_cap_boundary_is_exact(capsys, monkeypatch, s
         ("biamice", 2, 4, 4 * 30),
         ("biamice", 3, 3, 4 * 14),
         ("biamice", 2, 6, 4 * 91),
+        # within the declared cost, so no cap of biamice_check's own refuses it
+        ("biamice", 11, 3, 4 * 14),
     ],
 )
 def test_verify_interpolation_suites_run_below_the_cap(capsys, suite, p, max_n, cases):

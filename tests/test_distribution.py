@@ -396,6 +396,20 @@ def test_dist_value_json():
 def test_step_function_validation():
     with pytest.raises(ValueError):
         StepFunction(P3, 1, {residue_from_integer(0, P3, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="missing value for coset 0 mod 3"):
+        StepFunction(P3, 1, {a: Fraction(1) for a in range(3)})
     r0 = residue_from_integer(0, P2, 1)
     with pytest.raises(ValueError):
         StepFunction(P2, 1, {r0: Fraction(1), residue_from_integer(0, P2, 2): Fraction(1)})
+
+
+def test_step_function_builds_each_coset_once(monkeypatch):
+    # 3^8 cosets: from_function builds each key once, and __init__ takes
+    # p^n keys of its own level as every coset without building them again.
+    calls, real = [], distribution.residue_from_integer
+    monkeypatch.setattr(
+        distribution, "residue_from_integer", lambda *args: calls.append(args) or real(*args)
+    )
+    f = StepFunction.from_function(P3, 8, lambda a: Fraction(a % 3))
+    assert len(calls) == 3**8
+    assert f.values[real(5, P3, 8)] == Fraction(2)
