@@ -59,9 +59,6 @@ class Discard:
     def write(self, text):
         return len(text)
 
-    def flush(self):
-        pass
-
 
 def written(report):
     out = io.StringIO()
