@@ -86,9 +86,14 @@ class StepFunction(Value):
         total = p**n
         if len(values) != total:
             raise ValueError(f"expected {total} coset values, got {len(values)}")
-        # p^n distinct cosets of this level are all of them; only when a key
-        # is not one is every coset looked up, to name the missing one.
-        if not all(type(r) is Residue and r.p == p and r.n == n for r in values):
+        # p^n distinct cosets of this level, with integer digits, are all of
+        # them; only when a key is not one is every coset looked up, to name
+        # the missing one.
+        digits = itertools.chain.from_iterable(map(operator.attrgetter("digits"), values))
+        if not (
+            all(type(r) is Residue and r.p == p and r.n == n for r in values)
+            and {*map(type, digits)} <= {int}
+        ):
             for a in range(total):
                 if residue_from_integer(a, p, n) not in values:
                     raise ValueError(f"missing value for coset {a} mod {p}^{n}")

@@ -34,7 +34,7 @@ from pmlog import (
     verify_additivity,
     zeta_power,
 )
-from pmlog.digits import in_S
+from pmlog.digits import Residue, in_S
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 SIGNS = [Sign.PLUS, Sign.MINUS]
@@ -398,6 +398,9 @@ def test_step_function_validation():
         StepFunction(P3, 1, {residue_from_integer(0, P3, 1): Fraction(1)})
     with pytest.raises(ValueError, match="missing value for coset 0 mod 3"):
         StepFunction(P3, 1, {a: Fraction(1) for a in range(3)})
+    with pytest.raises(ValueError, match="missing value for coset 0 mod 3"):
+        halves = [Residue(P3, 1, (0.5,)), *(residue_from_integer(a, P3, 1) for a in (1, 2))]
+        StepFunction(P3, 1, dict.fromkeys(halves, Fraction(1)))
     r0 = residue_from_integer(0, P2, 1)
     with pytest.raises(ValueError):
         StepFunction(P2, 1, {r0: Fraction(1), residue_from_integer(0, P2, 2): Fraction(1)})

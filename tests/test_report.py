@@ -15,9 +15,10 @@ from pmlog.report import WRITE_BLOCK, VerificationReport, write_report
 from pmlog.suites import run_suite
 
 # Characters that JSON must escape or that ensure_ascii turns into \u
-# escapes: quotes, backslashes, control characters, non-ASCII text and a
-# character outside the Basic Multilingual Plane (a surrogate pair).
-AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "ζ", " ", "\U0001d54f"]
+# escapes: quotes, backslashes, control characters, non-ASCII text, the
+# line separator U+2028 and a character outside the Basic Multilingual
+# Plane (a surrogate pair).
+AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "ζ", "\u2028", "\U0001d54f"]
 PLAIN = list("az09 =:^/|-+*")
 
 
