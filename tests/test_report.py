@@ -131,9 +131,9 @@ def test_writer_matches_json_dumps_on_a_real_report(capsys, suite):
 
 def test_verify_writes_its_report_in_bounded_memory(monkeypatch, capsys):
     # additivity at p = 2 up to n = 12 has 16,380 cases, whose rows hold
-    # 2.9 MiB.  The tracemalloc peak of the whole run was 12.1 MiB when the
-    # report was built as one dict per case and then one string, and is
-    # 3.8 MiB written a block at a time (Python 3.11.7).
+    # 2.9 MiB.  The tracemalloc peak of the whole run was 11.8-12.1 MiB when
+    # the report was built as one dict per case and then one string, and is
+    # 4.6-4.7 MiB written a block at a time (Python 3.11.7).
     monkeypatch.setattr(sys, "stdout", Discard())
     tracemalloc.start()
     try:
