@@ -10,7 +10,7 @@ with tracked p-adic guarantees, and the distribution values themselves
 __version__ = "0.1.0"
 
 from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign, pval
-from .bivariate import BiResidue, BiSign, biamice_check, bimu_oracle, bimu_value
+from .bivariate import biamice_check, bimu_oracle, bimu_value
 from .cyclotomic import (
     CyclotomicElement,
     character_sum,
@@ -102,8 +102,6 @@ __all__ = [
     "interpolation_rhs",
     "amice_level",
     "verify_additivity",
-    "BiSign",
-    "BiResidue",
     "bimu_value",
     "bimu_oracle",
     "biamice_check",

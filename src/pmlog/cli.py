@@ -17,8 +17,8 @@ import time
 from typing import Iterable
 
 from . import __version__
-from .base import ConvergenceError, ResourceCapError, Sign
-from .bivariate import BiResidue, BiSign, bimu_oracle, bimu_value
+from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign
+from .bivariate import bimu_oracle, bimu_value
 from .digits import Prime, digit_strings, residue_from_integer
 from .distribution import digit_test_level, mass_exponent, mu_oracle, mu_value
 # VerificationReport is also read from this module by the benchmark's self-test.
@@ -119,25 +119,34 @@ def _require_printable_integers(values: Iterable[int]) -> None:
         )
 
 
+def _coordinates(args, p: Prime, flags: tuple[str, ...]) -> tuple[tuple[Sign, ...], int]:
+    # A query's signs, one per coordinate, and the exponent e of its mass
+    # 1/p^e.  The flags of a second coordinate (--m, and --b for a value)
+    # are given with a two-character sign and only then, and 1/p^e must be
+    # printable.
+    signs = tuple(map(Sign.from_str, args.sign))
+    given = [getattr(args, flag) is not None for flag in flags]
+    named = " and ".join(f"--{flag}" for flag in flags)
+    if len(signs) == 1 and any(given):
+        verb = "requires" if len(flags) == 1 else "require"
+        raise ValueError(f"{named} {verb} a two-character sign")
+    if len(signs) == 2 and not all(given):
+        raise ValueError(f"bivariate signs require {named}")
+    e = sum(map(mass_exponent, signs, (args.n, args.m)))
+    _require_printable(p, e)
+    return signs, e
+
+
 def cmd_value(args) -> int:
     p = Prime(args.p)
-    if len(args.sign) == 1:
-        if args.m is not None or args.b is not None:
-            raise ValueError("--m and --b require a two-character sign")
-        sign = Sign.from_str(args.sign)
-        _require_printable(p, mass_exponent(sign, args.n))
-        r = residue_from_integer(args.a, p, args.n)
+    signs, _ = _coordinates(args, p, ("m", "b"))
+    if len(signs) == 1:
+        sign, r = signs[0], residue_from_integer(args.a, p, args.n)
         value_of, oracle_of, labels = mu_value, mu_oracle, {}
     else:
-        if args.m is None or args.b is None:
-            raise ValueError("bivariate signs require --m and --b")
-        sign = BiSign.from_str(args.sign)
-        _require_printable(p, _bi_mass_exponent(sign, args.n, args.m))
-        r = BiResidue(
-            residue_from_integer(args.a, p, args.n),
-            residue_from_integer(args.b, p, args.m),
-        )
-        value_of, oracle_of, labels = bimu_value, bimu_oracle, {"sign": str(sign)}
+        sign = signs
+        r = residue_from_integer(args.a, p, args.n), residue_from_integer(args.b, p, args.m)
+        value_of, oracle_of, labels = bimu_value, bimu_oracle, {"sign": args.sign}
     value = value_of(sign, r)
     out = {**value.to_json_dict(), **labels}
     if args.oracle:
@@ -151,27 +160,23 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _bi_mass_exponent(bisign: BiSign, n: int, m: int) -> int:
-    return mass_exponent(bisign.first, n) + mass_exponent(bisign.second, m)
-
-
 def cmd_table(args) -> int:
     p = Prime(args.p)
+    signs, e = _coordinates(args, p, ("m",))
+    # p^k rows, compared with the caps exactly without building p^k: p^L
+    # already exceeds both caps when L is the enumeration cap's bit length.
+    k = args.n if len(signs) == 1 else args.n + args.m
+    rows = p ** min(k, ENUMERATION_CAP.bit_length())
+    if rows > ENUMERATION_CAP or (rows > TABLE_ROW_CAP and not args.force):
+        cap = "enumeration cap" if rows > ENUMERATION_CAP else "table cap (use --force)"
+        raise ResourceCapError(f"{p}^{k} rows exceed the {cap}")
     out = sys.stdout
     # The in_S, value_num and value_den fields and the line end of a coset
     # without mass; a coset with mass has in_S true and value 1/p^e.  Each
     # text is built once and placed at every coset by the digit test.
     zero = "false,0,1\n"
-    if len(args.sign) == 1:
-        if args.m is not None:
-            raise ValueError("--m requires a two-character sign")
-        sign = Sign.from_str(args.sign)
-        e = mass_exponent(sign, args.n)
-        _require_printable(p, e)
-        rows = p**args.n
-        if rows > TABLE_ROW_CAP and not args.force:
-            raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
-        texts = digit_test_level(sign, p, args.n, f"true,1,{p**e}\n", zero)
+    if len(signs) == 1:
+        texts = digit_test_level(signs[0], p, args.n, f"true,1,{p**e}\n", zero)
         # a = lo + p^h hi, so its digits are lo's, then hi's: one block of
         # rows per hi, written as it is built.
         h = (args.n + 1) // 2
@@ -182,23 +187,15 @@ def cmd_table(args) -> int:
             block = zip(range(start, start + width), low, texts[start : start + width])
             out.writelines([f"{a},{lo}{high},{text}" for a, lo, text in block])
     else:
-        if args.m is None:
-            raise ValueError("bivariate signs require --m")
-        bisign = BiSign.from_str(args.sign)
-        e = _bi_mass_exponent(bisign, args.n, args.m)
-        _require_printable(p, e)
-        rows = p ** (args.n + args.m)
-        if rows > TABLE_ROW_CAP and not args.force:
-            raise ResourceCapError(f"{rows} rows exceed the table cap (use --force)")
         # A pair carries mass when both coordinates do.  A row is "a,b,<a's
         # digits>/" then an end, "<b's digits>,in_S,value_num,value_den",
         # that depends on b and on whether a carries mass: one list of ends
         # for each case, placed at every a by the digit test.
-        inside = digit_test_level(bisign.second, p, args.m, f"true,1,{p**e}\n", zero)
+        inside = digit_test_level(signs[1], p, args.m, f"true,1,{p**e}\n", zero)
         b_digits = digit_strings(p, args.m)
         with_mass = [f"{digits},{text}" for digits, text in zip(b_digits, inside)]
         without = [f"{digits},{zero}" for digits in b_digits]
-        ends = digit_test_level(bisign.first, p, args.n, with_mass, without)
+        ends = digit_test_level(signs[0], p, args.n, with_mass, without)
         out.write("a,b,digits,in_S,value_num,value_den\n")
         for a, (digits, end) in enumerate(zip(digit_strings(p, args.n), ends, strict=True)):
             out.writelines([f"{a},{b},{digits}/{text}" for b, text in enumerate(end)])

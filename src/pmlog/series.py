@@ -7,8 +7,9 @@ The plus/minus logarithms are infinite products
 whose factors tend to 1 coefficientwise in the p-adic sense, so a finite
 partial product determines every coefficient to any prescribed p-power.
 All arithmetic is exact: a series is held as integer numerators over one
-positive common denominator (p^K after K factors), plus a guarantee g_k per
-coefficient meaning "this coefficient matches the limit modulo p^(g_k)".
+positive common denominator in lowest terms (a divisor of p^K after K
+factors), plus a guarantee g_k per coefficient meaning "this coefficient
+matches the limit modulo p^(g_k)".
 
 Bookkeeping rules:
   * exact constructions start at the working precision M for every k;
@@ -57,8 +58,8 @@ class SeriesPrecision(Value):
 
 
 class TruncatedSeries(Value):
-    """Integer numerators over one positive denominator, plus per-coefficient
-    p-adic guarantees."""
+    """Integer numerators over one positive denominator, in lowest terms on
+    construction, plus per-coefficient p-adic guarantees."""
 
     __slots__ = ("p", "prec", "nums", "den", "guarantees")
 
@@ -68,6 +69,9 @@ class TruncatedSeries(Value):
             raise ValueError(f"expected {n} coefficients and guarantees")
         if den < 1:
             raise ValueError("the common denominator must be positive")
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(c // g for c in nums), den // g
         store(self, "p", p)
         store(self, "prec", prec)
         store(self, "nums", nums)
@@ -100,16 +104,6 @@ class TruncatedSeries(Value):
 
     def guarantee(self, k: int) -> int:
         return self.guarantees[k]
-
-    def _key(self) -> tuple:
-        # Two routes to one series may leave different unreduced numerators.
-        return self.p, self.prec, self.guarantees, self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruncatedSeries) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def _capped_valuations(self) -> list[int]:
         # min(v_p(c_k), g_k) for each c_k = nums[k] / den, so a zero reads as

@@ -16,7 +16,7 @@ import itertools
 from typing import Callable, Iterator
 
 from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign
-from .bivariate import BiSign, biamice_check
+from .bivariate import biamice_check
 from .cyclotomic import _ring_dim
 from .digits import Prime
 from .distribution import amice_level, mu_level, mu_oracle_level, verify_additivity
@@ -53,7 +53,7 @@ def _amice(p: Prime, max_n: int, prec: SeriesPrecision, d: int = 1) -> Rows:
     # Two variables go through biamice_check, the two-variable entry.
     for signs in itertools.product(Sign, repeat=d):
         for n in range(1, max_n + 1):
-            yield from amice_level(signs, p, n) if d == 1 else biamice_check(BiSign(*signs), p, n)
+            yield from amice_level(signs, p, n) if d == 1 else biamice_check(signs, p, n)
 
 
 def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:

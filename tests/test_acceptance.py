@@ -9,8 +9,6 @@ pass/fail lines.
 from fractions import Fraction
 
 from pmlog import (
-    BiResidue,
-    BiSign,
     Prime,
     SeriesPrecision,
     Sign,
@@ -34,7 +32,7 @@ from pmlog import (
 import pmlog.cli as cli
 
 SIGNS = (Sign.PLUS, Sign.MINUS)
-BISIGNS = tuple(BiSign.from_str(t) for t in ("++", "+-", "-+", "--"))
+BISIGNS = tuple(tuple(map(Sign.from_str, t)) for t in ("++", "+-", "-+", "--"))
 
 
 def _conclude(criterion, description, ok):
@@ -110,7 +108,7 @@ def test_criterion_6_two_variable_products():
                 for m in range(1, 3):
                     for a in range(p**n):
                         for b in range(p**m):
-                            r = BiResidue(
+                            r = (
                                 residue_from_integer(a, p, n),
                                 residue_from_integer(b, p, m),
                             )

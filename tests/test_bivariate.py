@@ -8,8 +8,6 @@ import pytest
 import pmlog.bivariate as bivariate
 import pmlog.suites as suites
 from pmlog import (
-    BiResidue,
-    BiSign,
     Prime,
     ResourceCapError,
     SeriesPrecision,
@@ -27,39 +25,38 @@ from pmlog import (
 )
 
 P2, P3 = Prime(2), Prime(3)
-ALL_BISIGNS = [BiSign.from_str(t) for t in ("++", "+-", "-+", "--")]
+
+
+def bisign(token):
+    return tuple(map(Sign.from_str, token))
+
+
+ALL_BISIGNS = [bisign(t) for t in ("++", "+-", "-+", "--")]
 
 
 def bires(p, n, m, a, b):
-    return BiResidue(residue_from_integer(a, p, n), residue_from_integer(b, p, m))
+    return residue_from_integer(a, p, n), residue_from_integer(b, p, m)
 
 
-def test_bisign_parsing():
-    s = BiSign.from_str("+-")
-    assert s.first is Sign.PLUS and s.second is Sign.MINUS
-    assert str(s) == "+-"
-    with pytest.raises(ValueError):
-        BiSign.from_str("+")
-    with pytest.raises(ValueError):
-        BiSign.from_str("+*")
-
-
-def test_biresidue_requires_common_prime():
-    with pytest.raises(ValueError):
-        BiResidue(residue_from_integer(0, P2, 1), residue_from_integer(0, P3, 1))
+def test_bimu_requires_common_prime():
+    cosets = (residue_from_integer(0, P2, 1), residue_from_integer(0, P3, 1))
+    for fn in (bimu_value, bimu_oracle):
+        for pair in (cosets, cosets[::-1]):
+            with pytest.raises(ValueError, match="different primes"):
+                fn(bisign("++"), pair)
 
 
 def test_bimu_value_examples():
-    assert bimu_value(BiSign.from_str("++"), bires(P3, 1, 1, 0, 0)).value == Fraction(1, 9)
-    assert bimu_value(BiSign.from_str("+-"), bires(P3, 2, 1, 1, 0)).value == 0
-    assert bimu_value(BiSign.from_str("--"), bires(P2, 1, 1, 1, 1)).value == Fraction(1, 16)
+    assert bimu_value(bisign("++"), bires(P3, 1, 1, 0, 0)).value == Fraction(1, 9)
+    assert bimu_value(bisign("+-"), bires(P3, 2, 1, 1, 0)).value == 0
+    assert bimu_value(bisign("--"), bires(P2, 1, 1, 1, 1)).value == Fraction(1, 16)
 
 
 def test_bimu_oracle_examples():
-    assert bimu_oracle(BiSign.from_str("++"), bires(P2, 2, 2, 2, 2)).value == Fraction(1, 16)
-    assert bimu_oracle(BiSign.from_str("-+"), bires(P3, 1, 3, 2, 3)).value == Fraction(1, 81)
+    assert bimu_oracle(bisign("++"), bires(P2, 2, 2, 2, 2)).value == Fraction(1, 16)
+    assert bimu_oracle(bisign("-+"), bires(P3, 1, 3, 2, 3)).value == Fraction(1, 81)
     # one vanishing coordinate kills the product
-    assert bimu_oracle(BiSign.from_str("+-"), bires(P3, 2, 1, 1, 0)).value == 0
+    assert bimu_oracle(bisign("+-"), bires(P3, 2, 1, 1, 0)).value == 0
 
 
 @pytest.mark.parametrize("p", [P2, P3])
@@ -76,17 +73,17 @@ def test_bimu_matches_oracle(p):
 @pytest.mark.parametrize("p", [P2, P3])
 def test_support_and_value_shape(p):
     for s in ALL_BISIGNS:
-        c1 = 2 if s.first is Sign.PLUS else 3
-        c2 = 2 if s.second is Sign.PLUS else 3
-        member1 = in_S_plus if s.first is Sign.PLUS else in_S_minus
-        member2 = in_S_plus if s.second is Sign.PLUS else in_S_minus
+        c1 = 2 if s[0] is Sign.PLUS else 3
+        c2 = 2 if s[1] is Sign.PLUS else 3
+        member1 = in_S_plus if s[0] is Sign.PLUS else in_S_minus
+        member2 = in_S_plus if s[1] is Sign.PLUS else in_S_minus
         for n in range(1, 4):
             for m in range(1, 4):
                 for a in range(p**n):
                     for b in range(p**m):
                         r = bires(p, n, m, a, b)
                         v = bimu_value(s, r)
-                        inside = member1(r.first) and member2(r.second)
+                        inside = member1(r[0]) and member2(r[1])
                         assert (not v.is_zero) == inside
                         if inside:
                             expected = Fraction(1, p ** ((n + c1) // 2 + (m + c2) // 2))
@@ -128,8 +125,8 @@ def test_fubini_for_product_step_functions(p):
                     ),
                     Fraction(0),
                 )
-                left = integrate(s.first, StepFunction.from_function(p, n, f))
-                right = integrate(s.second, StepFunction.from_function(p, m, g))
+                left = integrate(s[0], StepFunction.from_function(p, n, f))
+                right = integrate(s[1], StepFunction.from_function(p, m, g))
                 assert double == left * right
 
 
@@ -142,7 +139,8 @@ def test_biamice_passes(p):
     for s in ALL_BISIGNS:
         for n in range(1, 3):
             rows = biamice_check(s, p, n)
-            labels = [f"sign={s} k1={k1} k2={k2} n={n}" for k1, k2 in pairs(n)]
+            token = "".join(map(str, s))
+            labels = [f"sign={token} k1={k1} k2={k2} n={n}" for k1, k2 in pairs(n)]
             assert [label for label, *_ in rows] == labels
             for label, _, _, passed in rows:
                 assert passed, label
@@ -167,19 +165,22 @@ def test_biamice_parity_mismatch_is_zero_on_both_sides():
     # plus paired with an even k vanishes; so does the whole product
     from pmlog import interpolation_rhs
 
-    s = BiSign.from_str("+-")
+    s = bisign("+-")
     p, n, k1, k2 = P3, 2, 2, 2
     rows = {label: row for label, *row in biamice_check(s, p, n)}
     expected, actual, passed = rows[f"sign=+- k1={k1} k2={k2} n={n}"]
     assert passed
-    rhs = interpolation_rhs(s.first, k1, p, n) * interpolation_rhs(s.second, k2, p, n)
+    rhs = interpolation_rhs(s[0], k1, p, n) * interpolation_rhs(s[1], k2, p, n)
     assert rhs.is_zero()
     assert expected == "0" and actual == "0"
 
 
 def test_biamice_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
-        biamice_check(BiSign.from_str("++"), P3, 0)
+        biamice_check(bisign("++"), P3, 0)
+    for signs in ((Sign.PLUS,), bisign("++") + (Sign.MINUS,)):
+        with pytest.raises(ValueError, match="expected a pair of signs"):
+            biamice_check(signs, P3, 1)
     # The registry's declared cost is the one cap: past it, run_suite raises
     # before biamice_check builds any level.
     levels, real = [], bivariate.amice_level

@@ -23,7 +23,6 @@ from test_cli_fuzz import sloppy, well_formed
 import pmlog.cli as cli
 import pmlog.suites as suites
 from pmlog import (
-    BiSign,
     DistValue,
     Prime,
     Sign,
@@ -445,6 +444,70 @@ def test_forced_table_is_held_to_the_enumeration_cap(capsys):
     assert "cap" in err
 
 
+def test_forced_two_variable_table_is_held_to_the_enumeration_cap(capsys):
+    # Each coordinate has 2^19 cosets, within the cap; the 2^38 pairs are not.
+    start = time.perf_counter()
+    argv = ["table", "--sign", "++", "--p", "2", "--n", "19", "--m", "19", "--force"]
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: 2^38 rows exceed the enumeration cap\n"
+
+
+@pytest.mark.parametrize(
+    "sizes, rows",
+    [
+        (["--sign", "+", "--n", "16000"], 16000),
+        (["--sign", "++", "--n", "7000", "--m", "7000"], 14000),
+    ],
+)
+def test_table_cap_names_the_row_count_by_its_exponent(capsys, sizes, rows):
+    # 2^16000 has more decimal digits than Python prints; the message names
+    # the count by its exponent instead, and the cap that --force cannot lift.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "--p", "2", *sizes)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: 2^{rows} rows exceed the enumeration cap\n"
+
+
+def test_table_caps_are_exact(capsys, monkeypatch):
+    # With caps of 100 and 10 rows, 3^3 = 27 rows need --force and 3^5 = 243
+    # are refused even with it, for one variable and for two (m = 1).
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 100)
+    monkeypatch.setattr(cli, "TABLE_ROW_CAP", 10)
+    refused = {3: "table cap (use --force)", 5: "enumeration cap"}
+    for sign, second in (("+", []), ("-+", ["--m", "1"])):
+        for k, force in ((2, []), (3, []), (4, ["--force"]), (5, []), (5, ["--force"])):
+            n = str(k - len(second) // 2)
+            argv = ["table", "--sign", sign, "--p", "3", "--n", n, *second, *force]
+            code, out, err = run(capsys, *argv)
+            if k in refused:
+                assert (code, out, err) == (3, "", f"error: 3^{k} rows exceed the {refused[k]}\n")
+            else:
+                assert code == 0 and len(out.splitlines()) == 3**k + 1
+
+
+COORDINATE_ERRORS = [
+    (["value", "--sign", "+", "--m", "1"], "--m and --b require a two-character sign"),
+    (["value", "--sign", "-", "--b", "0"], "--m and --b require a two-character sign"),
+    (["value", "--sign", "+", "--m", "1", "--b", "0"], "--m and --b require a two-character sign"),
+    (["value", "--sign", "++", "--m", "1"], "bivariate signs require --m and --b"),
+    (["value", "--sign", "-+", "--b", "0"], "bivariate signs require --m and --b"),
+    (["value", "--sign", "--"], "bivariate signs require --m and --b"),
+    (["bivalue", "--sign", "+-", "--m", "1"], "bivariate signs require --m and --b"),
+    (["bivalue", "--sign", "--", "--b", "0"], "bivariate signs require --m and --b"),
+    (["table", "--sign", "-", "--m", "1"], "--m requires a two-character sign"),
+    (["table", "--sign", "+-"], "bivariate signs require --m"),
+]
+
+
+@pytest.mark.parametrize("argv, message", COORDINATE_ERRORS)
+def test_coordinate_flags_are_checked_with_their_messages(capsys, argv, message):
+    rest = ["--p", "3", "--n", "1"] + (["--a", "0"] if argv[0] != "table" else [])
+    assert run(capsys, *argv, *rest) == (2, "", f"error: {message}\n")
+
+
 def reference_table(sign, p, n, m=None):
     """The table a per-coset scan writes: the csv module over each coset's
     digits and its mu_value, or for two variables the product of the
@@ -465,17 +528,17 @@ def reference_table(sign, p, n, m=None):
             r = residue_from_integer(a, p, n)
             writer.writerow([a, digits(r), *cells(mu_value(sign, r).value)])
     else:
-        sign = BiSign.from_str(sign)
+        sign = tuple(map(Sign.from_str, sign))
         writer.writerow(["a", "b", "digits", "in_S", "value_num", "value_den"])
         # bimu_value is the product of the coordinates' mu_value; each
         # coordinate's coset is valued once, and each pair multiplied.
         second = []
         for b in range(p**m):
             rb = residue_from_integer(b, p, m)
-            second.append((digits(rb), mu_value(sign.second, rb).value))
+            second.append((digits(rb), mu_value(sign[1], rb).value))
         for a in range(p**n):
             ra = residue_from_integer(a, p, n)
-            va, digits_a = mu_value(sign.first, ra).value, digits(ra)
+            va, digits_a = mu_value(sign[0], ra).value, digits(ra)
             for b, (digits_b, vb) in enumerate(second):
                 writer.writerow([a, b, f"{digits_a}/{digits_b}", *cells(va * vb)])
     return out.getvalue()

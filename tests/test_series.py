@@ -195,13 +195,16 @@ def test_mul_matches_textbook_product_where_the_cap_binds(p):
 def test_equal_series_may_hold_different_numerators():
     p = Prime(3)
     s = build_log_pm(p, Sign.MINUS, PREC)
-    # scaling by p and back multiplies both numerators and denominator by p
+    # scaling by p and back multiplies both numerators and denominator by
+    # p, and construction divides that common factor out again
     other = s.scale(p).scale(Fraction(1, p))
-    assert other.nums != s.nums and other.den == 3 * s.den
+    assert other.nums == s.nums and other.den == s.den
+    assert math.gcd(s.den, *s.nums) == 1
     assert other == s and hash(other) == hash(s)
     x = TruncatedSeries(p, PREC, (1, 3, 0, 9, 0, 0, 0, 2), 3, (6,) * 8)
     y = TruncatedSeries(p, PREC, (5, 15, 0, 45, 0, 0, 0, 10), 15, (6,) * 8)
-    assert x == y and x.coeffs == y.coeffs
+    assert (y.nums, y.den) == ((1, 3, 0, 9, 0, 0, 0, 2), 3)
+    assert x == y and hash(x) == hash(y) and x.coeffs == y.coeffs
     assert x != TruncatedSeries(p, PREC, x.nums, 9, x.guarantees)
     assert x != TruncatedSeries(p, PREC, x.nums, x.den, (5,) + (6,) * 7)
     assert x != x.coeffs

@@ -18,7 +18,6 @@ import pmlog.series as series
 import pmlog.suites as suites
 from pmlog import (
     ENUMERATION_CAP,
-    BiSign,
     CyclotomicElement,
     DistValue,
     Prime,
@@ -115,7 +114,7 @@ def library_rows(name, p, max_n, prec):
         for first in Sign:
             for second in Sign:
                 for n in range(1, max_n + 1):
-                    yield from biamice_check(BiSign(first, second), p, n)
+                    yield from biamice_check((first, second), p, n)
     else:
         yield from verify_product_identity(p, prec)
 
