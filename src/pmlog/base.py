@@ -22,11 +22,22 @@ class ConvergenceError(Exception):
 
 
 class Value:
-    """Base of the value classes.  A subclass's __init__ checks its fields, then
-    stores each (named in __slots__) and their tuple, by which values compare,
-    hash, pickle and print, as a frozen dataclass's do; fields are read-only."""
+    """Base of the value classes.  A subclass names its fields in its class
+    statement, `class Residue(Value, fields=("p", "n", "digits")):`, with
+    __slots__ = (); its __init__ checks them and ends in store_fields(self,
+    (p, n, digits)).  That tuple is the one store of the fields: each is a
+    read-only property over it, and values compare, hash, pickle and print
+    by it, as a frozen dataclass's do.  A subclass made without fields= keeps
+    its parent's."""
 
     __slots__ = ("_fields",)
+
+    def __init_subclass__(cls, fields: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if fields:
+            cls.__match_args__ = fields  # the names, for __repr__ and match patterns
+            for index, name in enumerate(fields):
+                setattr(cls, name, property(lambda self, index=index: self._fields[index]))
 
     def __eq__(self, other: object) -> bool:
         return self._fields == other._fields if type(other) is type(self) else NotImplemented
@@ -43,13 +54,13 @@ class Value:
         return type(self), self._fields
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields))
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._fields))
         return f"{type(self).__qualname__}({shown})"
 
 
-# The stores that get past Value.__setattr__, looked up once since values are
-# built often: a field by name, and the field tuple by its slot's own setter.
-store, store_fields = object.__setattr__, Value._fields.__set__
+# The one store that gets past Value.__setattr__, the field tuple's slot
+# setter, looked up once since values are built often.
+store_fields = Value._fields.__set__
 
 
 class Sign(enum.Enum):

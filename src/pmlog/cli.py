@@ -122,8 +122,9 @@ def _require_printable_integers(values: Iterable[int]) -> None:
 def _coordinates(args, p: Prime, flags: tuple[str, ...]) -> tuple[tuple[Sign, ...], int]:
     # A query's signs, one per coordinate, and the exponent e of its mass
     # 1/p^e.  The flags of a second coordinate (--m, and --b for a value)
-    # are given with a two-character sign and only then, and 1/p^e must be
-    # printable.
+    # are given with a two-character sign and only then, each coordinate's
+    # exponent is at least 1, and 1/p^e must be printable: the exponents
+    # are checked before any cap or gate that their sizes could trip.
     signs = tuple(map(Sign.from_str, args.sign))
     given = [getattr(args, flag) is not None for flag in flags]
     named = " and ".join(f"--{flag}" for flag in flags)
@@ -132,7 +133,11 @@ def _coordinates(args, p: Prime, flags: tuple[str, ...]) -> tuple[tuple[Sign, ..
         raise ValueError(f"{named} {verb} a two-character sign")
     if len(signs) == 2 and not all(given):
         raise ValueError(f"bivariate signs require {named}")
-    e = sum(map(mass_exponent, signs, (args.n, args.m)))
+    exponents = (args.n, args.m)[: len(signs)]
+    for flag, exponent in zip("nm", exponents):
+        if exponent < 1:
+            raise ValueError(f"modulus exponent {flag} must be >= 1")
+    e = sum(map(mass_exponent, signs, exponents))
     _require_printable(p, e)
     return signs, e
 

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .base import ENUMERATION_CAP, ResourceCapError, Value, store, store_fields
+from .base import ENUMERATION_CAP, ResourceCapError, Value, store_fields
 from .digits import Prime
 
 SparsePoly = dict[int, int]
@@ -86,11 +86,11 @@ def _monomial_terms(p: int, n: int, e: int) -> Iterator[tuple[int, int]]:
             yield (r + t * h, -1)
 
 
-class CyclotomicElement(Value):
+class CyclotomicElement(Value, fields=("p", "level", "nums", "den")):
     """An element of Q[x] / Phi(p, level)(x) on the power basis of x: integer
     numerators over one positive denominator, in lowest terms on construction."""
 
-    __slots__ = ("p", "level", "nums", "den")
+    __slots__ = ()
 
     def __init__(self, p: Prime, level: int, nums: tuple[int, ...], den: int = 1) -> None:
         if level < 1:
@@ -102,42 +102,16 @@ class CyclotomicElement(Value):
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         if g != 1:
             nums, den = tuple(c // g for c in nums), den // g
-        store(self, "p", p)
-        store(self, "level", level)
-        store(self, "nums", nums)
-        store(self, "den", den)
         store_fields(self, (p, level, nums, den))
-
-    @classmethod
-    def from_coeffs(cls, p: Prime, n: int, coeffs) -> "CyclotomicElement":
-        """The element with these rational coefficients on the power basis."""
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return cls(p, n, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     @classmethod
     def zero(cls, p: Prime, n: int) -> "CyclotomicElement":
         return cls(p, n, (0,) * _ring_dim(p, n))
 
-    @classmethod
-    def one(cls, p: Prime, n: int) -> "CyclotomicElement":
-        return cls.from_rational(p, n, Fraction(1))
-
-    @classmethod
-    def from_rational(cls, p: Prime, n: int, q: Fraction | int) -> "CyclotomicElement":
-        return eval_at_zeta({0: q}, p, n)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as reduced Fractions, built afresh on each read."""
         return tuple(Fraction(c, self.den) for c in self.nums)
-
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element has nonzero coefficients above degree 0")
-        return Fraction(self.nums[0], self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -211,7 +185,7 @@ def eval_at_zeta(poly: Mapping[int, Fraction | int], p: Prime, n: int) -> Cyclot
     Takes any exponent-to-coefficient mapping; exponents may be negative,
     coefficients integral or rational.  The coefficients are put over their
     one least common denominator and the integer numerators folded onto the
-    power basis: zeta_power, from_rational and products use this fold.
+    power basis: zeta_power and products use this fold.
     """
     den = math.lcm(*(c.denominator for c in poly.values()))
     return _fold(((e, c.numerator * (den // c.denominator)) for e, c in poly.items()), p, n, den)

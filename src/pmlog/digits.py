@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .base import ENUMERATION_CAP, ResourceCapError, Sign, Value, store, store_fields
+from .base import ENUMERATION_CAP, ResourceCapError, Sign, Value, store_fields
 
 
 # Miller-Rabin with the first 13 primes as bases is exact for every
@@ -60,10 +60,10 @@ class Prime(int):
         return super().__new__(cls, p)
 
 
-class Residue(Value):
+class Residue(Value, fields=("p", "n", "digits")):
     """A congruence class a mod p^n as a little-endian base-p digit vector."""
 
-    __slots__ = ("p", "n", "digits")
+    __slots__ = ()
 
     def __init__(self, p: Prime, n: int, digits: tuple[int, ...]) -> None:
         if n < 1:
@@ -72,9 +72,6 @@ class Residue(Value):
             raise ValueError(f"expected {n} digits, got {len(digits)}")
         if min(digits) < 0 or max(digits) >= p:
             raise ValueError(f"digits must lie in [0, {p - 1}]")
-        store(self, "p", p)
-        store(self, "n", n)
-        store(self, "digits", digits)
         store_fields(self, (p, n, digits))
 
     @property

@@ -18,7 +18,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, Value, pval, store, store_fields
+from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, Value, pval, store_fields
 from .cyclotomic import (
     CyclotomicElement,
     SparsePoly,
@@ -39,16 +39,14 @@ def _is_negative_p_power(q: Fraction, p: int) -> bool:
     return den == 1
 
 
-class DistValue(Value):
+class DistValue(Value, fields=("p", "value")):
     """A distribution value: exactly zero or a pure negative power of p."""
 
-    __slots__ = ("p", "value")
+    __slots__ = ()
 
     def __init__(self, p: Prime, value: Fraction) -> None:
         if value and not _is_negative_p_power(value, p):
             raise ValueError(f"{value} is neither 0 nor a negative power of {p}")
-        store(self, "p", p)
-        store(self, "value", value)
         store_fields(self, (p, value))
 
     @property
@@ -73,14 +71,14 @@ class DistValue(Value):
         }
 
 
-class StepFunction(Value):
+class StepFunction(Value, fields=("p", "n", "values")):
     """A function on Z_p constant on cosets mod p^n, with one value per coset.
 
     Values may be rationals or cyclotomic elements; rational scalars act on
     either, so integration lands in whatever ring the values inhabit.
     """
 
-    __slots__ = ("p", "n", "values")
+    __slots__ = ()
 
     def __init__(self, p: Prime, n: int, values: Mapping[Residue, object]) -> None:
         total = p**n
@@ -97,22 +95,11 @@ class StepFunction(Value):
             for a in range(total):
                 if residue_from_integer(a, p, n) not in values:
                     raise ValueError(f"missing value for coset {a} mod {p}^{n}")
-        store(self, "p", p)
-        store(self, "n", n)
-        store(self, "values", values)
         store_fields(self, (p, n, values))
 
     @classmethod
     def from_function(cls, p: Prime, n: int, fn: Callable[[int], object]) -> "StepFunction":
         return cls(p, n, {residue_from_integer(a, p, n): fn(a) for a in range(p**n)})
-
-    @classmethod
-    def indicator(cls, r: Residue) -> "StepFunction":
-        return cls.from_function(r.p, r.n, lambda a: Fraction(1 if a == r.value else 0))
-
-    @classmethod
-    def constant(cls, p: Prime, n: int, c) -> "StepFunction":
-        return cls.from_function(p, n, lambda a: c)
 
 
 def mass_exponent(sign: Sign, n: int) -> int:
@@ -172,9 +159,8 @@ def _oracle_product(sign: Sign, p: Prime, n: int) -> tuple[SparsePoly, int]:
     # values, and the power of p the collapsed character sum is divided by.
     if p**n > ENUMERATION_CAP:
         raise ResourceCapError(f"{p}^{n} roots of unity exceed the enumeration cap")
-    if sign is Sign.PLUS:
-        return even_product(p, n // 2), (3 * n + 2) // 2
-    return odd_product(p, (n + 1) // 2), (3 * n + 1) // 2 + 1
+    product = (even_product, odd_product)[sign.parity]
+    return product(p, (n + sign.parity) // 2), (3 * n + 2 + sign.parity) // 2
 
 
 def mu_oracle(sign: Sign, r: Residue) -> DistValue:
@@ -272,7 +258,7 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
         return CyclotomicElement.zero(p, n)
     # Plus takes odd k and the even levels 2, 4, ..., k - 1; minus takes
     # even k and the odd levels 1, 3, ..., k - 1.
-    product = (even_product if sign is Sign.PLUS else odd_product)(p, k // 2)
+    product = (even_product, odd_product)[sign.parity](p, k // 2)
     zeta_exp, scale = p ** (n - k), p ** (k // 2 + 1)  # zeta_k as a power of the level-n root
     return eval_at_zeta({e * zeta_exp: Fraction(c, scale) for e, c in product.items()}, p, n)
 

@@ -5,19 +5,15 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
-from .base import Row, Value
+from .base import Row, Value, store_fields
 
 
-class VerificationReport(Value):
-    # Unlike the other values, a report is filled in place, so it is unhashable.
-    __slots__ = ("suite", "parameters", "cases")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-    _fields = property(lambda self: (self.suite, self.parameters, self.cases))
+class VerificationReport(Value, fields=("suite", "parameters", "cases")):
+    # Read-only like the other values; its parameters dict makes it unhashable.
+    __slots__ = ()
 
     def __init__(self, suite: str, parameters: dict, cases: list[Row] | None = None) -> None:
-        self.suite = suite
-        self.parameters = parameters
-        self.cases = [] if cases is None else cases
+        store_fields(self, (suite, parameters, [] if cases is None else cases))
 
     @property
     def passed(self) -> bool:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import count, islice, pairwise
 from operator import add, mul
 
-from .base import ConvergenceError, Row, Sign, Value, pval, store, store_fields
+from .base import ConvergenceError, Row, Sign, Value, pval, store_fields
 from .digits import Prime
 
 # Hard bound on the number of partial-product factors.
@@ -44,24 +44,22 @@ DEFAULT_T_PREC = 8
 DEFAULT_P_PREC = 6
 
 
-class SeriesPrecision(Value):
+class SeriesPrecision(Value, fields=("t_prec", "p_prec")):
     """Joint precision: coefficients of T^0 .. T^(t_prec - 1), each mod p^p_prec."""
 
-    __slots__ = ("t_prec", "p_prec")
+    __slots__ = ()
 
     def __init__(self, t_prec: int, p_prec: int) -> None:
         if t_prec < 1 or p_prec < 1:
             raise ValueError("t_prec and p_prec must be >= 1")
-        store(self, "t_prec", t_prec)
-        store(self, "p_prec", p_prec)
         store_fields(self, (t_prec, p_prec))
 
 
-class TruncatedSeries(Value):
+class TruncatedSeries(Value, fields=("p", "prec", "nums", "den", "guarantees")):
     """Integer numerators over one positive denominator, in lowest terms on
     construction, plus per-coefficient p-adic guarantees."""
 
-    __slots__ = ("p", "prec", "nums", "den", "guarantees")
+    __slots__ = ()
 
     def __init__(self, p: Prime, prec: SeriesPrecision, nums: tuple, den: int, guarantees: tuple):
         n = prec.t_prec
@@ -72,11 +70,6 @@ class TruncatedSeries(Value):
         g = math.gcd(den, *nums)
         if g != 1:
             nums, den = tuple(c // g for c in nums), den // g
-        store(self, "p", p)
-        store(self, "prec", prec)
-        store(self, "nums", nums)
-        store(self, "den", den)
-        store(self, "guarantees", guarantees)
         store_fields(self, (p, prec, nums, den, guarantees))
 
     @classmethod
@@ -98,12 +91,6 @@ class TruncatedSeries(Value):
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as reduced Fractions, built afresh on each read."""
         return tuple(Fraction(c, self.den) for c in self.nums)
-
-    def coefficient(self, k: int) -> Fraction:
-        return Fraction(self.nums[k], self.den)
-
-    def guarantee(self, k: int) -> int:
-        return self.guarantees[k]
 
     def _capped_valuations(self) -> list[int]:
         # min(v_p(c_k), g_k) for each c_k = nums[k] / den, so a zero reads as

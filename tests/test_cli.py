@@ -31,6 +31,7 @@ from pmlog import (
     mu_value,
     residue_from_integer,
 )
+from pmlog.base import Value
 
 
 def run(capsys, *argv):
@@ -204,6 +205,26 @@ def test_table_rejects_an_exponent_below_one(capsys, sizes):
     code, _, err = run(capsys, "table", "--sign", sign, "--p", "2", *sizes)
     assert code == 2
     assert "must be >= 1" in err
+
+
+EXPONENT_ERRORS = [
+    (["table", "--sign", "++", "--n", "0", "--m", "30"], "n"),
+    (["table", "--sign", "++", "--n", "-5", "--m", "30"], "n"),
+    (["table", "--sign", "+-", "--n", "30", "--m", "0"], "m"),
+    (["table", "--sign", "-", "--n", "0"], "n"),
+    (["value", "--sign", "++", "--n", "0", "--m", "100000", "--a", "0", "--b", "0"], "n"),
+    (["value", "--sign", "-+", "--n", "100000", "--m", "0", "--a", "0", "--b", "0"], "m"),
+    (["bivalue", "--sign", "--", "--n", "2", "--m", "-1", "--a", "0", "--b", "0"], "m"),
+    (["value", "--sign", "+", "--n", "-3", "--a", "0"], "n"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", EXPONENT_ERRORS)
+def test_an_exponent_below_one_is_refused_before_any_cap(capsys, argv, flag):
+    # Whatever the other coordinate's size: 2^30 rows would trip the row
+    # cap, and 1/2^50001 the print gate, if the exponents came second.
+    code, out, err = run(capsys, *argv[:3], "--p", "2", *argv[3:])
+    assert (code, out, err) == (2, "", f"error: modulus exponent {flag} must be >= 1\n")
 
 
 def test_table_row_cap_and_force(capsys):
@@ -748,6 +769,30 @@ def test_no_source_module_imports_dataclasses():
         )
     ]
     assert importers == []
+
+
+def test_value_classes_name_and_store_each_field_once():
+    # Each value class names its fields in its class statement and has
+    # __slots__ = (): its fields are read-only properties over Value's one
+    # field tuple, and its instances have no __dict__.  Only base.py stores
+    # past Value.__setattr__.
+    declared, setters = {}, []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        if path.name != "base.py" and "object.__setattr__" in source:
+            setters.append(path.name)
+        for node in ast.walk(ast.parse(source)):
+            bases = [getattr(base, "id", "") for base in getattr(node, "bases", ())]
+            if isinstance(node, ast.ClassDef) and "Value" in bases:
+                keywords = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+                declared[node.name] = keywords.get("fields", ())
+    assert setters == []
+    classes = {c.__name__: c for c in Value.__subclasses__() if c.__module__.startswith("pmlog.")}
+    assert len(classes) == 7 and set(declared) == set(classes)
+    for name, cls in classes.items():
+        assert declared[name], name
+        assert vars(cls).get("__slots__") == () and cls.__dictoffset__ == 0, name
+        assert all(isinstance(vars(cls).get(field), property) for field in declared[name]), name
 
 
 def test_setup_loads_every_module_but_not_dataclasses_or_inspect():

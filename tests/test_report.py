@@ -91,9 +91,10 @@ def test_writer_matches_json_dumps_on_failing_and_empty_reports():
 @pytest.mark.parametrize("extra", [-1, 0, 1, WRITE_BLOCK + 1])
 def test_writer_writes_a_block_of_cases_at_a_time(extra):
     rng = random.Random(extra)
-    report = random_report(rng, cases=0)
-    report.cases = [(f"n={i} {random_text(rng)}", "1/4", "1/4", True) for i in range(WRITE_BLOCK + extra)]
-    report.cases[extra] = (report.cases[extra][0], "1/4", "0", False)
+    header = random_report(rng, cases=0)
+    cases = [(f"n={i} {random_text(rng)}", "1/4", "1/4", True) for i in range(WRITE_BLOCK + extra)]
+    cases[extra] = (cases[extra][0], "1/4", "0", False)
+    report = VerificationReport(header.suite, header.parameters, cases)
     sink = Recorder()
     write_report(report, sink)
     assert "".join(sink.writes) == reference(report)
@@ -106,8 +107,8 @@ def test_writer_writes_a_block_of_cases_at_a_time(extra):
 
 def test_writer_escapes_each_distinct_tail_once(monkeypatch):
     tails = [("1/9", "1/9", True), ("0", "0", True), ("1/9", "0", False), ('"0"', "0", False)]
-    report = VerificationReport("oracle", {"p": 3, "max_n": 9}, [])
-    report.cases = [(f"oracle: sign=+ n=9 a={a}", *tails[a % 7 % 4]) for a in range(3**9)]
+    cases = [(f"oracle: sign=+ n=9 a={a}", *tails[a % 7 % 4]) for a in range(3**9)]
+    report = VerificationReport("oracle", {"p": 3, "max_n": 9}, cases)
     calls = []
     real = report_module.encode_basestring_ascii
     monkeypatch.setattr(

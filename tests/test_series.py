@@ -38,11 +38,11 @@ def test_series_precision_validation():
 
 def test_log_classical_coefficients():
     s = series_log_classical(Prime(2), PREC)
-    assert s.coefficient(0) == 0
-    assert s.coefficient(1) == 1
-    assert s.coefficient(2) == Fraction(-1, 2)
-    assert s.coefficient(4) == Fraction(-1, 4)
-    assert pval(s.coefficient(4), 2) == -2
+    assert s.coeffs[0] == 0
+    assert s.coeffs[1] == 1
+    assert s.coeffs[2] == Fraction(-1, 2)
+    assert s.coeffs[4] == Fraction(-1, 4)
+    assert pval(s.coeffs[4], 2) == -2
     assert all(g == PREC.p_prec for g in s.guarantees)
 
 
@@ -53,7 +53,7 @@ def test_phi_shifted_examples():
     assert three.coeffs[:4] == (Fraction(3), Fraction(3), Fraction(1), Fraction(0))
     for p in PRIMES:
         for m in (1, 2, 3):
-            assert phi_shifted(p, m, PREC).coefficient(0) == p
+            assert phi_shifted(p, m, PREC).coeffs[0] == p
 
 
 @pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 11, 13)])
@@ -98,7 +98,7 @@ def test_phi_shifted_switches_at_three_times_p_minus_one(p, t_prec, monkeypatch)
 
     unused = "_quotient" if 3 * (p - 1) <= t_prec else "_binomial_rows"
     monkeypatch.setattr(series, unused, refuse)
-    assert phi_shifted(p, 2, SeriesPrecision(t_prec, 6)).coefficient(0) == p
+    assert phi_shifted(p, 2, SeriesPrecision(t_prec, 6)).coeffs[0] == p
 
 
 def with_guarantees(p, prec, coeffs, guars):
@@ -226,7 +226,7 @@ def test_pval_integer_and_rational_paths_agree():
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
 def test_build_log_pm_constant_term(p, sign):
-    assert build_log_pm(p, sign, PREC).coefficient(0) == Fraction(1, p)
+    assert build_log_pm(p, sign, PREC).coeffs[0] == Fraction(1, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -239,9 +239,9 @@ def test_stabilization_and_soundness(p, sign):
     assert built == at_count
     # appending one more factor moves nothing at the guaranteed precision
     next_one = log_pm_partial_product(p, sign, PREC, count + 1)
-    for k in range(PREC.t_prec):
-        diff = next_one.coefficient(k) - built.coefficient(k)
-        assert diff == 0 or pval(diff, p) >= built.guarantee(k)
+    for new, old, g in zip(next_one.coeffs, built.coeffs, built.guarantees, strict=True):
+        diff = new - old
+        assert diff == 0 or pval(diff, p) >= g
 
 
 def test_build_is_deterministic():
@@ -261,9 +261,10 @@ def test_monotone_refinement(p, sign, finer):
     # refining either precision axis leaves already-guaranteed residues alone
     coarse = build_log_pm(p, sign, PREC)
     fine = build_log_pm(p, sign, finer)
-    for k in range(PREC.t_prec):
-        diff = fine.coefficient(k) - coarse.coefficient(k)
-        assert diff == 0 or pval(diff, p) >= coarse.guarantee(k)
+    # zip stops at the coarse series' t_prec terms
+    for new, old, g in zip(fine.coeffs, coarse.coeffs, coarse.guarantees):
+        diff = new - old
+        assert diff == 0 or pval(diff, p) >= g
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -334,7 +335,7 @@ def test_factor_cap_boundary(sign, monkeypatch):
     assert log_pm_partial_product(p, sign, PREC, 0) == TruncatedSeries.one(p, PREC).scale(
         Fraction(1, p)
     )
-    assert log_pm_partial_product(p, sign, PREC, 70).coefficient(0) == Fraction(1, p)
+    assert log_pm_partial_product(p, sign, PREC, 70).coeffs[0] == Fraction(1, p)
 
 
 def test_factor_cap_raises(monkeypatch):
@@ -393,7 +394,7 @@ def test_series_arithmetic_requires_matching_precision():
 def test_scale_tracks_guarantees():
     s = TruncatedSeries.from_coefficients(Prime(3), PREC, [1, 3])
     down = s.scale(Fraction(1, 3))
-    assert down.coefficient(0) == Fraction(1, 3)
+    assert down.coeffs[0] == Fraction(1, 3)
     assert all(g == PREC.p_prec - 1 for g in down.guarantees)
     up = s.scale(9)
     assert all(g == PREC.p_prec + 2 for g in up.guarantees)
