@@ -26,9 +26,8 @@ def bimu_oracle(signs: tuple[Sign, Sign], cosets: tuple[Residue, Residue]) -> Di
     return first * second
 
 
-def biamice_check(signs: tuple[Sign, Sign], p: Prime, n: int) -> list[Row]:
-    """The two-dimensional interpolation identity at level n: one row per
-    (k1, k2), the one-variable check taken coordinate by coordinate."""
-    if len(signs) != 2:
-        raise ValueError(f"expected a pair of signs, got {len(signs)}")
-    return amice_level(signs, p, n)
+def biamice_check(p: Prime, n: int) -> dict[tuple[Sign, Sign], list[Row]]:
+    """The two-dimensional interpolation identity at level n for each of the
+    four sign pairs: one row per (k1, k2), the one-variable check taken
+    coordinate by coordinate."""
+    return amice_level(2, p, n)

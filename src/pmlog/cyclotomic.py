@@ -116,44 +116,49 @@ class CyclotomicElement(Value, fields=("p", "level", "nums", "den")):
     def is_zero(self) -> bool:
         return not any(self.nums)
 
+    # A field read is a property call, so each operation unpacks _fields once.
     def _check_same_ring(self, other: "CyclotomicElement") -> None:
-        if self.p != other.p or self.level != other.level:
+        if self._fields[:2] != other._fields[:2]:
             raise ValueError("elements live in different cyclotomic rings")
 
     def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         self._check_same_ring(other)
-        a, b = self.den, other.den
-        nums = tuple(x * b + y * a for x, y in zip(self.nums, other.nums))
-        return CyclotomicElement(self.p, self.level, nums, a * b)
+        p, level, nums, a = self._fields
+        _, _, other_nums, b = other._fields
+        nums = tuple(x * b + y * a for x, y in zip(nums, other_nums))
+        return CyclotomicElement(p, level, nums, a * b)
 
     def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         return self + other * -1
 
     def __mul__(self, other):
+        p, level, nums, den = self._fields
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            nums = tuple(c * q.numerator for c in self.nums)
-            return CyclotomicElement(self.p, self.level, nums, self.den * q.denominator)
+            nums = tuple(c * q.numerator for c in nums)
+            return CyclotomicElement(p, level, nums, den * q.denominator)
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
         self._check_same_ring(other)
-        conv = [0] * (2 * len(self.nums) - 1)
-        right = [(j, c) for j, c in enumerate(other.nums) if c]
-        for i, ci in enumerate(self.nums):
+        _, _, other_nums, other_den = other._fields
+        conv = [0] * (2 * len(nums) - 1)
+        right = [(j, c) for j, c in enumerate(other_nums) if c]
+        for i, ci in enumerate(nums):
             if ci:
                 for j, cj in right:
                     conv[i + j] += ci * cj
-        return _fold(enumerate(conv), self.p, self.level, self.den * other.den)
+        return _fold(enumerate(conv), p, level, den * other_den)
 
     # Python calls __rmul__ only when the left operand is not an element.
     __rmul__ = __mul__
 
     def __str__(self) -> str:
+        _, _, nums, den = self._fields
         terms = []
-        for e, num in enumerate(self.nums):
+        for e, num in enumerate(nums):
             if num == 0:
                 continue
-            c = Fraction(num, self.den)
+            c = Fraction(num, den)
             if e == 0:
                 terms.append(str(c))
             else:

@@ -16,12 +16,13 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, Value, pval, store_fields
 from .cyclotomic import (
     CyclotomicElement,
     SparsePoly,
+    _fold,
     character_sum,
     eval_at_zeta,
     even_product,
@@ -263,44 +264,58 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
     return eval_at_zeta({e * zeta_exp: Fraction(c, scale) for e, c in product.items()}, p, n)
 
 
-def amice_level(signs: Sequence[Sign], p: Prime, n: int) -> list[Row]:
-    """The level-n interpolation identity on Z_p^d, d = len(signs) of 1 or 2:
-    one (input, expected, actual, passed) row per k-tuple in 1..n, in order.
+def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Row]]:
+    """The level-n interpolation identity on Z_p^d, d of 1 or 2, for every
+    tuple of d signs in itertools.product order: one (input, expected,
+    actual, passed) row per k-tuple in 1..n, in order, for each.
 
     The left side integrates x -> zeta_k1^x1 ... zeta_kd^xd against the
-    product of the coordinates' distributions: the support product, each
-    coset tuple weighted by its mass, summed into one eval_at_zeta call.
-    The right side is the product of the one-variable closed forms.  Each
-    coordinate's support and each of its n right sides are built once.
+    product of the coordinates' distributions: each tuple of support cosets
+    weighted by the product of their integer mass numerators, folded once
+    over the product of their denominators.  The right side is the product
+    of the one-variable closed forms.  Each sign's support and its n right
+    sides are built once, for every sign tuple.
     """
-    if not (1 <= len(signs) <= 2 and n >= 1):
-        raise ValueError("require one or two signs and n >= 1")
-    supports = [support_masses(sign, p, n).items() for sign in signs]
-    terms = [
-        ([a for a, _ in combo], math.prod(mass for _, mass in combo))
-        for combo in itertools.product(*supports)
-    ]
-    # The masses as integer numerators over one denominator, as in verify_additivity.
-    den = math.lcm(*(mass.denominator for _, mass in terms))
-    terms = [(cosets, mass.numerator * (den // mass.denominator)) for cosets, mass in terms]
-    rhs = [[interpolation_rhs(sign, k, p, n) for k in range(1, n + 1)] for sign in signs]
-    names = ["k"] if len(signs) == 1 else ["k1", "k2"]
-    label = "".join(map(str, signs))
-    rows = []
-    for ks in itertools.product(range(1, n + 1), repeat=len(signs)):
-        zeta_exps = [p ** (n - k) for k in ks]  # each zeta_k as a power of the level-n root
-        weights: dict[int, int] = {}
-        for cosets, num in terms:
-            e = sum(map(operator.mul, zeta_exps, cosets))
-            weights[e] = weights.get(e, 0) + num
-        lhs = eval_at_zeta(weights, p, n) * Fraction(1, den)
-        factors = [r[k - 1] for r, k in zip(rhs, ks)]
-        # A right side of the wrong parity is zero, and so is the product.
-        zero = next((f for f in factors if f.is_zero()), None)
-        expected = functools.reduce(operator.mul, factors) if zero is None else zero
-        ks_label = " ".join(f"{name}={k}" for name, k in zip(names, ks))
-        rows.append((f"sign={label} {ks_label} n={n}", str(expected), str(lhs), lhs == expected))
-    return rows
+    if not (1 <= d <= 2 and n >= 1):
+        raise ValueError("require dimension 1 or 2 and n >= 1")
+    order, coordinates = p**n, {}
+    for sign in Sign:
+        masses = support_masses(sign, p, n)
+        # The masses as integer numerators over one denominator, for each k
+        # keyed by the exponent of zeta_k^a as a power of the level-n root.
+        den = math.lcm(*(mass.denominator for mass in masses.values()))
+        weights = [{} for _ in range(n)]
+        for a, mass in masses.items():
+            for k, w in enumerate(weights, start=1):
+                e = a * p ** (n - k) % order
+                w[e] = w.get(e, 0) + mass.numerator * (den // mass.denominator)
+        rhs = [interpolation_rhs(sign, k, p, n) for k in range(1, n + 1)]
+        coordinates[sign] = den, weights, rhs
+    names = ["k"] if d == 1 else ["k1", "k2"]
+    levels = {}
+    for signs in itertools.product(Sign, repeat=d):
+        dens, weights, rhs = zip(*map(coordinates.__getitem__, signs))
+        den, label, rows = math.prod(dens), "".join(map(str, signs)), []
+        for ks in itertools.product(range(1, n + 1), repeat=d):
+            # The support product: each tuple at the sum of its exponents,
+            # weighted by the product of its numerators.
+            terms = {0: 1}
+            for w, k in zip(weights, ks):
+                product: dict[int, int] = {}
+                for (e1, c1), (e2, c2) in itertools.product(terms.items(), w[k - 1].items()):
+                    e = (e1 + e2) % order
+                    product[e] = product.get(e, 0) + c1 * c2
+                terms = product
+            lhs = _fold(terms.items(), p, n, den)
+            factors = [r[k - 1] for r, k in zip(rhs, ks)]
+            # A right side of the wrong parity is zero, and so is the product.
+            zero = next((f for f in factors if f.is_zero()), None)
+            expected = functools.reduce(operator.mul, factors) if zero is None else zero
+            ks_label = " ".join(f"{name}={k}" for name, k in zip(names, ks))
+            case = f"sign={label} {ks_label} n={n}"
+            rows.append((case, str(expected), str(lhs), lhs == expected))
+        levels[signs] = rows
+    return levels
 
 
 def verify_additivity(sign: Sign, p: Prime, n: int) -> list[Row]:

@@ -2,7 +2,8 @@
 
 A suite yields its cases as plain (input, expected, actual, passed) rows,
 and the library checks it draws on (verify_additivity, amice_level,
-biamice_check, verify_product_identity) return such rows too.  run_suite
+biamice_check, verify_product_identity) return such rows too, the Amice
+checks one list per sign tuple.  run_suite
 checks every chosen suite's cost against the enumeration cap before any
 work, then prefixes each row's input with its suite's name.  A case stays
 such a row up to the printed report; run_suite makes the one
@@ -49,11 +50,13 @@ def _additivity(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
 
 
 def _amice(p: Prime, max_n: int, prec: SeriesPrecision, d: int = 1) -> Rows:
-    # amice (d = 1) and biamice (d = 2): every sign tuple, then every level.
-    # Two variables go through biamice_check, the two-variable entry.
+    # amice (d = 1) and biamice (d = 2): each level is built once, for every
+    # sign tuple, and the rows go out sign tuple by sign tuple, then level by
+    # level.  Two variables go through biamice_check, the two-variable entry.
+    levels = [amice_level(1, p, n) if d == 1 else biamice_check(p, n) for n in range(1, max_n + 1)]
     for signs in itertools.product(Sign, repeat=d):
-        for n in range(1, max_n + 1):
-            yield from amice_level(signs, p, n) if d == 1 else biamice_check(signs, p, n)
+        for rows in levels:
+            yield from rows[signs]
 
 
 def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
@@ -72,19 +75,21 @@ SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[.
     # Level n values p^n parents and p^(n+1) children, for both signs.
     "additivity": (lambda p, n: 2 * (p**n + p ** (n + 1)), "valued cosets", _additivity),
     # The Amice checks count, per level n, the dimension of each ring element
-    # built, each term eval_at_zeta folds, each nonzero coefficient product
-    # and each support tuple.  With f = floor(n/2) and c = ceil(n/2), the
+    # built, each term eval_at_zeta or a left side's fold reads, each nonzero
+    # coefficient product and each support tuple.  With f = floor(n/2) and c = ceil(n/2), the
     # plus and minus supports have p^f and p^c cosets, and the right side at
     # k is one sparse product of p^(k//2) terms.  amice builds, per sign, n
-    # right sides and n left sides, each scaled once.
+    # right sides and n left sides; the bound still counts a scaling of each
+    # left side, which the integer fold no longer makes.
     "amice": (
         lambda p, n: 8 * n * _ring_dim(p, n) + (2 * n + 1) * (p ** (n // 2) + p ** ((n + 1) // 2)),
         "ring coefficients, terms, products and support tuples",
         _amice,
     ),
-    # biamice builds, per sign pair, both coordinates' right sides, then per
-    # (k1, k2) a left side over the support product, its scaling and a
-    # product of right sides.  The four pairs have (p^f + p^c)^2 support
+    # biamice builds each sign's right sides once, then per sign pair and
+    # (k1, k2) a left side over the support product and a product of right
+    # sides; the bound still counts both coordinates' right sides per pair
+    # and a scaling per left side.  The four pairs have (p^f + p^c)^2 support
     # tuples, and a coordinate's right sides under p^c (plus) or p^(f+1)
     # (minus) nonzero coefficients summed over k.
     "biamice": (

@@ -115,7 +115,7 @@ def test_criterion_6_two_variable_products():
                             if bimu_value(s, r).value != bimu_oracle(s, r).value:
                                 ok = False
             for n in range(1, 3):
-                rows = biamice_check(s, p, n)
+                rows = biamice_check(p, n)[s]
                 if len(rows) != n * n or not all(passed for *_, passed in rows):
                     ok = False
     _conclude(6, "two-variable values factor and interpolate coordinatewise", ok)

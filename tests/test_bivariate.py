@@ -138,7 +138,7 @@ def pairs(n):
 def test_biamice_passes(p):
     for s in ALL_BISIGNS:
         for n in range(1, 3):
-            rows = biamice_check(s, p, n)
+            rows = biamice_check(p, n)[s]
             token = "".join(map(str, s))
             labels = [f"sign={token} k1={k1} k2={k2} n={n}" for k1, k2 in pairs(n)]
             assert [label for label, *_ in rows] == labels
@@ -151,7 +151,7 @@ def test_biamice_lhs_matches_coset_pair_scan(p, max_n):
     # the support-product sum must equal the sum over every coset pair
     for s in ALL_BISIGNS:
         for n in range(1, max_n + 1):
-            for (k1, k2), (_, _, actual, _) in zip(pairs(n), biamice_check(s, p, n), strict=True):
+            for (k1, k2), (_, _, actual, _) in zip(pairs(n), biamice_check(p, n)[s], strict=True):
                 weights = {}
                 for a in range(p**n):
                     for b in range(p**n):
@@ -167,7 +167,7 @@ def test_biamice_parity_mismatch_is_zero_on_both_sides():
 
     s = bisign("+-")
     p, n, k1, k2 = P3, 2, 2, 2
-    rows = {label: row for label, *row in biamice_check(s, p, n)}
+    rows = {label: row for label, *row in biamice_check(p, n)[s]}
     expected, actual, passed = rows[f"sign=+- k1={k1} k2={k2} n={n}"]
     assert passed
     rhs = interpolation_rhs(s[0], k1, p, n) * interpolation_rhs(s[1], k2, p, n)
@@ -177,17 +177,14 @@ def test_biamice_parity_mismatch_is_zero_on_both_sides():
 
 def test_biamice_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
-        biamice_check(bisign("++"), P3, 0)
-    for signs in ((Sign.PLUS,), bisign("++") + (Sign.MINUS,)):
-        with pytest.raises(ValueError, match="expected a pair of signs"):
-            biamice_check(signs, P3, 1)
+        biamice_check(P3, 0)
     # The registry's declared cost is the one cap: past it, run_suite raises
     # before biamice_check builds any level.
     levels, real = [], bivariate.amice_level
     monkeypatch.setattr(bivariate, "amice_level", lambda *args: levels.append(args) or real(*args))
     prec = SeriesPrecision(t_prec=8, p_prec=6)
     assert suites.run_suite("biamice", P2, 1, prec).passed
-    assert len(levels) == 4
+    assert levels == [(2, P2, 1)]
     with pytest.raises(ResourceCapError):
         suites.run_suite("biamice", P2, 10, prec)
-    assert len(levels) == 4
+    assert levels == [(2, P2, 1)]

@@ -109,12 +109,12 @@ def library_rows(name, p, max_n, prec):
     elif name == "amice":
         for sign in Sign:
             for n in range(1, max_n + 1):
-                yield from amice_level((sign,), p, n)
+                yield from amice_level(1, p, n)[sign,]
     elif name == "biamice":
         for first in Sign:
             for second in Sign:
                 for n in range(1, max_n + 1):
-                    yield from biamice_check((first, second), p, n)
+                    yield from biamice_check(p, n)[first, second]
     else:
         yield from verify_product_identity(p, prec)
 
@@ -150,46 +150,53 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("name,d,p,total", [("biamice", 2, 2, (32, 80)), ("amice", 1, 3, (8, 20))])
-def test_amice_suites_build_each_support_and_right_side_once_per_level(
-    monkeypatch, name, d, p, total
-):
+@pytest.mark.parametrize("name,p", [("biamice", 2), ("amice", 3)])
+def test_amice_suites_build_each_sign_level_once(monkeypatch, name, p):
     supports = count_calls(monkeypatch, "support_masses")
     rights = count_calls(monkeypatch, "interpolation_rhs")
-    suites.run_suite(name, Prime(p), 4, SeriesPrecision(t_prec=8, p_prec=6))
-    # one support per (sign tuple, n, coordinate), one right side per k too
-    levels = [(signs, n) for signs in itertools.product(Sign, repeat=d) for n in range(1, 5)]
-    assert supports == collections.Counter((s, p, n) for signs, n in levels for s in signs)
+    report = suites.run_suite(name, Prime(p), 3, SeriesPrecision(t_prec=8, p_prec=6))
+    assert report.passed
+    # one support per (sign, n) and one right side per (sign, k, n), shared
+    # by every sign tuple: two or four of them
+    assert supports == collections.Counter((s, p, n) for s in Sign for n in range(1, 4))
     assert rights == collections.Counter(
-        (s, k, p, n) for signs, n in levels for s in signs for k in range(1, n + 1)
+        (s, k, p, n) for s in Sign for n in range(1, 4) for k in range(1, n + 1)
     )
-    assert (supports.total(), rights.total()) == total
+    assert (supports.total(), rights.total()) == (6, 12)
 
 
 def count_amice_work(monkeypatch):
     # The Amice checks' work per level n, in the units their declared costs
     # count: the ring dimension of each element built, each nonzero term
-    # eval_at_zeta folds, each nonzero coefficient product of a multiply
-    # (a scalar times an element's nonzero coefficients), and each tuple of
-    # the support product.
+    # eval_at_zeta folds (the right sides), each term a left side's fold
+    # reads, each nonzero coefficient product of a multiply (a scalar times
+    # an element's nonzero coefficients), and each tuple of the support
+    # product of every sign tuple.
     work, running = collections.Counter(), []
     real_level, real_eval = distribution.amice_level, cyclotomic.eval_at_zeta
+    real_fold = distribution._fold
     real_mul, real_init = CyclotomicElement.__mul__, CyclotomicElement.__init__
 
     def nonzero(x):
         return sum(1 for c in x.nums if c)
 
-    def level(signs, p, n):
+    def level(d, p, n):
         running.append(n)
-        work[n] += math.prod(len(distribution.support_masses(s, p, n)) for s in signs)
+        for signs in itertools.product(Sign, repeat=d):
+            work[n] += math.prod(len(distribution.support_masses(s, p, n)) for s in signs)
         try:
-            return real_level(signs, p, n)
+            return real_level(d, p, n)
         finally:
             running.pop()
 
     def evaluate(poly, p, n):
         work[running[-1]] += sum(1 for c in poly.values() if c)
         return real_eval(poly, p, n)
+
+    def fold(terms, p, n, den):
+        terms = list(terms)
+        work[running[-1]] += len(terms)
+        return real_fold(terms, p, n, den)
 
     def multiply(self, other):
         is_element = isinstance(other, CyclotomicElement)
@@ -205,6 +212,9 @@ def count_amice_work(monkeypatch):
         for name, (real, fake) in fakes.items():
             if vars(module).get(name) is real:
                 monkeypatch.setattr(module, name, fake)
+    # Only the left sides fold from distribution; ring products and
+    # eval_at_zeta fold inside cyclotomic and are counted above.
+    monkeypatch.setattr(distribution, "_fold", fold)
     monkeypatch.setattr(CyclotomicElement, "__mul__", multiply)
     monkeypatch.setattr(CyclotomicElement, "__init__", build)
     return work
