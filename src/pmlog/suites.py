@@ -52,7 +52,7 @@ def _additivity(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
 def _amice(p: Prime, max_n: int, prec: SeriesPrecision, d: int = 1) -> Rows:
     # amice (d = 1) and biamice (d = 2): each level is built once, for every
     # sign tuple, and the rows go out sign tuple by sign tuple, then level by
-    # level.  Two variables go through biamice_check, the two-variable entry.
+    # level.  Two variables go through biamice_check, the span the benchmark times.
     levels = [amice_level(1, p, n) if d == 1 else biamice_check(p, n) for n in range(1, max_n + 1)]
     for signs in itertools.product(Sign, repeat=d):
         for rows in levels:

@@ -150,19 +150,22 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("name,p", [("biamice", 2), ("amice", 3)])
-def test_amice_suites_build_each_sign_level_once(monkeypatch, name, p):
+@pytest.mark.parametrize("name,d,p,total", [("biamice", 2, 2, (6, 12)), ("amice", 1, 3, (6, 12))])
+def test_amice_suites_build_each_support_and_right_side_once_per_level(
+    monkeypatch, name, d, p, total
+):
     supports = count_calls(monkeypatch, "support_masses")
     rights = count_calls(monkeypatch, "interpolation_rhs")
     report = suites.run_suite(name, Prime(p), 3, SeriesPrecision(t_prec=8, p_prec=6))
-    assert report.passed
+    # every sign tuple's n^d rows per level, all passing
+    assert report.passed and len(report.cases) == 2**d * sum(n**d for n in range(1, 4))
     # one support per (sign, n) and one right side per (sign, k, n), shared
-    # by every sign tuple: two or four of them
+    # by all 2^d sign tuples
     assert supports == collections.Counter((s, p, n) for s in Sign for n in range(1, 4))
     assert rights == collections.Counter(
         (s, k, p, n) for s in Sign for n in range(1, 4) for k in range(1, n + 1)
     )
-    assert (supports.total(), rights.total()) == (6, 12)
+    assert (supports.total(), rights.total()) == total
 
 
 def count_amice_work(monkeypatch):
