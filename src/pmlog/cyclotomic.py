@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .base import ENUMERATION_CAP, ResourceCapError, Value, store_fields
 from .digits import Prime
@@ -71,19 +71,6 @@ def odd_product(p: Prime, count: int) -> SparsePoly:
 
 def _ring_dim(p: int, n: int) -> int:
     return p ** (n - 1) * (p - 1)
-
-
-def _monomial_terms(p: int, n: int, e: int) -> Iterator[tuple[int, int]]:
-    # Canonical reduction of x^e: yields (basis index, +-1) pairs.
-    h = p ** (n - 1)
-    d = h * (p - 1)
-    e %= p**n
-    if e < d:
-        yield (e, 1)
-    else:
-        r = e - d  # 0 <= r < h
-        for t in range(p - 1):
-            yield (r + t * h, -1)
 
 
 class CyclotomicElement(Value, fields=("p", "level", "nums", "den")):
@@ -158,12 +145,14 @@ class CyclotomicElement(Value, fields=("p", "level", "nums", "den")):
         for e, num in enumerate(nums):
             if num == 0:
                 continue
-            c = Fraction(num, den)
+            # Printed as str(Fraction(num, den)) prints it: reduced, "num" or "num/den".
+            g = math.gcd(num, den)
+            c = str(num // g) if g == den else f"{num // g}/{den // g}"
             if e == 0:
-                terms.append(str(c))
+                terms.append(c)
             else:
                 var = "z" if e == 1 else f"z^{e}"
-                terms.append(var if c == 1 else f"{c}*{var}")
+                terms.append(var if num == den else f"{c}*{var}")
         return " + ".join(terms) if terms else "0"
 
 
@@ -175,12 +164,20 @@ def zeta_power(p: Prime, n: int, e: int) -> CyclotomicElement:
 
 
 def _fold(terms: Iterable[tuple[int, int]], p: Prime, n: int, den: int) -> CyclotomicElement:
-    # The element sum of c x^e / den over integer (e, c) pairs.
-    nums = [0] * _ring_dim(p, n)
+    # The element sum of c x^e / den over integer (e, c) pairs, each x^e
+    # reduced canonically: x^(e mod p^n) is a basis term below d, and past
+    # it minus the p - 1 basis terms x^(e - d + t h), t < p - 1.
+    h = p ** (n - 1)
+    order, d = h * p, h * (p - 1)
+    nums = [0] * d
     for e, c in terms:
         if c:
-            for idx, s in _monomial_terms(p, n, e):
-                nums[idx] += s * c
+            e %= order
+            if e < d:
+                nums[e] += c
+            else:
+                for idx in range(e - d, d, h):
+                    nums[idx] -= c
     return CyclotomicElement(p, n, tuple(nums), den)
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from pmlog import (
     odd_product,
     zeta_power,
 )
-from pmlog.cyclotomic import _monomial_terms, _ring_dim
+from pmlog.cyclotomic import _fold, _ring_dim
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 
@@ -113,6 +114,19 @@ def test_eval_at_zeta_basics():
 def from_coeffs(p, n, coeffs):
     """The element with these rational coefficients on the power basis."""
     return eval_at_zeta(dict(enumerate(coeffs)), p, n)
+
+
+def _monomial_terms(p: int, n: int, e: int) -> Iterator[tuple[int, int]]:
+    # Canonical reduction of x^e: yields (basis index, +-1) pairs.
+    h = p ** (n - 1)
+    d = h * (p - 1)
+    e %= p**n
+    if e < d:
+        yield (e, 1)
+    else:
+        r = e - d  # 0 <= r < h
+        for t in range(p - 1):
+            yield (r + t * h, -1)
 
 
 def character_sum_bruteforce(p: Prime, n: int, weights) -> Fraction:
@@ -290,6 +304,65 @@ def test_ring_elements_are_integers_over_one_reduced_denominator(p, n):
     for same in (b * a, (a + b - b) * b, from_coeffs(p, n, (a * b).coeffs)):
         assert same == a * b and hash(same) == hash(a * b)
     assert a * 3 * Fraction(1, 3) == a and a - a == zero and hash(a - a) == hash(zero)
+
+
+def fraction_element_str(element):
+    """str(element) as it was printed from a Fraction per coefficient: the
+    reference the integer rendering is checked against."""
+    terms = []
+    for e, num in enumerate(element.nums):
+        if num == 0:
+            continue
+        c = Fraction(num, element.den)
+        if e == 0:
+            terms.append(str(c))
+        else:
+            var = "z" if e == 1 else f"z^{e}"
+            terms.append(var if c == 1 else f"{c}*{var}")
+    return " + ".join(terms) if terms else "0"
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_str_matches_the_fraction_rendering(p, n):
+    # Coefficients negative, zero, +-1 and not in lowest terms against den.
+    rng = random.Random(f"str {p} {n}")
+    dim = _ring_dim(p, n)
+    for _ in range(30):
+        den = rng.choice([1, 2, p, 6, p**3, 12 * p])
+        units = [0, den, -den, 2 * den, -3 * den]
+        nums = [
+            rng.choice(units) if rng.random() < 0.5 else rng.randint(-4 * den, 4 * den)
+            for _ in range(dim)
+        ]
+        element = CyclotomicElement(p, n, tuple(nums), den)
+        assert str(element) == fraction_element_str(element)
+    for c in (1, -1, Fraction(2, 4), Fraction(-9, 6), Fraction(5, p)):
+        for e in (0, 1, dim - 1):
+            element = from_coeffs(p, n, [0] * e + [c])
+            assert str(element) == fraction_element_str(element)
+    assert str(CyclotomicElement.zero(p, n)) == "0"
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fold_matches_long_division(p, n):
+    # (e, c) pairs with negative exponents, exponents past p^n, repeats and
+    # c = 0.  x^(p^n) = 1 in the ring, so the reference first multiplies by
+    # a power of x^(p^n) that makes every exponent nonnegative, then divides.
+    rng = random.Random(f"fold {p} {n}")
+    order = p**n
+    for _ in range(20):
+        exponents = [rng.randint(-3 * order, 3 * order) for _ in range(rng.randint(0, 12))]
+        exponents += rng.sample(exponents, min(3, len(exponents)))
+        terms = [(e, rng.choice([0, rng.randint(-9, 9)])) for e in exponents]
+        den = rng.randint(1, 2 * order)
+        shift = -min([0, *exponents]) // order * order + order
+        dense = [Fraction(0)] * (shift + 3 * order + 1)
+        for e, c in terms:
+            dense[e + shift] += Fraction(c, den)
+        assert _fold(terms, p, n, den).coeffs == reduce_mod_phi(dense, p, n)
+        assert _fold(iter(terms), p, n, den) == _fold(terms, p, n, den)
 
 
 def test_mismatched_rings_raise():

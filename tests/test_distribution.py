@@ -195,6 +195,14 @@ def test_support_masses_refuse_a_coset_without_mass(monkeypatch):
         support_masses(Sign.PLUS, P3, 2)
 
 
+def test_support_masses_refuse_a_coset_failing_only_its_top_digit(monkeypatch):
+    # 9 = 1 * 3^2 mod 27: its digits (0, 0, 1) fail the plus test only at
+    # position 2, the last of n = 3; {0, 3, 9} still adds up to 3/9 = 1/3
+    monkeypatch.setattr(distribution, "enumerate_R", lambda p, count, sign: {0, 3, 9})
+    with pytest.raises(RuntimeError, match=r"enumerated coset 9 mod 3\^3 lies outside"):
+        support_masses(Sign.PLUS, P3, 3)
+
+
 def test_support_masses_refuse_a_coset_past_the_modulus(monkeypatch):
     # 9 reduces to the zero coset mod 9 but is not a representative in [0, 9)
     monkeypatch.setattr(distribution, "enumerate_R", lambda p, count, sign: {9, 3, 6})

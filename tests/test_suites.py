@@ -170,11 +170,11 @@ def test_amice_suites_build_each_support_and_right_side_once_per_level(
 
 def count_amice_work(monkeypatch):
     # The Amice checks' work per level n, in the units their declared costs
-    # count: the ring dimension of each element built, each nonzero term
-    # eval_at_zeta folds (the right sides), each term a left side's fold
-    # reads, each nonzero coefficient product of a multiply (a scalar times
-    # an element's nonzero coefficients), and each tuple of the support
-    # product of every sign tuple.
+    # count: the ring dimension of each element built, each term a left or
+    # right side's fold reads (and each nonzero term eval_at_zeta folds),
+    # each nonzero coefficient product of a multiply (a scalar times an
+    # element's nonzero coefficients), and each tuple of the support product
+    # of every sign tuple.
     work, running = collections.Counter(), []
     real_level, real_eval = distribution.amice_level, cyclotomic.eval_at_zeta
     real_fold = distribution._fold
@@ -215,8 +215,9 @@ def count_amice_work(monkeypatch):
         for name, (real, fake) in fakes.items():
             if vars(module).get(name) is real:
                 monkeypatch.setattr(module, name, fake)
-    # Only the left sides fold from distribution; ring products and
-    # eval_at_zeta fold inside cyclotomic and are counted above.
+    # The left and right sides fold from distribution and are counted here;
+    # ring products and eval_at_zeta fold inside cyclotomic and are counted
+    # above, so no term is counted twice.
     monkeypatch.setattr(distribution, "_fold", fold)
     monkeypatch.setattr(CyclotomicElement, "__mul__", multiply)
     monkeypatch.setattr(CyclotomicElement, "__init__", build)
@@ -236,6 +237,27 @@ def test_amice_suites_do_no_more_work_per_level_than_they_declare(monkeypatch, n
     assert all(work[n] <= cost(p, n) for n in work), (dict(work), [cost(p, n) for n in work])
     with pytest.raises(ResourceCapError):
         suites.run_suite(name, Prime(p), top + 1, prec)
+
+
+@pytest.mark.parametrize("name,p", [("amice", 5), ("biamice", 3)])
+def test_amice_work_counts_each_right_side_term_once(monkeypatch, name, p):
+    # A right side builds one element and, at its sign's parity, folds one
+    # term per monomial of its sparse product: the work counted during an
+    # interpolation_rhs call is the ring dimension plus that many terms.
+    work, real_rhs, seen = count_amice_work(monkeypatch), distribution.interpolation_rhs, []
+
+    def rhs(sign, k, p, n):
+        before = work[n]
+        result = real_rhs(sign, k, p, n)
+        product = (cyclotomic.even_product, cyclotomic.odd_product)[sign.parity](p, k // 2)
+        terms = len(product) if k % 2 != sign.parity else 0
+        assert work[n] - before == cyclotomic._ring_dim(p, n) + terms
+        seen.append(terms)
+        return result
+
+    monkeypatch.setattr(distribution, "interpolation_rhs", rhs)
+    suites.run_suite(name, Prime(p), 3, SeriesPrecision(t_prec=8, p_prec=6))
+    assert len(seen) == 12 and sum(seen) > 0
 
 
 def count_level_work(monkeypatch):
