@@ -75,7 +75,7 @@ SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[.
     # Level n values p^n parents and p^(n+1) children, for both signs.
     "additivity": (lambda p, n: 2 * (p**n + p ** (n + 1)), "valued cosets", _additivity),
     # The Amice checks count, per level n, the dimension of each ring element
-    # built, each term eval_at_zeta or a left side's fold reads, each nonzero
+    # built, each term a left or right side's fold reads, each nonzero
     # coefficient product and each support tuple.  With f = floor(n/2) and c = ceil(n/2), the
     # plus and minus supports have p^f and p^c cosets, and the right side at
     # k is one sparse product of p^(k//2) terms.  amice builds, per sign, n

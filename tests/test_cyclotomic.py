@@ -306,26 +306,12 @@ def test_ring_elements_are_integers_over_one_reduced_denominator(p, n):
     assert a * 3 * Fraction(1, 3) == a and a - a == zero and hash(a - a) == hash(zero)
 
 
-def fraction_element_str(element):
-    """str(element) as it was printed from a Fraction per coefficient: the
-    reference the integer rendering is checked against."""
-    terms = []
-    for e, num in enumerate(element.nums):
-        if num == 0:
-            continue
-        c = Fraction(num, element.den)
-        if e == 0:
-            terms.append(str(c))
-        else:
-            var = "z" if e == 1 else f"z^{e}"
-            terms.append(var if c == 1 else f"{c}*{var}")
-    return " + ".join(terms) if terms else "0"
-
-
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_str_matches_the_fraction_rendering(p, n):
-    # Coefficients negative, zero, +-1 and not in lowest terms against den.
+    # The integer rendering against fraction_str, which prints a Fraction per
+    # coefficient; coefficients negative, zero, +-1 and not in lowest terms
+    # against den.
     rng = random.Random(f"str {p} {n}")
     dim = _ring_dim(p, n)
     for _ in range(30):
@@ -336,11 +322,11 @@ def test_str_matches_the_fraction_rendering(p, n):
             for _ in range(dim)
         ]
         element = CyclotomicElement(p, n, tuple(nums), den)
-        assert str(element) == fraction_element_str(element)
+        assert str(element) == fraction_str(element.coeffs)
     for c in (1, -1, Fraction(2, 4), Fraction(-9, 6), Fraction(5, p)):
         for e in (0, 1, dim - 1):
             element = from_coeffs(p, n, [0] * e + [c])
-            assert str(element) == fraction_element_str(element)
+            assert str(element) == fraction_str(element.coeffs)
     assert str(CyclotomicElement.zero(p, n)) == "0"
 
 
