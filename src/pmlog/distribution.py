@@ -21,9 +21,8 @@ from typing import Callable, Mapping
 from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, Value, pval, store_fields
 from .cyclotomic import (
     CyclotomicElement,
-    SparsePoly,
     _fold,
-    character_sum,
+    _indexed_product,
     even_product,
     odd_product,
 )
@@ -154,26 +153,34 @@ def mu_level(sign: Sign, p: Prime, n: int) -> list[Fraction]:
     return digit_test_level(sign, p, n, Fraction(1, p ** mass_exponent(sign, n)), Fraction(0))
 
 
-def _oracle_product(sign: Sign, p: Prime, n: int) -> tuple[SparsePoly, int]:
-    # The even (plus) or odd (minus) cyclotomic product behind the level-n
-    # values, and the power of p the collapsed character sum is divided by.
+def _oracle_levels(sign: Sign, p: Prime, n: int) -> tuple[int, int, int]:
+    # The even (plus) or odd (minus) cyclotomic levels behind the level-n
+    # values, as their count and the first of them, and the power of p the
+    # collapsed character sum is divided by.
     if p**n > ENUMERATION_CAP:
         raise ResourceCapError(f"{p}^{n} roots of unity exceed the enumeration cap")
-    product = (even_product, odd_product)[sign.parity]
-    return product(p, (n + sign.parity) // 2), (3 * n + 2 + sign.parity) // 2
+    return (n + sign.parity) // 2, 2 - sign.parity, (3 * n + 2 + sign.parity) // 2
 
 
 def mu_oracle(sign: Sign, r: Residue) -> DistValue:
     """The same value recomputed by a root-of-unity character sum.
 
-    Expands the even (plus) or odd (minus) cyclotomic product as a sparse
-    polynomial, shifts its exponents by -a, collapses the full character
-    sum, and rescales.  Independent of the digit test by construction.
+    The character sum of the even (plus) or odd (minus) cyclotomic product,
+    shifted by -a, collapses to p^n times the sum of the product's
+    coefficients at exponents congruent to a mod p^n.  That one class is
+    counted from two half products: the K levels split into a low and a
+    high half, the low half's exponents are folded mod p^n, and each high
+    term e reads the fold at a - e, in p^floor(K/2) + p^ceil(K/2) steps
+    instead of the whole product's p^K.  Independent of the digit test.
     """
     p, n, a = r.p, r.n, r.value
-    poly, scale = _oracle_product(sign, p, n)
-    shifted = {e - a: c for e, c in poly.items()}
-    return DistValue(p, character_sum(p, n, shifted) / p**scale)
+    count, first, scale = _oracle_levels(sign, p, n)
+    low, order, folded = count // 2, p**n, {}
+    for e, c in _indexed_product(p, low, first).items():
+        folded[e % order] = folded.get(e % order, 0) + c
+    high = _indexed_product(p, count - low, first + 2 * low)
+    hits = sum(c * folded.get((a - e) % order, 0) for e, c in high.items())
+    return DistValue(p, Fraction(order * hits, p**scale))
 
 
 def mu_oracle_level(sign: Sign, p: Prime, n: int) -> list[DistValue]:
@@ -182,9 +189,10 @@ def mu_oracle_level(sign: Sign, p: Prime, n: int) -> list[DistValue]:
     The character sum for the coset a collapses to p^n times the sum of
     the product's coefficients at exponents congruent to a mod p^n, so the
     product is expanded once and its exponents folded mod p^n: p^n +
-    p^ceil(n/2) steps for the whole level instead of p^ceil(n/2) per coset.
+    p^ceil(n/2) steps for the whole level instead of one count per coset.
     """
-    poly, scale = _oracle_product(sign, p, n)
+    count, first, scale = _oracle_levels(sign, p, n)
+    poly = _indexed_product(p, count, first)
     order, den = p**n, p**scale
     folded = [0] * order
     for e, c in poly.items():

@@ -2,14 +2,18 @@
 and the interpolation identities."""
 
 import functools
+import itertools
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import pmlog.cli as cli
 import pmlog.distribution as distribution
 from pmlog import (
+    ENUMERATION_CAP,
     CyclotomicElement,
     DistValue,
     Prime,
@@ -17,9 +21,12 @@ from pmlog import (
     Sign,
     StepFunction,
     amice_level,
+    bimu_oracle,
+    character_sum,
     cyclo_poly,
     digit_test_level,
     eval_at_zeta,
+    even_product,
     in_S_minus,
     in_S_plus,
     integrate,
@@ -28,6 +35,7 @@ from pmlog import (
     mu_oracle,
     mu_oracle_level,
     mu_value,
+    odd_product,
     residue_from_integer,
     support_masses,
     total_mass,
@@ -112,6 +120,124 @@ def test_oracle_equivalence(p, max_n):
 def test_mu_oracle_cap():
     with pytest.raises(ResourceCapError):
         mu_oracle(Sign.PLUS, residue_from_integer(0, P2, 21))
+
+
+def patch_everywhere(monkeypatch, name, fake):
+    # Rebind `name` to `fake` in every pmlog module namespace that holds it.
+    patched = 0
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "pmlog" and name in vars(module):
+            monkeypatch.setattr(module, name, fake)
+            patched += 1
+    assert patched, f"no pmlog module holds {name}"
+
+
+def refuse(monkeypatch, names):
+    for name in names:
+
+        def fail(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        patch_everywhere(monkeypatch, name, fail)
+
+
+def full_product_oracle(sign, r):
+    """The point oracle as it was first written: expand the whole even
+    (plus) or odd (minus) product, shift its exponents by -a, and take the
+    full character sum over p^(floor(3n/2) + 1 + parity)."""
+    p, n, a = r.p, r.n, r.value
+    product = (even_product, odd_product)[sign.parity](p, (n + sign.parity) // 2)
+    shifted = {e - a: c for e, c in product.items()}
+    return DistValue(p, character_sum(p, n, shifted) / p ** ((3 * n + 2 + sign.parity) // 2))
+
+
+@pytest.mark.parametrize("p", [P2, P3, P5, Prime(7)])
+def test_mu_oracle_matches_the_full_product_character_sum(p):
+    for sign in SIGNS:
+        n = 1
+        while p**n <= 3000:
+            for a in range(p**n):
+                r = residue_from_integer(a, p, n)
+                new, old = mu_oracle(sign, r), full_product_oracle(sign, r)
+                assert new == old and type(new.value) is type(old.value), (sign, n, a)
+            n += 1
+
+
+@pytest.mark.parametrize("p,max_n", [(P2, 3), (P3, 3), (P5, 2)])
+def test_bimu_oracle_matches_the_full_product_character_sum(p, max_n):
+    cosets = [
+        residue_from_integer(a, p, n) for n in range(1, max_n + 1) for a in range(p**n)
+    ]
+    for signs in itertools.product(SIGNS, repeat=2):
+        for r in itertools.product(cosets, repeat=2):
+            expected = full_product_oracle(signs[0], r[0]) * full_product_oracle(signs[1], r[1])
+            assert bimu_oracle(signs, r) == expected, (signs, r)
+
+
+# The names of each route: the digit test and the closed form built on it,
+# and the cyclotomic products and character sums the oracles are built on.
+DIGIT_ROUTE = (
+    "in_S", "digit_test_level", "mass_exponent", "enumerate_R", "support_masses",
+    "mu_value", "mu_level",
+)
+ORACLE_ROUTE = (
+    "_indexed_product", "even_product", "odd_product", "character_sum", "mu_oracle",
+    "mu_oracle_level",
+)
+
+
+def test_the_oracle_route_runs_without_the_digit_route(monkeypatch):
+    refuse(monkeypatch, DIGIT_ROUTE)
+    for p, sign in itertools.product((P2, P3, P5), SIGNS):
+        for n in range(1, 4):
+            level = mu_oracle_level(sign, p, n)
+            for a in range(p**n):
+                r = residue_from_integer(a, p, n)
+                assert mu_oracle(sign, r) == level[a]
+                assert bimu_oracle((sign, Sign.PLUS), (r, r)) == level[a] * mu_oracle(Sign.PLUS, r)
+            for k in range(1, n + 1):
+                interpolation_rhs(sign, k, p, n)
+
+
+def test_the_digit_route_runs_without_the_oracle_route(monkeypatch):
+    refuse(monkeypatch, ORACLE_ROUTE)
+    for p, sign in itertools.product((P2, P3, P5), SIGNS):
+        for n in range(1, 4):
+            mu_level(sign, p, n)
+            support_masses(sign, p, n)
+            assert all(row[3] for row in verify_additivity(sign, p, n))
+
+
+def test_mu_oracle_refuses_past_the_cap_before_expanding(monkeypatch, capsys):
+    refuse(monkeypatch, ["_indexed_product"])
+    assert P2**21 > ENUMERATION_CAP
+    for sign in SIGNS:
+        with pytest.raises(ResourceCapError):
+            mu_oracle(sign, residue_from_integer(0, P2, 21))
+    argv = ["value", "--oracle", "--sign", "+", "--p", "2", "--n", "21", "--a", "0"]
+    assert cli.main(argv) == 3
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,max_n", [(P2, 14), (P3, 9), (P5, 6), (Prime(7), 5)])
+def test_mu_oracle_builds_two_half_products_not_the_whole(monkeypatch, p, max_n):
+    # The terms of every product the point oracle expands, against the two
+    # halves' p^floor(K/2) + p^ceil(K/2) plus one per factor level; the
+    # whole product alone has p^K.
+    real, built = distribution._indexed_product, []
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        built.append(len(result))
+        return result
+
+    patch_everywhere(monkeypatch, "_indexed_product", counted)
+    rng = random.Random(int(p))
+    for sign, n in itertools.product(SIGNS, range(1, max_n + 1)):
+        built.clear()
+        mu_oracle(sign, residue_from_integer(rng.randrange(p**n), p, n))
+        levels = (n + sign.parity) // 2
+        assert sum(built) <= p ** (levels // 2) + p ** (levels - levels // 2) + levels, (sign, n)
 
 
 @pytest.mark.parametrize("p", [P2, P3, P5, Prime(7), Prime(11), Prime(13)])
