@@ -200,7 +200,8 @@ def character_sum(p: Prime, n: int, weights: Mapping[int, Fraction | int]) -> Fr
     roots gives p^n when p^n divides m and 0 otherwise, so the double sum
     reduces to the weights at exponents divisible by p^n.  The literal
     root-by-root evaluation is the independent check in
-    tests/test_cyclotomic.py.
+    tests/test_cyclotomic.py.  The program's oracles count that collapsed
+    class directly and do not call this; it is the tests' reference.
     """
     order = p**n
     total = Fraction(0)

@@ -5,8 +5,9 @@ The closed form is a digit test: the plus distribution gives a coset
 a + p^n Z_p the value p^(-floor((n+2)/2)) exactly when the even-position
 digits of a vanish, and zero otherwise; the minus distribution uses the
 odd-position digits and exponent floor((n+3)/2).  The oracle recomputes
-the same value by a full root-of-unity sum and shares no code with the
-digit test.
+the same value from a root-of-unity character sum, which collapses to a
+count of one residue class of a cyclotomic product's exponents; two half
+products give that count, and it shares no code with the digit test.
 """
 
 from __future__ import annotations
