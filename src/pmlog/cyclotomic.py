@@ -39,12 +39,13 @@ def cyclo_poly(p: Prime, n: int) -> SparsePoly:
 
 
 def _sparse_mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    # Phi's at distinct levels multiply to distinct exponents, so no term cancels.
     out: SparsePoly = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
             e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
+    return out
 
 
 def _indexed_product(p: Prime, count: int, first: int) -> SparsePoly:

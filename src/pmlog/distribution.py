@@ -12,9 +12,9 @@ products give that count, and it shares no code with the digit test.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -283,46 +283,35 @@ def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Row]]:
     actual, passed) row per k-tuple in 1..n, in order, for each.
 
     The left side integrates x -> zeta_k1^x1 ... zeta_kd^xd against the
-    product of the coordinates' distributions: each tuple of support cosets
-    weighted by the product of their integer mass numerators, folded once
-    over the product of their denominators (one variable folds its
-    coordinate's weights as they are).  The right side is the product of
-    the one-variable closed forms.  Each sign's support and its n right
-    sides are built once, for every sign tuple, and a row whose two sides
-    are equal shares one printed text between them.
+    product of the coordinates' distributions, which give every support
+    coset one mass 1/p^mass_exponent: each coordinate's support cosets
+    counted by exponent, pairs at their exponent sums, over one power of p.
+    The right side is the product of the one-variable closed forms.  Each
+    sign's support and its n right sides are built once, for every sign
+    tuple, and a row whose two sides are equal shares one text between them.
     """
     if not (1 <= d <= 2 and n >= 1):
         raise ValueError("require dimension 1 or 2 and n >= 1")
     order, coordinates = p**n, {}
     for sign in Sign:
-        masses = support_masses(sign, p, n)
-        # The masses as integer numerators over one denominator, for each k
-        # keyed by the exponent of zeta_k^a as a power of the level-n root.
-        den = math.lcm(*(mass.denominator for mass in masses.values()))
-        weights = [{} for _ in range(n)]
-        for a, mass in masses.items():
-            num = mass.numerator * (den // mass.denominator)
-            for k, w in enumerate(weights, start=1):
-                e = a * p ** (n - k) % order
-                w[e] = w.get(e, 0) + num
+        support = support_masses(sign, p, n)
+        # Per k, the support cosets counted by their zeta_k^a as a power of the level-n root.
+        counts = [
+            collections.Counter(a * p ** (n - k) % order for a in support).items()
+            for k in range(1, n + 1)
+        ]
         rhs = [interpolation_rhs(sign, k, p, n) for k in range(1, n + 1)]
-        coordinates[sign] = den, weights, rhs
+        coordinates[sign] = mass_exponent(sign, n), counts, rhs
     names = ["k"] if d == 1 else ["k1", "k2"]
     levels = {}
     for signs in itertools.product(Sign, repeat=d):
-        dens, weights, rhs = zip(*map(coordinates.__getitem__, signs))
-        den, label, rows = math.prod(dens), "".join(map(str, signs)), []
+        exponents, counts, rhs = zip(*map(coordinates.__getitem__, signs))
+        den, label, rows = p ** sum(exponents), "".join(map(str, signs)), []
         for ks in itertools.product(range(1, n + 1), repeat=d):
-            # The support product: each tuple at the sum of its exponents,
-            # weighted by the product of its numerators.
-            terms = weights[0][ks[0] - 1]
-            for w, k in zip(weights[1:], ks[1:]):
-                product: dict[int, int] = {}
-                for (e1, c1), (e2, c2) in itertools.product(terms.items(), w[k - 1].items()):
-                    e = (e1 + e2) % order
-                    product[e] = product.get(e, 0) + c1 * c2
-                terms = product
-            lhs = _fold(terms.items(), p, n, den)
+            terms = counts[0][ks[0] - 1]
+            if d == 2:  # each pair at its exponent sum, which _fold reduces mod p^n
+                terms = [(e1 + e2, c1 * c2) for e1, c1 in terms for e2, c2 in counts[1][ks[1] - 1]]
+            lhs = _fold(terms, p, n, den)
             factors = [r[k - 1] for r, k in zip(rhs, ks)]
             # A right side of the wrong parity is zero, and so is the product.
             zero = next((f for f in factors if f.is_zero()), None)

@@ -3,11 +3,10 @@
 A suite yields its cases as plain (input, expected, actual, passed) rows,
 and the library checks it draws on (verify_additivity, amice_level,
 biamice_check, verify_product_identity) return such rows too, the Amice
-checks one list per sign tuple.  run_suite
-checks every chosen suite's cost against the enumeration cap before any
-work, then prefixes each row's input with its suite's name.  A case stays
-such a row up to the printed report; run_suite makes the one
-VerificationReport.
+checks one list per sign tuple.  run_suite checks every chosen suite's cost
+against the enumeration cap before any work, then makes the one
+VerificationReport, which holds each suite's rows as the suite yields them
+under the suite's name; the report writer puts that name before each input.
 """
 
 from __future__ import annotations
@@ -76,22 +75,23 @@ SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[.
     "additivity": (lambda p, n: 2 * (p**n + p ** (n + 1)), "valued cosets", _additivity),
     # The Amice checks count, per level n, the dimension of each ring element
     # built, each term a left or right side's fold reads, each nonzero
-    # coefficient product and each support tuple.  With f = floor(n/2) and c = ceil(n/2), the
-    # plus and minus supports have p^f and p^c cosets, and the right side at
-    # k is one sparse product of p^(k//2) terms.  amice builds, per sign, n
-    # right sides and n left sides; the bound still counts a scaling of each
-    # left side, which the integer fold no longer makes.
+    # coefficient product and each support tuple.  With f = floor(n/2) and
+    # c = ceil(n/2), the plus and minus supports have p^f and p^c cosets.
+    # amice builds 4n elements over both signs, half of 8n dim; its left
+    # sides fold at most n(p^f + p^c) support counts, and its right sides'
+    # terms (p^(k//2) <= p^f at k) and support tuples fit in (n + 1)(p^f + p^c).
     "amice": (
         lambda p, n: 8 * n * _ring_dim(p, n) + (2 * n + 1) * (p ** (n // 2) + p ** ((n + 1) // 2)),
         "ring coefficients, terms, products and support tuples",
         _amice,
     ),
-    # biamice builds each sign's right sides once, then per sign pair and
-    # (k1, k2) a left side over the support product and a product of right
-    # sides; the bound still counts both coordinates' right sides per pair
-    # and a scaling per left side.  The four pairs have (p^f + p^c)^2 support
-    # tuples, and a coordinate's right sides under p^c (plus) or p^(f+1)
-    # (minus) nonzero coefficients summed over k.
+    # biamice builds each sign's n right sides once, then per sign pair and
+    # (k1, k2) a left side and at most one right-side product: at most
+    # 8n^2 + 2n elements, half of the dim term.  Its left sides fold at most
+    # n^2 (p^f + p^c)^2 pairs of support counts, under the second term with
+    # the support tuples and right-side terms; a coordinate's right sides
+    # have under p^c (plus) or p^(f+1) (minus) nonzero coefficients summed
+    # over k, so the right-side products stay under the third.
     "biamice": (
         lambda p, n: 4 * (4 * n * n + 2 * n) * _ring_dim(p, n)
         + (n + 1) ** 2 * (p ** (n // 2) + p ** ((n + 1) // 2)) ** 2
@@ -104,7 +104,7 @@ SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[.
 
 
 def run_suite(name: str, p: Prime, max_n: int, prec: SeriesPrecision) -> VerificationReport:
-    """Run the suite `name`, or every suite in registry order for "all".
+    """Run the suite `name`, or every suite in registry order for "all", a block each.
 
     Every chosen suite's cost is checked before any suite runs, so a run
     past the cap raises ResourceCapError having done no work.
@@ -122,10 +122,6 @@ def run_suite(name: str, p: Prime, max_n: int, prec: SeriesPrecision) -> Verific
                     f"the {suite} suite up to n={max_n} exceeds the enumeration cap"
                     f" of {ENUMERATION_CAP} {unit}"
                 )
-    cases = [
-        (f"{suite}: {input}", expected, actual, passed)
-        for suite in chosen
-        for input, expected, actual, passed in SUITES[suite][2](p, max_n, prec)
-    ]
+    blocks = [(suite, list(SUITES[suite][2](p, max_n, prec))) for suite in chosen]
     parameters = {"p": int(p), "max_n": max_n, "t_prec": prec.t_prec, "p_prec": prec.p_prec}
-    return VerificationReport(suite=name, parameters=parameters, cases=cases)
+    return VerificationReport(suite=name, parameters=parameters, blocks=blocks)

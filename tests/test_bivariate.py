@@ -24,7 +24,7 @@ from pmlog import (
     StepFunction,
 )
 
-P2, P3 = Prime(2), Prime(3)
+P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
 
 def bisign(token):
@@ -146,7 +146,7 @@ def test_biamice_passes(p):
                 assert passed, label
 
 
-@pytest.mark.parametrize("p,max_n", [(P2, 3), (P3, 2)])
+@pytest.mark.parametrize("p,max_n", [(P2, 3), (P3, 2), (P5, 2)])
 def test_biamice_lhs_matches_coset_pair_scan(p, max_n):
     # the support-product sum must equal the sum over every coset pair
     for s in ALL_BISIGNS:

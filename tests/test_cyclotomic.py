@@ -70,6 +70,16 @@ def test_product_support_matches_R(p, count):
     assert set(odd.values()) == {1}
 
 
+@pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5), Prime(7)])
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_products_of_distinct_levels_keep_every_term(p, count):
+    # No two terms of a product of Phi's at distinct levels share an
+    # exponent, so none merges or cancels: p^count unit coefficients.
+    for product in (even_product(p, count), odd_product(p, count)):
+        assert len(product) == p**count
+        assert all(c == 1 for c in product.values())
+
+
 def test_product_cap():
     with pytest.raises(ResourceCapError):
         even_product(Prime(3), 14)

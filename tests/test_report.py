@@ -33,14 +33,14 @@ def random_report(rng, cases):
         "sign": random_text(rng),
         random_text(rng) + "k": random_text(rng),
     }
-    return VerificationReport(
-        suite=random_text(rng),
-        parameters=parameters,
-        cases=[
-            (random_text(rng), random_text(rng), random_text(rng), rng.random() < 0.8)
-            for _ in range(cases)
-        ],
-    )
+    rows = [
+        (random_text(rng), random_text(rng), random_text(rng), rng.random() < 0.8)
+        for _ in range(cases)
+    ]
+    # The rows split into one to three blocks, each under its own suite name.
+    cuts = sorted(rng.randrange(cases + 1) for _ in range(rng.randrange(3)))
+    blocks = [(random_text(rng), rows[i:j]) for i, j in zip([0, *cuts], [*cuts, cases])]
+    return VerificationReport(suite=random_text(rng), parameters=parameters, blocks=blocks)
 
 
 class Recorder:
@@ -79,13 +79,34 @@ def test_writer_matches_json_dumps_on_seeded_reports(seed):
 
 
 def test_writer_matches_json_dumps_on_failing_and_empty_reports():
-    failing = VerificationReport("oracle", {"p": 3}, [('a"b', "1/9", "0", False)])
+    failing = VerificationReport("oracle", {"p": 3}, [("oracle", [('a"b', "1/9", "0", False)])])
     assert failing.to_json_dict()["overall_pass"] is False
-    mixed = VerificationReport("oracle", {"p": 3}, [("a", "1", "1", True), ("b", "1", "0", False)])
+    rows = [("a", "1", "1", True), ("b", "1", "0", False)]
+    mixed = VerificationReport("oracle", {"p": 3}, [("oracle", rows)])
     empty = VerificationReport("additivity", {"p": 2, "max_n": 1}, [])
     bare = VerificationReport("all", {})
     for report in (failing, mixed, empty, bare):
         assert written(report) == reference(report)
+
+
+ROWS = [("n=1 a=0", "1/4", "1/4", True), ("n=1 a=1", "0", "1/4", False)]
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [],
+        [("oracle", []), ("amice", [])],
+        [("oracle", ROWS), ("additivity", []), ("amice", ROWS[:1]), ("logproduct", ROWS)],
+        [("".join(AWKWARD), ROWS), (AWKWARD[-1], ROWS[1:])],
+    ],
+    ids=["no-blocks", "empty-blocks", "all", "awkward-names"],
+)
+def test_writer_matches_json_dumps_on_blocks(blocks):
+    # With no case at all, "cases" closes as "[]" however many blocks there are.
+    report = VerificationReport("all", {"p": 2, "max_n": 1}, blocks)
+    assert written(report) == reference(report)
+    assert report.to_json_dict()["overall_pass"] is all(ok for _, rows in blocks for *_, ok in rows)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, WRITE_BLOCK + 1])
@@ -94,21 +115,21 @@ def test_writer_writes_a_block_of_cases_at_a_time(extra):
     header = random_report(rng, cases=0)
     cases = [(f"n={i} {random_text(rng)}", "1/4", "1/4", True) for i in range(WRITE_BLOCK + extra)]
     cases[extra] = (cases[extra][0], "1/4", "0", False)
-    report = VerificationReport(header.suite, header.parameters, cases)
+    report = VerificationReport(header.suite, header.parameters, [(header.suite, cases)])
     sink = Recorder()
     write_report(report, sink)
     assert "".join(sink.writes) == reference(report)
     # The header, then each block of cases, and no write of the whole report.
     per_write = [text.count('"input": ') for text in sink.writes]
-    assert sum(per_write) == len(report.cases)
+    assert sum(per_write) == len(cases)
     assert len(sink.writes) >= 3
     assert max(per_write) <= WRITE_BLOCK
 
 
 def test_writer_escapes_each_distinct_tail_once(monkeypatch):
     tails = [("1/9", "1/9", True), ("0", "0", True), ("1/9", "0", False), ('"0"', "0", False)]
-    cases = [(f"oracle: sign=+ n=9 a={a}", *tails[a % 7 % 4]) for a in range(3**9)]
-    report = VerificationReport("oracle", {"p": 3, "max_n": 9}, cases)
+    rows = [(f"sign=+ n=9 a={a}", *tails[a % 7 % 4]) for a in range(3**9)]
+    report = VerificationReport("oracle", {"p": 3, "max_n": 9}, [("oracle", rows)])
     calls = []
     real = report_module.encode_basestring_ascii
     monkeypatch.setattr(
@@ -117,8 +138,9 @@ def test_writer_escapes_each_distinct_tail_once(monkeypatch):
     out = written(report)
     monkeypatch.undo()
     assert out == reference(report)
-    # One escape per input, two per distinct tail; the header goes through json.dumps.
-    assert len(calls) == 3**9 + 2 * len(tails)
+    # One escape per input, two per distinct tail and one per block's suite
+    # name; the header goes through json.dumps.
+    assert len(calls) == 3**9 + 2 * len(tails) + 1
 
 
 @pytest.mark.parametrize("suite", ["all", "logproduct"])

@@ -127,7 +127,9 @@ def test_the_registry_adds_only_the_suite_prefix(name, p, max_n):
     report = suites.run_suite(name, Prime(p), max_n, prec)
     rows = list(library_rows(name, Prime(p), max_n, prec))
     assert rows
-    assert report.cases == [(f"{name}: {i}", e, a, ok) for i, e, a, ok in rows]
+    assert report.blocks == [(name, rows)]
+    inputs = [case["input"] for case in report.to_json_dict()["cases"]]
+    assert inputs == [f"{name}: {i}" for i, *_ in rows]
 
 
 @pytest.mark.parametrize("module", [distribution, bivariate, series])
@@ -158,7 +160,8 @@ def test_amice_suites_build_each_support_and_right_side_once_per_level(
     rights = count_calls(monkeypatch, "interpolation_rhs")
     report = suites.run_suite(name, Prime(p), 3, SeriesPrecision(t_prec=8, p_prec=6))
     # every sign tuple's n^d rows per level, all passing
-    assert report.passed and len(report.cases) == 2**d * sum(n**d for n in range(1, 4))
+    [(_, rows)] = report.blocks
+    assert report.passed and len(rows) == 2**d * sum(n**d for n in range(1, 4))
     # one support per (sign, n) and one right side per (sign, k, n), shared
     # by all 2^d sign tuples
     assert supports == collections.Counter((s, p, n) for s in Sign for n in range(1, 4))
@@ -224,15 +227,65 @@ def count_amice_work(monkeypatch):
     return work
 
 
+def largest_max_n(cost, p):
+    # The largest max_n whose levels' costs add up to no more than the cap.
+    top, total = 0, 0
+    while total + cost(p, top + 1) <= ENUMERATION_CAP:
+        top, total = top + 1, total + cost(p, top + 1)
+    return top
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("name", ["amice", "biamice"])
 def test_amice_suites_do_no_more_work_per_level_than_they_declare(monkeypatch, name, p):
     cost, prec = suites.SUITES[name][0], SeriesPrecision(t_prec=8, p_prec=6)
-    top, total = 0, 0  # the largest max_n within the cap
-    while total + cost(p, top + 1) <= ENUMERATION_CAP:
-        top, total = top + 1, total + cost(p, top + 1)
+    top = largest_max_n(cost, p)
     work = count_amice_work(monkeypatch)
-    assert all(passed for *_, passed in suites.run_suite(name, Prime(p), top, prec).cases)
+    assert suites.run_suite(name, Prime(p), top, prec).passed
+    assert sorted(work) == list(range(1, top + 1))
+    assert all(work[n] <= cost(p, n) for n in work), (dict(work), [cost(p, n) for n in work])
+    with pytest.raises(ResourceCapError):
+        suites.run_suite(name, Prime(p), top + 1, prec)
+
+
+def count_declared_work(monkeypatch, name):
+    # The oracle and additivity suites' work per level n over both signs, in
+    # the units their declared costs count: for oracle, the p^n cosets
+    # mu_oracle_level folds and the terms of the product it reads; for
+    # additivity, the p^n parents and p^(n+1) children verify_additivity
+    # values with the digit test.
+    work, running = collections.Counter(), []
+    check = {"oracle": "mu_oracle_level", "additivity": "verify_additivity"}[name]
+    inner = {"oracle": "_indexed_product", "additivity": "digit_test_level"}[name]
+    real_check, real_inner = getattr(distribution, check), getattr(distribution, inner)
+
+    def level(sign, p, n):
+        running.append(n)
+        try:
+            result = real_check(sign, p, n)
+        finally:
+            running.pop()
+        if name == "oracle":
+            work[n] += len(result)  # one folded class per coset
+        return result
+
+    def counted(*args):
+        result = real_inner(*args)
+        work[running[-1]] += len(result)
+        return result
+
+    monkeypatch.setattr(suites, check, level)
+    monkeypatch.setattr(distribution, inner, counted)
+    return work
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", ["oracle", "additivity"])
+def test_level_suites_do_no_more_work_per_level_than_they_declare(monkeypatch, name, p):
+    cost, prec = suites.SUITES[name][0], SeriesPrecision(t_prec=8, p_prec=6)
+    top = largest_max_n(cost, p)
+    work = count_declared_work(monkeypatch, name)
+    assert suites.run_suite(name, Prime(p), top, prec).passed
     assert sorted(work) == list(range(1, top + 1))
     assert all(work[n] <= cost(p, n) for n in work), (dict(work), [cost(p, n) for n in work])
     with pytest.raises(ResourceCapError):

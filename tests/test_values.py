@@ -46,7 +46,7 @@ def fields(cls):
         VerificationReport: lambda: {
             "suite": "oracle",
             "parameters": {"p": 3},
-            "cases": [("a", "1/9", "1/9", True)],
+            "blocks": [("oracle", [("a", "1/9", "1/9", True)])],
         },
     }[cls]()
 
@@ -59,7 +59,7 @@ CHANGED = {
     CyclotomicElement: {"den": 1},
     SeriesPrecision: {"p_prec": 5},
     TruncatedSeries: {"guarantees": (4, 3)},
-    VerificationReport: {"cases": []},
+    VerificationReport: {"blocks": []},
 }
 
 CLASSES = list(CHANGED)
@@ -166,9 +166,9 @@ def test_pickle_and_copy_round_trips(cls):
 
 def test_copies_of_a_report_share_or_copy_its_cases_like_a_dataclass():
     report = make(VerificationReport)
-    assert copy.copy(report).cases is report.cases
+    assert copy.copy(report).blocks is report.blocks
     deep = copy.deepcopy(report)
-    assert deep.cases is not report.cases and deep.cases == report.cases
+    assert deep.blocks is not report.blocks and deep.blocks == report.blocks
 
 
 REFUSED = [
@@ -233,6 +233,6 @@ def test_series_compare_by_value_not_by_numerators():
 
 def test_reports_built_without_cases_do_not_share_a_list():
     a, b = VerificationReport("oracle", {}), VerificationReport(suite="oracle", parameters={})
-    assert a.cases == [] and a.cases is not b.cases
-    a.cases.append(("a", "1", "1", True))
-    assert b.cases == []
+    assert a.blocks == [] and a.blocks is not b.blocks
+    a.blocks.append(("oracle", [("a", "1", "1", True)]))
+    assert b.blocks == []
