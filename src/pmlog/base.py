@@ -1,16 +1,29 @@
-"""Shared primitives: the plus/minus selector, resource limits, p-adic valuation, value classes."""
+"""Shared primitives: plus/minus selector, resource limits, p-adic valuation, values, levels."""
 
 from __future__ import annotations
 
 import enum
+import itertools
 from fractions import Fraction
+from typing import Callable
 
 # Largest exhaustive enumeration (set size, root count, coset count) any
 # operation will attempt before raising ResourceCapError.
 ENUMERATION_CAP = 10**6
 
-# One checked case of a verify suite: (input, expected, actual, passed).
-Row = tuple[str, str, str, bool]
+# A level of a verify suite's cases, (prefix, labels, suffix, texts, index):
+# case i has the input prefix + str(labels[i]) + suffix and the (expected,
+# actual, passed) text texts[index[i]], and every text is some case's.
+Level = tuple[str, range, str, list[tuple[str, str, bool]], list[int]]
+
+
+def level(prefix: str, suffix: str, keys: list, text: Callable[[int], tuple], start=0) -> Level:
+    """The level of cases start, start + 1, ... with keys: cases of one key share
+    one text, text(i) of one case i of it, and the texts follow the keys' first order."""
+    last = dict(zip(keys, itertools.count()))
+    number = dict(zip(last, itertools.count()))
+    index = list(map(number.__getitem__, keys))
+    return prefix, range(start, start + len(index)), suffix, list(map(text, last.values())), index
 
 
 class ResourceCapError(Exception):

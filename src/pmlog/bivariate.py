@@ -8,7 +8,7 @@ a pair of Signs and a coset a pair of Residues, one per coordinate.
 
 from __future__ import annotations
 
-from .base import Row, Sign
+from .base import Level, Sign
 from .digits import Prime, Residue
 from .distribution import DistValue, amice_level, mu_oracle, mu_value
 
@@ -26,8 +26,8 @@ def bimu_oracle(signs: tuple[Sign, Sign], cosets: tuple[Residue, Residue]) -> Di
     return first * second
 
 
-def biamice_check(p: Prime, n: int) -> dict[tuple[Sign, Sign], list[Row]]:
+def biamice_check(p: Prime, n: int) -> dict[tuple[Sign, Sign], list[Level]]:
     """The two-dimensional interpolation identity at level n for each of the
-    four sign pairs: one row per (k1, k2), the one-variable check taken
-    coordinate by coordinate."""
+    four sign pairs: one level per k1 of one case per k2, the one-variable
+    check taken coordinate by coordinate."""
     return amice_level(2, p, n)

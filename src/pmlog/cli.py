@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
     report = run_suite(args.suite, p, args.max_n, prec)
     wall_time_ms = (time.perf_counter() - started) * 1000.0
     write_report(report, sys.stdout)
-    cases = sum(len(rows) for _, rows in report.blocks)
+    cases = sum(len(index) for _, levels in report.blocks for *_, index in levels)
     print(f"suite {args.suite}: {cases} cases in {wall_time_ms:.1f} ms", file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign, Value, pval, store_fields
+from .base import ENUMERATION_CAP, Level, ResourceCapError, Sign, Value, level, pval, store_fields
 from .cyclotomic import (
     CyclotomicElement,
     _fold,
@@ -277,10 +277,10 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
     return _fold(((e * zeta_exp, c) for e, c in product.items()), p, n, p ** (k // 2 + 1))
 
 
-def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Row]]:
+def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Level]]:
     """The level-n interpolation identity on Z_p^d, d of 1 or 2, for every
-    tuple of d signs in itertools.product order: one (input, expected,
-    actual, passed) row per k-tuple in 1..n, in order, for each.
+    tuple of d signs in itertools.product order: a list of levels for each,
+    one labelled by k in 1..n, or one per k1 labelled by k2.
 
     The left side integrates x -> zeta_k1^x1 ... zeta_kd^xd against the
     product of the coordinates' distributions, which give every support
@@ -288,7 +288,7 @@ def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Row]]:
     counted by exponent, pairs at their exponent sums, over one power of p.
     The right side is the product of the one-variable closed forms.  Each
     sign's support and its n right sides are built once, for every sign
-    tuple, and a row whose two sides are equal shares one text between them.
+    tuple, and a case whose two sides are equal shares one text between them.
     """
     if not (1 <= d <= 2 and n >= 1):
         raise ValueError("require dimension 1 or 2 and n >= 1")
@@ -302,11 +302,10 @@ def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Row]]:
         ]
         rhs = [interpolation_rhs(sign, k, p, n) for k in range(1, n + 1)]
         coordinates[sign] = mass_exponent(sign, n), counts, rhs
-    names = ["k"] if d == 1 else ["k1", "k2"]
     levels = {}
     for signs in itertools.product(Sign, repeat=d):
         exponents, counts, rhs = zip(*map(coordinates.__getitem__, signs))
-        den, label, rows = p ** sum(exponents), "".join(map(str, signs)), []
+        den, label, texts = p ** sum(exponents), "".join(map(str, signs)), []
         for ks in itertools.product(range(1, n + 1), repeat=d):
             terms = counts[0][ks[0] - 1]
             if d == 2:  # each pair at its exponent sum, which _fold reduces mod p^n
@@ -316,18 +315,20 @@ def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Row]]:
             # A right side of the wrong parity is zero, and so is the product.
             zero = next((f for f in factors if f.is_zero()), None)
             expected = functools.reduce(operator.mul, factors) if zero is None else zero
-            ks_label = " ".join(f"{name}={k}" for name, k in zip(names, ks))
-            case, passed = f"sign={label} {ks_label} n={n}", lhs == expected
-            text = str(expected)  # two equal sides print one text
-            rows.append((case, text, text if passed else str(lhs), passed))
-        levels[signs] = rows
+            passed, text = lhs == expected, str(expected)  # two equal sides print one text
+            texts.append((text, text if passed else str(lhs), passed))
+        # One level labelled by k, or one per k1 labelled by k2: n cases each, as built.
+        prefixes = [f"k1={k1} k2=" for k1 in range(1, n + 1)] if d == 2 else ["k="]
+        levels[signs] = [
+            level(f"sign={label} {prefix}", f" n={n}", cases, cases.__getitem__, 1)
+            for prefix, cases in zip(prefixes, (texts[i : i + n] for i in range(0, n**d, n)))
+        ]
     return levels
 
 
-def verify_additivity(sign: Sign, p: Prime, n: int) -> list[Row]:
+def verify_additivity(sign: Sign, p: Prime, n: int) -> Level:
     """Check that refining every coset mod p^n into its p children mod p^(n+1)
-    preserves the assigned mass: one (input, expected, actual, passed) row
-    per coset."""
+    preserves the assigned mass: a level of one case per coset a."""
     modulus = p**n
     # Both levels as integer numerators over the children's denominator
     # p^e, placed by the digit test: a child in the support has numerator
@@ -339,10 +340,10 @@ def verify_additivity(sign: Sign, p: Prime, n: int) -> list[Row]:
     # The children of a mod p^n are a + j p^n, j < p: the j-th block of p^n.
     totals = map(sum, zip(*(children[j * modulus : (j + 1) * modulus] for j in range(p))))
     pairs = list(zip(parents, totals))
+
+    def text(a: int) -> tuple[str, str, bool]:
+        parent, total = pairs[a]
+        return str(Fraction(parent, den)), str(Fraction(total, den)), parent == total
+
     # A level has few distinct (parent, total) pairs; each is printed once.
-    texts = {
-        pair: (str(Fraction(pair[0], den)), str(Fraction(pair[1], den)), pair[0] == pair[1])
-        for pair in set(pairs)
-    }
-    prefix, suffix = f"n={n} sign={sign.value} a=", f" mod {p}^{n}"
-    return [(f"{prefix}{a}{suffix}", *texts[pair]) for a, pair in enumerate(pairs)]
+    return level(f"n={n} sign={sign.value} a=", f" mod {p}^{n}", pairs, text)

@@ -1,18 +1,18 @@
-"""Reports of the identity suites: base.Row cases in a block per suite, from check to JSON."""
+"""Reports of the identity suites: base.Level cases in a block per suite, from check to JSON."""
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
 
-from .base import Row, Value, store_fields
+from .base import Level, Value, store_fields
 
-Block = tuple[str, list[Row]]
+Block = tuple[str, list[Level]]
 
 
 class VerificationReport(Value, fields=("suite", "parameters", "blocks")):
-    """One verify run: a (suite name, rows) block per suite run, the rows as
-    the suite yields them; a case's input is "<suite name>: " + its row's.
+    """One verify run: a (suite name, levels) block per suite run, the levels as
+    the suite yields them; a case's input is "<suite name>: " + its level's.
     Read-only like the other values; its parameters dict makes it unhashable."""
 
     __slots__ = ()
@@ -22,7 +22,8 @@ class VerificationReport(Value, fields=("suite", "parameters", "blocks")):
 
     @property
     def passed(self) -> bool:
-        return all(passed for _, rows in self.blocks for *_, passed in rows)
+        # Every text of a level is some case's, so its texts hold every verdict.
+        return all(ok for _, levels in self.blocks for *_, texts, _ in levels for *_, ok in texts)
 
     def to_json_dict(self) -> dict:
         # Timing is deliberately excluded: reports must be byte-identical
@@ -34,9 +35,10 @@ class VerificationReport(Value, fields=("suite", "parameters", "blocks")):
             "parameters": dict(self.parameters),
             "overall_pass": self.passed,
             "cases": [
-                {"input": f"{name}: {input}", "expected": expected, "actual": actual, "pass": ok}
-                for name, rows in self.blocks
-                for input, expected, actual, ok in rows
+                {"input": f"{name}: {pre}{label}{post}", "expected": e, "actual": a, "pass": ok}
+                for name, levels in self.blocks
+                for pre, labels, post, texts, index in levels
+                for label, (e, a, ok) in zip(labels, map(texts.__getitem__, index))
             ],
         }
 
@@ -45,43 +47,39 @@ class VerificationReport(Value, fields=("suite", "parameters", "blocks")):
 WRITE_BLOCK = 4096
 
 # A case as json.dumps(..., indent=2) lays it out: _OPEN, its escaped input,
-# then the tail of its (expected, actual, passed) fields; cases are joined
-# by a comma.
+# then the tail of its (expected, actual, passed) fields, which starts with
+# the rest of the input after its label; cases are joined by a comma.
 _OPEN = '\n    {\n      "input": '
-_TAIL = ',\n      "expected": {},\n      "actual": {},\n      "pass": {}\n    }}'
+_TAIL = '{},\n      "expected": {},\n      "actual": {},\n      "pass": {}\n    }}'
 
 
 def write_report(report: VerificationReport, out) -> None:
     """Write exactly json.dumps(report.to_json_dict(), indent=2) + "\\n" to out.
 
     It writes from report.blocks, at most WRITE_BLOCK cases per out.write,
-    and makes no per-case dict and no string of the whole report.  Only the
-    header goes through json.dumps, whose encoder is pure Python with an
-    indent.  A report's cases share few (expected, actual, passed) tails,
-    so each distinct tail is escaped and formatted once.  Escaping a
-    concatenation gives the concatenation of the escaped parts, so each
-    block's "<suite name>: " is escaped once, and each row's input by the C
-    string encoder that json.dumps uses.
+    with no per-case dict and no string of the whole report; only the header
+    goes through json.dumps, whose encoder is pure Python with an indent.
+    Escaping a concatenation gives the concatenation of the escaped parts,
+    and an integer label needs no escaping, so each level's "<suite name>: "
+    + prefix and its suffix are escaped once, its few texts are escaped and
+    formatted once into tails that start with the suffix, and a case is its
+    label between the two.
     """
-    tails = dict.fromkeys(row[1:] for _, rows in report.blocks for row in rows)
-    for expected, actual, passed in tails:
-        tails[expected, actual, passed] = _TAIL.format(
-            encode_basestring_ascii(expected),
-            encode_basestring_ascii(actual),
-            "true" if passed else "false",
-        )
+    escape = encode_basestring_ascii  # the C string encoder json.dumps uses
     header = {"suite": report.suite, "parameters": report.parameters, "overall_pass": report.passed}
     # The header's text ends in "\n}"; the cases go in before that brace.
     out.write(json.dumps(header, indent=2)[:-2] + ',\n  "cases": [')
     comma = ""
-    for name, rows in report.blocks:
-        # The escaped prefix less its closing quote, each input less its opening one.
-        opening = _OPEN + encode_basestring_ascii(f"{name}: ")[:-1]
-        for start in range(0, len(rows), WRITE_BLOCK):
-            texts = [
-                f"{opening}{encode_basestring_ascii(input)[1:]}{tails[expected, actual, passed]}"
-                for input, expected, actual, passed in rows[start : start + WRITE_BLOCK]
+    for name, levels in report.blocks:
+        for prefix, labels, suffix, texts, index in levels:
+            # The escaped prefix less its closing quote, the suffix less its opening one.
+            opening, closing = _OPEN + escape(f"{name}: {prefix}")[:-1], escape(suffix)[1:]
+            tails = [
+                _TAIL.format(closing, escape(e), escape(a), "true" if ok else "false")
+                for e, a, ok in texts
             ]
-            out.write(comma + ",".join(texts))
-            comma = ","
+            for start in range(0, len(index), WRITE_BLOCK):
+                cases = zip(labels[start : start + WRITE_BLOCK], index[start : start + WRITE_BLOCK])
+                out.write(comma + ",".join([f"{opening}{label}{tails[i]}" for label, i in cases]))
+                comma = ","
     out.write("\n  ]\n}\n" if comma else "]\n}\n")

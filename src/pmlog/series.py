@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import count, islice, pairwise
 from operator import add, mul
 
-from .base import ConvergenceError, Row, Sign, Value, pval, store_fields
+from .base import ConvergenceError, Level, Sign, Value, level, pval, store_fields
 from .digits import Prime
 
 # Hard bound on the number of partial-product factors.
@@ -265,13 +265,12 @@ def build_log_pm(p: Prime, sign: Sign, prec: SeriesPrecision) -> TruncatedSeries
     return product.scale(Fraction(1, p))
 
 
-def verify_product_identity(p: Prime, prec: SeriesPrecision) -> list[Row]:
+def verify_product_identity(p: Prime, prec: SeriesPrecision) -> Level:
     """Check p^2 * T * log_plus * log_minus against the classical logarithm.
 
-    Gives one (input, expected, actual, passed) row for every T-power below
-    t_prec: the valuation of the residual and the guaranteed bound it must
-    meet; a coefficient passes when the residual vanishes or its valuation
-    reaches the bound.
+    Gives a level of one case T^k for every k below t_prec: the valuation
+    of the residual and the guaranteed bound it must meet; a coefficient
+    passes when the residual vanishes or its valuation reaches the bound.
     """
     log_plus = build_log_pm(p, Sign.PLUS, prec)
     log_minus = build_log_pm(p, Sign.MINUS, prec)
@@ -281,7 +280,7 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> list[Row]:
     den = math.lcm(lhs.den, classical.den)
     el, ec = den // lhs.den, den // classical.den
     shift = pval(den, p)
-    rows = []
+    texts = []
     for k in range(prec.t_prec):
         if k == 0:
             residual = 0  # both sides have no constant term
@@ -291,8 +290,8 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> list[Row]:
             bound = min(lhs.guarantees[k - 1], classical.guarantees[k])
         v = None if residual == 0 else pval(residual, p) - shift
         actual = "v_p(residual) = " + ("exact" if v is None else str(v))
-        rows.append((f"T^{k}", f"v_p(residual) >= {bound}", actual, v is None or v >= bound))
-    return rows
+        texts.append((f"v_p(residual) >= {bound}", actual, v is None or v >= bound))
+    return level("T^", "", texts, texts.__getitem__)
 
 
 def dump_dict(s: TruncatedSeries, sign: Sign, coeffs: tuple[Fraction, ...]) -> dict:

@@ -1,12 +1,13 @@
 """The identity verification suites, as one registry.
 
-A suite yields its cases as plain (input, expected, actual, passed) rows,
-and the library checks it draws on (verify_additivity, amice_level,
-biamice_check, verify_product_identity) return such rows too, the Amice
-checks one list per sign tuple.  run_suite checks every chosen suite's cost
-against the enumeration cap before any work, then makes the one
-VerificationReport, which holds each suite's rows as the suite yields them
-under the suite's name; the report writer puts that name before each input.
+A suite yields its cases as levels (base.Level): a prefix, integer labels and
+a suffix make each case's input, and each case indexes one of its level's few
+(expected, actual, passed) texts.  The library checks behind the suites
+(verify_additivity, amice_level, biamice_check, verify_product_identity)
+return levels too, the Amice checks a list per sign tuple.  run_suite checks
+every chosen suite's cost against the enumeration cap before any work, then
+makes the one VerificationReport, which holds each suite's levels under the
+suite's name; the report writer puts that name before each input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import itertools
 from typing import Callable, Iterator
 
-from .base import ENUMERATION_CAP, ResourceCapError, Row, Sign
+from .base import ENUMERATION_CAP, Level, ResourceCapError, Sign, level
 from .bivariate import biamice_check
 from .cyclotomic import _ring_dim
 from .digits import Prime
@@ -23,49 +24,47 @@ from .distribution import amice_level, mu_level, mu_oracle_level, verify_additiv
 from .report import VerificationReport
 from .series import SeriesPrecision, verify_product_identity
 
-Rows = Iterator[Row]
+Levels = Iterator[Level]
 
 
-def _oracle(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
+def _oracle(p: Prime, max_n: int, prec: SeriesPrecision) -> Levels:
     for sign in Sign:
         for n in range(1, max_n + 1):
-            oracle = mu_oracle_level(sign, p, n)
-            values = mu_level(sign, p, n)
+            oracle, values = mu_oracle_level(sign, p, n), mu_level(sign, p, n)
             # Both levels share one object per distinct value, so each pair
-            # of objects is printed and compared once, not once per coset.
-            pairs = list(zip(map(id, oracle), map(id, values), strict=True))
-            texts = {
-                pair: (str(o.value), str(v), o.value == v)
-                for pair, (o, v) in dict(zip(pairs, zip(oracle, values))).items()
-            }
-            prefix = f"sign={sign.value} n={n} a="
-            yield from [(f"{prefix}{a}", *texts[pair]) for a, pair in enumerate(pairs)]
+            # of objects, keyed by their ids, is printed and compared once.
+            yield level(
+                f"sign={sign.value} n={n} a=",
+                "",
+                list(zip(map(id, oracle), map(id, values), strict=True)),
+                lambda a: (str(oracle[a].value), str(values[a]), oracle[a].value == values[a]),
+            )
 
 
-def _additivity(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
+def _additivity(p: Prime, max_n: int, prec: SeriesPrecision) -> Levels:
     for sign in Sign:
         for n in range(1, max_n + 1):
-            yield from verify_additivity(sign, p, n)
+            yield verify_additivity(sign, p, n)
 
 
-def _amice(p: Prime, max_n: int, prec: SeriesPrecision, d: int = 1) -> Rows:
-    # amice (d = 1) and biamice (d = 2): each level is built once, for every
-    # sign tuple, and the rows go out sign tuple by sign tuple, then level by
-    # level.  Two variables go through biamice_check, the span the benchmark times.
-    levels = [amice_level(1, p, n) if d == 1 else biamice_check(p, n) for n in range(1, max_n + 1)]
+def _amice(p: Prime, max_n: int, prec: SeriesPrecision, d: int = 1) -> Levels:
+    # amice (d = 1) and biamice (d = 2): each level n is built once, for every
+    # sign tuple, and goes out sign tuple by sign tuple, then n by n.  Two
+    # variables go through biamice_check, the span the benchmark times.
+    built = [amice_level(1, p, n) if d == 1 else biamice_check(p, n) for n in range(1, max_n + 1)]
     for signs in itertools.product(Sign, repeat=d):
-        for rows in levels:
-            yield from rows[signs]
+        for levels in built:
+            yield from levels[signs]
 
 
-def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Rows:
-    yield from verify_product_identity(p, prec)
+def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Levels:
+    yield verify_product_identity(p, prec)
 
 
-# Each suite, in the order `all` runs them, as (cost, unit, rows): cost(p, n)
-# is the work of level n in the unit named, or None for a suite not bounded
-# by level; rows(p, max_n, prec) yields the suite's cases.
-SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[..., Rows]]] = {
+# Each suite, in the order `all` runs them, as (cost, unit, levels): cost(p,
+# n) is the work of level n in the unit named, or None for a suite not
+# bounded by level; levels(p, max_n, prec) yields the suite's cases.
+SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[..., Levels]]] = {
     # Cosets times product-polynomial terms, p^n * p^ceil(n/2) per level
     # over both signs: the cost of one character sum per coset.  Folding
     # one product per level costs only p^n + p^ceil(n/2), so the bound is

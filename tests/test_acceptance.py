@@ -30,6 +30,7 @@ from pmlog import (
     zeta_power,
 )
 import pmlog.cli as cli
+from level_rows import rows
 
 SIGNS = (Sign.PLUS, Sign.MINUS)
 BISIGNS = tuple(tuple(map(Sign.from_str, t)) for t in ("++", "+-", "-+", "--"))
@@ -85,7 +86,7 @@ def test_criterion_4_product_identity():
     prec = SeriesPrecision(t_prec=10, p_prec=6)
     ok = True
     for p in (Prime(2), Prime(3), Prime(5)):
-        if not all(passed for *_, passed in verify_product_identity(p, prec)):
+        if not all(passed for *_, passed in rows(verify_product_identity(p, prec))):
             ok = False
     _conclude(4, "p^2 T log+ log- matches the classical logarithm at (N=10, M=6)", ok)
 
@@ -95,7 +96,7 @@ def test_criterion_5_additivity():
     for p, max_n in ((Prime(2), 5), (Prime(3), 3), (Prime(5), 3)):
         for sign in SIGNS:
             for n in range(1, max_n + 1):
-                if not all(passed for *_, passed in verify_additivity(sign, p, n)):
+                if not all(passed for *_, passed in rows(verify_additivity(sign, p, n))):
                     ok = False
     _conclude(5, "coset masses are additive under refinement", ok)
 
@@ -115,8 +116,8 @@ def test_criterion_6_two_variable_products():
                             if bimu_value(s, r).value != bimu_oracle(s, r).value:
                                 ok = False
             for n in range(1, 3):
-                rows = biamice_check(p, n)[s]
-                if len(rows) != n * n or not all(passed for *_, passed in rows):
+                cases = rows(*biamice_check(p, n)[s])
+                if len(cases) != n * n or not all(passed for *_, passed in cases):
                     ok = False
     _conclude(6, "two-variable values factor and interpolate coordinatewise", ok)
 

@@ -23,6 +23,7 @@ from pmlog import (
     residue_from_integer,
     StepFunction,
 )
+from level_rows import rows
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -138,11 +139,11 @@ def pairs(n):
 def test_biamice_passes(p):
     for s in ALL_BISIGNS:
         for n in range(1, 3):
-            rows = biamice_check(p, n)[s]
+            cases = rows(*biamice_check(p, n)[s])
             token = "".join(map(str, s))
             labels = [f"sign={token} k1={k1} k2={k2} n={n}" for k1, k2 in pairs(n)]
-            assert [label for label, *_ in rows] == labels
-            for label, _, _, passed in rows:
+            assert [label for label, *_ in cases] == labels
+            for label, _, _, passed in cases:
                 assert passed, label
 
 
@@ -151,7 +152,8 @@ def test_biamice_lhs_matches_coset_pair_scan(p, max_n):
     # the support-product sum must equal the sum over every coset pair
     for s in ALL_BISIGNS:
         for n in range(1, max_n + 1):
-            for (k1, k2), (_, _, actual, _) in zip(pairs(n), biamice_check(p, n)[s], strict=True):
+            cases = rows(*biamice_check(p, n)[s])
+            for (k1, k2), (_, _, actual, _) in zip(pairs(n), cases, strict=True):
                 weights = {}
                 for a in range(p**n):
                     for b in range(p**n):
@@ -167,8 +169,8 @@ def test_biamice_parity_mismatch_is_zero_on_both_sides():
 
     s = bisign("+-")
     p, n, k1, k2 = P3, 2, 2, 2
-    rows = {label: row for label, *row in biamice_check(p, n)[s]}
-    expected, actual, passed = rows[f"sign=+- k1={k1} k2={k2} n={n}"]
+    cases = {label: row for label, *row in rows(*biamice_check(p, n)[s])}
+    expected, actual, passed = cases[f"sign=+- k1={k1} k2={k2} n={n}"]
     assert passed
     rhs = interpolation_rhs(s[0], k1, p, n) * interpolation_rhs(s[1], k2, p, n)
     assert rhs.is_zero()

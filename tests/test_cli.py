@@ -270,6 +270,16 @@ def test_verify_oracle_suite(capsys):
     assert "ms" in err  # timing goes to stderr only
 
 
+@pytest.mark.parametrize("suite", [*cli.SUITES, "all"])
+def test_verify_counts_on_stderr_the_cases_it_writes(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--p", "3", "--max-n", "3")
+    assert code == 0
+    match = re.fullmatch(r"suite (\S+): (\d+) cases in [0-9]+\.[0-9] ms\n", err)
+    assert match, err
+    assert match[1] == suite
+    assert int(match[2]) == len(json.loads(out)["cases"]) > 0
+
+
 def test_verify_oracle_suite_refuses_past_the_cap_before_any_work(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--suite", "oracle", "--p", "2", "--max-n", "30")

@@ -43,6 +43,7 @@ from pmlog import (
     zeta_power,
 )
 from pmlog.digits import Residue, in_S
+from level_rows import rows
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 SIGNS = [Sign.PLUS, Sign.MINUS]
@@ -205,7 +206,7 @@ def test_the_digit_route_runs_without_the_oracle_route(monkeypatch):
         for n in range(1, 4):
             mu_level(sign, p, n)
             support_masses(sign, p, n)
-            assert all(row[3] for row in verify_additivity(sign, p, n))
+            assert all(row[3] for row in rows(verify_additivity(sign, p, n)))
 
 
 def test_mu_oracle_refuses_past_the_cap_before_expanding(monkeypatch, capsys):
@@ -348,9 +349,9 @@ def test_interpolation_lhs_matches_step_function_integral(p, max_n):
     # the left sides of the one-variable amice_level rows
     for sign in SIGNS:
         for n in range(1, max_n + 1):
-            rows = amice_level(1, p, n)[sign,]
-            assert len(rows) == n
-            for k, (label, _, lhs, _) in enumerate(rows, start=1):
+            cases = rows(*amice_level(1, p, n)[sign,])
+            assert len(cases) == n
+            for k, (label, _, lhs, _) in enumerate(cases, start=1):
                 assert label == f"sign={sign} k={k} n={n}"
                 zeta_exp = p ** (n - k)
                 f = StepFunction.from_function(p, n, lambda a: zeta_power(p, n, zeta_exp * a))
@@ -439,16 +440,17 @@ def test_interpolation_rhs_matches_the_product_over_every_level(p):
     ],
 )
 def test_additivity_reports_pass(sign, p, n):
-    rows = verify_additivity(sign, p, n)
-    assert all(passed for *_, passed in rows)
-    assert len(rows) == p**n
+    cases = rows(verify_additivity(sign, p, n))
+    assert all(passed for *_, passed in cases)
+    assert len(cases) == p**n
 
 
 @pytest.mark.parametrize("p,n", [(P2, 5), (P3, 3), (P5, 2), (Prime(7), 2)])
 def test_additivity_sums_each_cosets_own_children(p, n):
     # The rows against a per-coset sum over a + j p^n, j < p.
     for sign in SIGNS:
-        for a, (input, expected, actual, _) in enumerate(verify_additivity(sign, p, n)):
+        cases = rows(verify_additivity(sign, p, n))
+        for a, (input, expected, actual, _) in enumerate(cases):
             children = sum(
                 (mu_value(sign, residue_from_integer(a + j * p**n, p, n + 1)).value for j in range(p)),
                 Fraction(0),

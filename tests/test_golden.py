@@ -72,6 +72,9 @@ GOLDEN = {
     "verify --suite oracle --p 3 --max-n 6": "25469333055fb6755567af0da096d015b888fdd94fc146c1ec3cf8e887386118",
     "table --sign - --p 2 --n 9": "e35dead0db32c2f7d506ca4bf3f852c979203c49a54983df09c3ed2d79f11ef6",
     "table --sign +- --p 5 --n 2 --m 3": "a2f412eef397ad167fb2196689d054fbc4335cf500c88b569a17aa1d3cfde1d0",
+    # Levels of more cases than one write of the report writer (4,096).
+    "verify --suite additivity --p 2 --max-n 13": "bcefa496697ce68af3927c54bd12a4cdc0041e1a4040ce7e3f6e0a82c232b0ee",
+    "verify --suite oracle --p 2 --max-n 12": "3f51b2c6c72f708220315629d28ad5a88bf270815efbb7a844973b06c60a2bec",
 }
 
 

@@ -24,6 +24,7 @@ from pmlog import (
     verify_product_identity,
 )
 from pmlog.series import _binomial_rows, _quotient, dump_dict
+from level_rows import rows
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 PREC = SeriesPrecision(t_prec=8, p_prec=6)
@@ -273,16 +274,16 @@ def test_monotone_refinement(p, sign, finer):
     [SeriesPrecision(8, 6), SeriesPrecision(10, 6), SeriesPrecision(12, 8)],
 )
 def test_product_identity_passes(p, prec):
-    rows = verify_product_identity(p, prec)
-    assert all(passed for *_, passed in rows), [row for row in rows if not row[3]]
-    assert len(rows) == prec.t_prec
+    cases = rows(verify_product_identity(p, prec))
+    assert all(passed for *_, passed in cases), [row for row in cases if not row[3]]
+    assert len(cases) == prec.t_prec
 
 
 def test_product_identity_linear_term_exact():
     # p^2 * (1/p) * (1/p) = 1 matches the leading logarithm coefficient exactly
     for p in PRIMES:
-        rows = verify_product_identity(p, PREC)
-        _, _, actual, passed = next(row for row in rows if row[0] == "T^1")
+        cases = rows(verify_product_identity(p, PREC))
+        _, _, actual, passed = next(row for row in cases if row[0] == "T^1")
         assert passed
         assert actual == "v_p(residual) = exact"
 

@@ -30,6 +30,7 @@ from pmlog import (
     verify_product_identity,
 )
 from pmlog.series import SeriesPrecision
+from level_rows import rows
 
 
 def verify(capsys, suite, p, max_n):
@@ -100,12 +101,12 @@ def test_run_suite_rejects_an_unknown_suite():
         suites.run_suite("bogus", Prime(3), 2, SeriesPrecision(t_prec=8, p_prec=6))
 
 
-def library_rows(name, p, max_n, prec):
+def library_levels(name, p, max_n, prec):
     # The library check behind each suite, called in the registry's order.
     if name == "additivity":
         for sign in Sign:
             for n in range(1, max_n + 1):
-                yield from verify_additivity(sign, p, n)
+                yield verify_additivity(sign, p, n)
     elif name == "amice":
         for sign in Sign:
             for n in range(1, max_n + 1):
@@ -116,7 +117,7 @@ def library_rows(name, p, max_n, prec):
                 for n in range(1, max_n + 1):
                     yield from biamice_check(p, n)[first, second]
     else:
-        yield from verify_product_identity(p, prec)
+        yield verify_product_identity(p, prec)
 
 
 @pytest.mark.parametrize("max_n", [1, 3])
@@ -125,11 +126,11 @@ def library_rows(name, p, max_n, prec):
 def test_the_registry_adds_only_the_suite_prefix(name, p, max_n):
     prec = SeriesPrecision(t_prec=6, p_prec=4)
     report = suites.run_suite(name, Prime(p), max_n, prec)
-    rows = list(library_rows(name, Prime(p), max_n, prec))
-    assert rows
-    assert report.blocks == [(name, rows)]
+    levels = list(library_levels(name, Prime(p), max_n, prec))
+    assert rows(*levels)
+    assert report.blocks == [(name, levels)]
     inputs = [case["input"] for case in report.to_json_dict()["cases"]]
-    assert inputs == [f"{name}: {i}" for i, *_ in rows]
+    assert inputs == [f"{name}: {i}" for i, *_ in rows(*levels)]
 
 
 @pytest.mark.parametrize("module", [distribution, bivariate, series])
@@ -160,8 +161,8 @@ def test_amice_suites_build_each_support_and_right_side_once_per_level(
     rights = count_calls(monkeypatch, "interpolation_rhs")
     report = suites.run_suite(name, Prime(p), 3, SeriesPrecision(t_prec=8, p_prec=6))
     # every sign tuple's n^d rows per level, all passing
-    [(_, rows)] = report.blocks
-    assert report.passed and len(rows) == 2**d * sum(n**d for n in range(1, 4))
+    [(_, levels)] = report.blocks
+    assert report.passed and len(rows(*levels)) == 2**d * sum(n**d for n in range(1, 4))
     # one support per (sign, n) and one right side per (sign, k, n), shared
     # by all 2^d sign tuples
     assert supports == collections.Counter((s, p, n) for s in Sign for n in range(1, 4))

@@ -46,7 +46,7 @@ def fields(cls):
         VerificationReport: lambda: {
             "suite": "oracle",
             "parameters": {"p": 3},
-            "blocks": [("oracle", [("a", "1/9", "1/9", True)])],
+            "blocks": [("oracle", [("a=", range(1), "", [("1/9", "1/9", True)], [0])])],
         },
     }[cls]()
 
@@ -234,5 +234,5 @@ def test_series_compare_by_value_not_by_numerators():
 def test_reports_built_without_cases_do_not_share_a_list():
     a, b = VerificationReport("oracle", {}), VerificationReport(suite="oracle", parameters={})
     assert a.blocks == [] and a.blocks is not b.blocks
-    a.blocks.append(("oracle", [("a", "1", "1", True)]))
+    a.blocks.append(("oracle", [("a=", range(1), "", [("1", "1", True)], [0])]))
     assert b.blocks == []
