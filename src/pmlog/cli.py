@@ -14,10 +14,9 @@ import math
 import os
 import sys
 import time
-from typing import Iterable
 
 from . import __version__
-from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign
+from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign, pval
 from .bivariate import bimu_oracle, bimu_value
 from .digits import Prime, digit_strings, residue_from_integer
 from .distribution import digit_test_level, mass_exponent, mu_oracle, mu_value
@@ -26,7 +25,7 @@ from .report import VerificationReport, write_report  # noqa: F401
 from .series import DEFAULT_P_PREC, DEFAULT_T_PREC, SeriesPrecision, build_log_pm, dump_dict
 from .suites import SUITES, run_suite
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 TABLE_ROW_CAP = 10**5
 
 UNIVARIATE_SIGNS = ("+", "-")
@@ -92,29 +91,15 @@ _VERIFY_FLAGS = (
 
 
 def _require_printable(p: Prime, exponent: int) -> None:
-    # Values are printed as decimal fractions; refuse, before any work, a
-    # denominator p^exponent longer than Python's int-to-str digit limit.
+    # Values are printed as decimal fractions of integers up to p^exponent;
+    # refuse a p^exponent longer than Python's int-to-str digit limit.
     limit = sys.get_int_max_str_digits()
     digits = exponent * math.log10(p)  # its decimal length, up to rounding
     if limit == 0 or digits < limit - 1:
         return
     if digits > limit + 1 or p**exponent >= 10**limit:
         raise ResourceCapError(
-            f"denominator {p}^{exponent} exceeds the limit of {limit} decimal digits"
-            " for printing an integer"
-        )
-
-
-def _require_printable_integers(values: Iterable[int]) -> None:
-    # The same limit for integers already computed: refuse, before anything
-    # is printed, one with more decimal digits than Python will print.
-    limit = sys.get_int_max_str_digits()
-    if limit == 0:
-        return
-    bound = 10**limit
-    if any(abs(x) >= bound for x in values):
-        raise ResourceCapError(
-            f"an integer in the output exceeds the limit of {limit} decimal digits"
+            f"{p}^{exponent} exceeds the limit of {limit} decimal digits"
             " for printing an integer"
         )
 
@@ -212,9 +197,9 @@ def cmd_series(args) -> int:
     sign = Sign.from_str(args.sign)
     prec = SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec)
     series = build_log_pm(p, sign, prec)
-    coeffs = series.coeffs  # reduced Fractions, built once for the gate and the dump
-    _require_printable_integers(x for c in coeffs for x in (c.numerator, c.denominator))
-    print(json.dumps(dump_dict(series, sign, coeffs), indent=2))
+    # No printed integer exceeds p^(max g + v), v = v_p(den), as g_0 >= 0.
+    _require_printable(p, max(series.guarantees) + pval(series.den, p))
+    print(json.dumps(dump_dict(series, sign), indent=2))
     return 0
 
 
@@ -355,7 +340,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"{args.command} takes no --sign flag")
         else:
             args.sign = _require_sign(sign_token, args.signs)
-        return args.func(args)
+        code = args.func(args)
+        # An output that fits in a buffered stdout meets a closed pipe only
+        # here, where the handler below can still report it.
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -364,7 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BrokenPipeError:
         # The reader closed stdout early, as `| head` does.  The rest of its
-        # buffer goes to os.devnull, so that the flush at exit stays quiet.
+        # buffer goes to os.devnull, so that the flush at exit stays quiet:
+        # else a failed flush leaves its bytes to fail again at exit, which
+        # prints "Exception ignored" and exits 120.
         try:
             fd = sys.stdout.fileno()
         except (AttributeError, ValueError):  # no stdout, or no file behind it

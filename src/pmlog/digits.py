@@ -12,6 +12,7 @@ the S sets, which is checked in the test suite.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .base import ENUMERATION_CAP, ResourceCapError, Sign, Value, store_fields
 
@@ -54,7 +55,7 @@ class Prime(int):
     __slots__ = ()
 
     def __new__(cls, p: int) -> "Prime":
-        p = int(p)
+        p = operator.index(p)  # an integer type, not a float or a string
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         return super().__new__(cls, p)
@@ -87,11 +88,9 @@ def residue_from_integer(a: int, p: Prime, n: int) -> Residue:
     """Reduce a into [0, p^n) and expand it in base p.
 
     Negative and oversized integers are reduced silently, so callers may
-    iterate with signed loop counters.
+    iterate with signed loop counters: n floor divisions by p leave the
+    digits of a mod p^n, and Residue refuses an n below 1.
     """
-    if n < 1:
-        raise ValueError("modulus exponent n must be >= 1")
-    a %= p**n
     digits = []
     for _ in range(n):
         a, d = divmod(a, p)

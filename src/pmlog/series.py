@@ -121,7 +121,6 @@ class TruncatedSeries(Value, fields=("p", "prec", "nums", "den", "guarantees")):
 
     def scale(self, q: Fraction | int) -> "TruncatedSeries":
         """Multiply by a nonzero rational scalar; guarantees shift by v_p(q)."""
-        q = Fraction(q)
         if q == 0:
             raise ValueError("cannot scale by zero")
         shift = pval(q, self.p)
@@ -294,20 +293,22 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> Level:
     return level("T^", "", texts, texts.__getitem__)
 
 
-def dump_dict(s: TruncatedSeries, sign: Sign, coeffs: tuple[Fraction, ...]) -> dict:
-    """The stable JSON form of s with coefficients coeffs: decimal-string big integers."""
+def dump_dict(s: TruncatedSeries, sign: Sign) -> dict:
+    """The stable JSON form of s, big integers as decimal strings.  Each x_k =
+    nums[k] / den, den = p^v u with p not dividing u, prints as its canonical
+    residue c_k = (nums[k] u^(-1) mod p^(g_k + v)) / p^v: the one rational in
+    [0, p^(g_k)) with a p-power denominator and v_p(c_k - x_k) >= g_k."""
+    p, v, gs = s.p, pval(s.den, s.p), s.guarantees
+    # One inverse mod the largest modulus serves every smaller one.
+    inverse = pow(s.den // p**v, -1, p ** max(max(gs) + v, 0))
+    residues = [Fraction(x * inverse % p ** max(g + v, 0), p**v) for x, g in zip(s.nums, gs)]
     return {
-        "p": int(s.p),
+        "p": int(p),
         "sign": sign.value,
         "t_prec": s.prec.t_prec,
         "p_prec": s.prec.p_prec,
         "coeffs": [
-            {
-                "k": k,
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-                "guaranteed_mod_p_pow": g,
-            }
-            for k, (c, g) in enumerate(zip(coeffs, s.guarantees))
+            {"k": k, "num": str(c.numerator), "den": str(c.denominator), "guaranteed_mod_p_pow": g}
+            for k, (c, g) in enumerate(zip(residues, gs))
         ],
     }

@@ -65,11 +65,13 @@ def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Levels:
 # n) is the work of level n in the unit named, or None for a suite not
 # bounded by level; levels(p, max_n, prec) yields the suite's cases.
 SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[..., Levels]]] = {
-    # Cosets times product-polynomial terms, p^n * p^ceil(n/2) per level
-    # over both signs: the cost of one character sum per coset.  Folding
-    # one product per level costs only p^n + p^ceil(n/2), so the bound is
-    # generous.
-    "oracle": (lambda p, n: 2 * p**n * p ** ((n + 1) // 2), "coset-term evaluations", _oracle),
+    # Per level n and sign, mu_oracle_level folds a product of p^floor(n/2)
+    # or p^ceil(n/2) terms into the classes of the p^n cosets.
+    "oracle": (
+        lambda p, n: 2 * (p**n + p ** ((n + 1) // 2)),
+        "cosets folded and product terms",
+        _oracle,
+    ),
     # Level n values p^n parents and p^(n+1) children, for both signs.
     "additivity": (lambda p, n: 2 * (p**n + p ** (n + 1)), "valued cosets", _additivity),
     # The Amice checks count, per level n, the dimension of each ring element

@@ -25,10 +25,13 @@ import pmlog.suites as suites
 from pmlog import (
     DistValue,
     Prime,
+    SeriesPrecision,
     Sign,
+    build_log_pm,
     mu_level,
     mu_oracle,
     mu_value,
+    pval,
     residue_from_integer,
 )
 from pmlog.base import Value
@@ -80,6 +83,21 @@ def test_bivalue_subcommand_matches_value(capsys):
     code2, out2, _ = run(capsys, "bivalue", *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_the_sign_may_be_joined_to_its_flag(capsys):
+    for rest in (["value", "--p", "3", "--n", "2", "--a", "3"], ["series", "--p", "3"]):
+        for sign in ("+", "-"):
+            joined = run(capsys, rest[0], f"--sign={sign}", *rest[1:])
+            assert joined == run(capsys, rest[0], "--sign", sign, *rest[1:])
+            assert joined[0] == 0
+    code, out, err = run(capsys, "value", "--sign=-+", "--p", "3", "--n", "1", "--a", "0")
+    assert (code, out) == (2, "") and "--m and --b" in err
+
+
+def test_a_missing_sign_is_named_with_the_allowed_ones(capsys):
+    code, out, err = run(capsys, "series", "--p", "3")
+    assert (code, out, err) == (2, "", "error: --sign is required (one of +, -)\n")
 
 
 def test_bivalue_rejects_univariate_sign(capsys):
@@ -290,11 +308,12 @@ def test_verify_oracle_suite_refuses_past_the_cap_before_any_work(capsys):
 
 
 def test_verify_oracle_suite_cap_boundary_is_exact(capsys, monkeypatch):
-    # p = 3 up to n = 2: 2 * (3 * 3 + 9 * 3) = 72 coset-term evaluations
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 72)
+    # p = 3 up to n = 2: 2 * (3 + 3) + 2 * (9 + 3) = 36 cosets folded and
+    # product terms
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 36)
     code, _, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "2")
     assert code == 0
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 71)
+    monkeypatch.setattr(suites, "ENUMERATION_CAP", 35)
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "2")
     assert code == 3
     assert out == ""
@@ -310,27 +329,58 @@ def test_series_large_prime_in_bounded_time(capsys):
     }
 
 
-def test_series_with_an_unprintable_coefficient_is_a_resource_error(capsys):
-    # 2^61 - 1 at this precision gives numerators past the 4,300-digit limit.
-    argv = ["series", "--sign", "-", "--p", "2305843009213693951", "--tprec", "24", "--pprec", "24"]
+def test_series_at_a_large_prime_prints_each_residue_below_its_bound(capsys):
+    # 2^61 - 1 at this precision builds numerators past the 4,300-digit
+    # print limit; the dump prints their residues, each below p^(g + v)
+    # with v = v_p(den), and its denominator at most p^v.
+    p = 2**61 - 1
+    argv = ["series", "--sign", "-", "--p", str(p), "--tprec", "24", "--pprec", "24"]
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    assert code == 3
-    assert out == ""
-    assert "exceeds the limit" in err and "decimal digits" in err
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    built = build_log_pm(Prime(p), Sign.MINUS, SeriesPrecision(24, 24))
+    assert max(map(abs, built.nums)) >= 10 ** sys.get_int_max_str_digits()
+    v = pval(built.den, p)
+    coeffs = json.loads(out)["coeffs"]
+    assert [c["guaranteed_mod_p_pow"] for c in coeffs] == list(built.guarantees)
+    for c in coeffs:
+        assert 0 <= int(c["num"]) < p ** (c["guaranteed_mod_p_pow"] + v)
+        assert 1 <= int(c["den"]) <= p**v
 
 
 def test_series_print_limit_boundary_is_exact(capsys, monkeypatch):
-    argv = ["series", "--sign", "-", "--p", "3", "--tprec", "24", "--pprec", "12"]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    coeffs = json.loads(out)["coeffs"]
-    longest = max(len(c[key].lstrip("-")) for c in coeffs for key in ("num", "den"))
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: longest)
-    assert run(capsys, *argv) == (0, out, "")
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: longest - 1)
-    code, out, _ = run(capsys, *argv)
-    assert code == 3
-    assert out == ""
+    # The one gate admits p^(max g + v), which no printed integer exceeds,
+    # and nothing longer; the limit is lowered so both sides print here.
+    # In the first two runs the longest printed integer is as long as that
+    # bound, so the gate sits at the largest printed integer.
+    for p, sign, t_prec, p_prec, tight in (
+        (5, "-", 24, 6, True),
+        (2, "+", 8, 12, True),
+        (3, "-", 24, 12, False),
+    ):
+        argv = ["series", "--sign", sign, "--p", str(p), "--tprec", str(t_prec)]
+        argv += ["--pprec", str(p_prec)]
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        built = build_log_pm(Prime(p), Sign.from_str(sign), SeriesPrecision(t_prec, p_prec))
+        bound = p ** (max(built.guarantees) + pval(built.den, p))
+        printed = [int(c[key]) for c in json.loads(out)["coeffs"] for key in ("num", "den")]
+        assert max(printed) <= bound
+        assert (len(str(max(printed))) == len(str(bound))) == tight
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: len(str(bound)))
+        assert run(capsys, *argv) == (0, out, "")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: len(str(bound)) - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "exceeds the limit" in err and "decimal digits" in err
+
+
+def test_print_limit_off_admits_any_exponent(monkeypatch):
+    # A limit of 0 turns Python's check off, so the gate admits anything.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert cli._require_printable(Prime(2), 10**6) is None
 
 
 def test_verify_logproduct_suite(capsys):
@@ -371,6 +421,12 @@ def test_verify_rejects_sign_flag(capsys):
     code, _, err = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--sign", "+")
     assert code == 2
     assert "sign" in err
+
+
+def test_verify_refuses_a_max_n_below_one(capsys):
+    for max_n in ("0", "-1"):
+        argv = ["verify", "--suite", "oracle", "--p", "3", "--max-n", max_n]
+        assert run(capsys, *argv) == (2, "", "error: --max-n must be >= 1\n")
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -906,6 +962,51 @@ def test_well_formed_calls_build_no_parser(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def closed_pipe_run(argv, env, read_first_line):
+    # `pmlog argv` with its stdout a pipe that the reader closes, after one
+    # line or before the program writes anything; (exit code, stderr lines).
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pmlog", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": src},
+    )
+    if read_first_line:
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err.decode().splitlines()
+
+
+CLOSED = ["error: standard output was closed before all output was written"]
+
+
+def test_a_closed_stdout_in_process_leaves_no_descriptor_open(capsys, monkeypatch):
+    # main points stdout's descriptor at os.devnull and closes the one it
+    # opened for that, so the lowest free descriptor is the same after.
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return target
+
+    target = os.open(os.devnull, os.O_WRONLY)
+    try:
+        probe = os.open(os.devnull, os.O_RDONLY)
+        os.close(probe)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.main(["value", "--sign", "+", "--p", "3", "--n", "2", "--a", "0"]) == 3
+        monkeypatch.undo()
+        after = os.open(os.devnull, os.O_RDONLY)
+        os.close(after)
+        assert after == probe
+    finally:
+        os.close(target)
+    assert capsys.readouterr().err.splitlines() == CLOSED
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -916,18 +1017,23 @@ def test_well_formed_calls_build_no_parser(capsys, monkeypatch):
 def test_closed_stdout_is_reported_without_a_traceback(argv):
     # Read one line and close the pipe, as `pmlog ... | head -1` does; the
     # output is far larger than the pipe holds.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pmlog", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 3
-    assert err.decode().splitlines() == [
-        "error: standard output was closed before all output was written"
-    ]
+    assert closed_pipe_run(argv, os.environ, read_first_line=True) == (3, CLOSED)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value", "--sign", "+", "--p", "3", "--n", "4", "--a", "0"],
+        ["table", "--sign", "+", "--p", "3", "--n", "2"],
+        ["series", "--sign", "-", "--p", "3", "--tprec", "4"],
+    ],
+)
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_small_output_to_a_closed_pipe_is_reported_without_a_traceback(argv, buffered):
+    # With stdout buffered the whole output fits in the buffer, so only a
+    # flush meets the closed pipe: main's own, which it reports, and not
+    # the one at exit, which would print "Exception ignored" and exit 120.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    assert closed_pipe_run(argv, env, read_first_line=False) == (3, CLOSED)

@@ -376,3 +376,30 @@ def test_rational_value():
     assert not any(elem.nums[1:])
     assert Fraction(elem.nums[0], elem.den) == Fraction(5, 9)
     assert any(zeta_power(p, 2, 1).nums[1:])
+
+
+def test_levels_and_counts_below_their_range_are_refused():
+    p = Prime(3)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="level n must be >= 1"):
+            cyclo_poly(p, n)
+        with pytest.raises(ValueError, match="level n must be >= 1"):
+            zeta_power(p, n, 1)
+    for product in (even_product, odd_product):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            product(p, -1)
+
+
+def test_an_element_times_a_non_number_is_a_type_error():
+    element = zeta_power(Prime(3), 2, 1)
+    with pytest.raises(TypeError):
+        element * "x"
+    with pytest.raises(TypeError):
+        "x" * element
+
+
+def test_only_the_zero_element_is_zero():
+    p = Prime(3)
+    assert CyclotomicElement.zero(p, 2).is_zero()
+    assert not zeta_power(p, 2, 1).is_zero()
+    assert (zeta_power(p, 2, 1) - zeta_power(p, 2, 1)).is_zero()

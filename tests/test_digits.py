@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -95,8 +97,9 @@ def test_residue_silent_reduction():
 
 def test_residue_validation():
     p = Prime(3)
-    with pytest.raises(ValueError):
-        residue_from_integer(0, p, 0)
+    for n in (0, -1, -10):
+        with pytest.raises(ValueError, match="modulus exponent n must be >= 1"):
+            residue_from_integer(0, p, n)
     with pytest.raises(ValueError):
         Residue(p=p, n=2, digits=(1,))
     with pytest.raises(ValueError):
@@ -128,8 +131,25 @@ def test_cosets_walk_every_residue_in_order(p):
 
 
 def test_cosets_validate_the_exponent():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="digit count n must be >= 0"):
         digit_strings(Prime(3), -1)
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_residue_digits_are_those_of_a_mod_p_to_the_n(p):
+    rng = random.Random(p)
+    for n in (1, 2, 5, 9):
+        for a in [0, -1, p**n, -(p**n), p ** (3 * n) + 1] + [
+            rng.randrange(-(p ** (2 * n)), p ** (2 * n)) for _ in range(20)
+        ]:
+            assert residue_from_integer(a, p, n).value == a % p**n, (a, n)
+
+
+def test_prime_refuses_a_non_integer():
+    for p in (7.9, 7.0, "7", Fraction(7)):
+        with pytest.raises(TypeError):
+            Prime(p)
+    assert Prime(Prime(7)) == 7
 
 
 @given(

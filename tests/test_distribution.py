@@ -551,3 +551,17 @@ def test_step_function_builds_each_coset_once(monkeypatch):
     f = StepFunction.from_function(P3, 8, lambda a: Fraction(a % 3))
     assert len(calls) == 3**8
     assert f.values[real(5, P3, 8)] == Fraction(2)
+
+
+@pytest.mark.parametrize("sign", list(Sign))
+def test_a_level_below_one_is_a_value_error(sign):
+    # Checked before the mass 1/p^e is built, where n = -10 would give a
+    # float power of p and a TypeError.
+    for n in (0, -1, -10):
+        with pytest.raises(ValueError, match="modulus exponent n must be >= 1"):
+            mu_level(sign, Prime(3), n)
+
+
+def test_values_of_different_primes_do_not_multiply():
+    with pytest.raises(ValueError, match="different primes"):
+        DistValue(P3, Fraction(1, 3)) * DistValue(P5, Fraction(1, 5))

@@ -69,10 +69,13 @@ class Recorder:
 
 
 class Discard:
-    """A text sink that drops what it is given."""
+    """A text sink that drops what it is given, and flushes as stdout does."""
 
     def write(self, text):
         return len(text)
+
+    def flush(self):
+        pass
 
 
 def written(report):

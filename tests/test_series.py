@@ -399,14 +399,25 @@ def test_scale_tracks_guarantees():
     assert all(g == PREC.p_prec - 1 for g in down.guarantees)
     up = s.scale(9)
     assert all(g == PREC.p_prec + 2 for g in up.guarantees)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot scale by zero"):
         s.scale(0)
+
+
+def test_series_constructions_refuse_inputs_out_of_range():
+    p = Prime(3)
+    with pytest.raises(ValueError, match="more coefficients than t_prec"):
+        TruncatedSeries.from_coefficients(p, PREC, [1] * (PREC.t_prec + 1))
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="level m must be >= 1"):
+            phi_shifted(p, m, PREC)
+    with pytest.raises(ValueError, match="factor_count must be >= 0"):
+        log_pm_partial_product(p, Sign.PLUS, PREC, -1)
 
 
 def test_dump_dict_schema():
     p = Prime(3)
     s = build_log_pm(p, Sign.MINUS, PREC)
-    dump = dump_dict(s, Sign.MINUS, s.coeffs)
+    dump = dump_dict(s, Sign.MINUS)
     assert dump["p"] == 3 and dump["sign"] == "-"
     assert dump["t_prec"] == 8 and dump["p_prec"] == 6
     assert len(dump["coeffs"]) == 8
@@ -414,3 +425,55 @@ def test_dump_dict_schema():
     assert set(first) == {"k", "num", "den", "guaranteed_mod_p_pow"}
     assert first["num"] == "1" and first["den"] == "3"
     assert isinstance(first["num"], str) and isinstance(first["den"], str)
+    assert [c["k"] for c in dump["coeffs"]] == list(range(8))
+    assert [c["guaranteed_mod_p_pow"] for c in dump["coeffs"]] == list(s.guarantees)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+def test_dump_prints_the_canonical_residue_of_each_coefficient(p, sign):
+    # c_k lies in [0, p^g_k), has a power-of-p denominator and agrees with
+    # the built coefficient x_k mod p^g_k: the one such rational.
+    for t_prec, p_prec in ((1, 1), (4, 2), (8, 6), (12, 8), (20, 5)):
+        s = build_log_pm(Prime(p), sign, SeriesPrecision(t_prec, p_prec))
+        dump = dump_dict(s, sign)
+        for coeff, x, g in zip(dump["coeffs"], s.coeffs, s.guarantees, strict=True):
+            den = int(coeff["den"])
+            c = Fraction(int(coeff["num"]), den)
+            assert 0 <= c < Fraction(p) ** g, (t_prec, p_prec, coeff)
+            assert c.denominator == den == p ** pval(den, p)
+            assert c == x or pval(c - x, p) >= g
+
+
+def test_dump_of_a_coefficient_below_its_guarantee_is_zero():
+    # Over the common denominator 6 = 3 * 2, v = 1: 1/3 at guarantee -1 has
+    # g + v = 0 and prints 0, 9/2 at guarantee 2 is 0 mod 9, and 7/3 at
+    # guarantee 0 keeps its fractional part, 1/3.
+    p, prec = Prime(3), SeriesPrecision(3, 4)
+    s = with_guarantees(p, prec, [Fraction(1, 3), Fraction(9, 2), Fraction(7, 3)], (-1, 2, 0))
+    assert [(c["num"], c["den"]) for c in dump_dict(s, Sign.PLUS)["coeffs"]] == [
+        ("0", "1"),
+        ("0", "1"),
+        ("1", "3"),
+    ]
+
+
+INVARIANCE_GRID = [
+    (p, sign, t_prec, p_prec)
+    for p in (2, 3, 5, 7, 11, 13, 31, 101)
+    for sign in Sign
+    for t_prec, p_prec in ((8, 6), (12, 8), (24, 10), (5, 12))
+]
+
+
+@pytest.mark.parametrize("p,sign,t_prec,p_prec", INVARIANCE_GRID)
+def test_dump_does_not_depend_on_where_the_product_stopped(p, sign, t_prec, p_prec):
+    # Eight factors past the stopping point, taken at the built guarantees,
+    # print the same bytes: the dump holds only the certified classes.
+    prec = SeriesPrecision(t_prec, p_prec)
+    built = build_log_pm(Prime(p), sign, prec)
+    count = stabilization_factor_count(Prime(p), sign, prec)
+    longer = log_pm_partial_product(Prime(p), sign, prec, count + 8)
+    assert longer != built
+    at_built = TruncatedSeries(Prime(p), prec, longer.nums, longer.den, built.guarantees)
+    assert dump_dict(at_built, sign) == dump_dict(built, sign)

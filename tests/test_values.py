@@ -15,11 +15,14 @@ from pmlog import (
     Prime,
     Residue,
     SeriesPrecision,
+    Sign,
     StepFunction,
     TruncatedSeries,
     VerificationReport,
+    pval,
     residue_from_integer,
 )
+from pmlog.base import Value
 
 P3 = Prime(3)
 
@@ -236,3 +239,23 @@ def test_reports_built_without_cases_do_not_share_a_list():
     assert a.blocks == [] and a.blocks is not b.blocks
     a.blocks.append(("oracle", [("a=", range(1), "", [("1", "1", True)], [0])]))
     assert b.blocks == []
+
+
+def test_a_sign_reads_only_its_own_token():
+    assert [Sign.from_str(token) for token in "+-"] == [Sign.PLUS, Sign.MINUS]
+    for token in ("", "x", "++", "plus", " +"):
+        with pytest.raises(ValueError, match="unknown sign"):
+            Sign.from_str(token)
+
+
+def test_a_value_class_refuses_an_unknown_class_keyword():
+    # Value passes keywords other than fields= on to object, which refuses them.
+    with pytest.raises(TypeError):
+        type("Odd", (Value,), {"__slots__": ()}, fields=("a",), colour="red")
+
+
+def test_the_zero_rational_has_no_valuation():
+    assert pval(Fraction(9, 4), 3) == 2 and pval(-12, 2) == 2
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="no finite p-adic valuation"):
+            pval(zero, 3)
