@@ -16,13 +16,14 @@ import sys
 import time
 
 from . import __version__
-from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign, pval
+from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign
 from .bivariate import bimu_oracle, bimu_value
 from .digits import Prime, digit_strings, residue_from_integer
 from .distribution import digit_test_level, mass_exponent, mu_oracle, mu_value
 # VerificationReport is also read from this module by the benchmark's self-test.
 from .report import VerificationReport, write_report  # noqa: F401
-from .series import DEFAULT_P_PREC, DEFAULT_T_PREC, SeriesPrecision, build_log_pm, dump_dict
+from .series import DEFAULT_P_PREC, DEFAULT_T_PREC, SeriesPrecision, build_log_pm
+from .series import dump_dict, dump_exponent
 from .suites import SUITES, run_suite
 
 FORMAT_VERSION = "2"
@@ -91,8 +92,7 @@ _VERIFY_FLAGS = (
 
 
 def _require_printable(p: Prime, exponent: int) -> None:
-    # Values are printed as decimal fractions of integers up to p^exponent;
-    # refuse a p^exponent longer than Python's int-to-str digit limit.
+    # Printed integers are at most p^exponent: refuse one past the int-to-str limit.
     limit = sys.get_int_max_str_digits()
     digits = exponent * math.log10(p)  # its decimal length, up to rounding
     if limit == 0 or digits < limit - 1:
@@ -195,10 +195,8 @@ def cmd_table(args) -> int:
 def cmd_series(args) -> int:
     p = Prime(args.p)
     sign = Sign.from_str(args.sign)
-    prec = SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec)
-    series = build_log_pm(p, sign, prec)
-    # No printed integer exceeds p^(max g + v), v = v_p(den), as g_0 >= 0.
-    _require_printable(p, max(series.guarantees) + pval(series.den, p))
+    series = build_log_pm(p, sign, SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec))
+    _require_printable(p, dump_exponent(series))
     print(json.dumps(dump_dict(series, sign), indent=2))
     return 0
 

@@ -293,6 +293,11 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> Level:
     return level("T^", "", texts, texts.__getitem__)
 
 
+def dump_exponent(s: TruncatedSeries) -> int:
+    """The e of the print gate: no integer that dump_dict(s, ...) prints exceeds p^e."""
+    return max(s.guarantees) + pval(s.den, s.p)
+
+
 def dump_dict(s: TruncatedSeries, sign: Sign) -> dict:
     """The stable JSON form of s, big integers as decimal strings.  Each x_k =
     nums[k] / den, den = p^v u with p not dividing u, prints as its canonical
@@ -300,7 +305,7 @@ def dump_dict(s: TruncatedSeries, sign: Sign) -> dict:
     [0, p^(g_k)) with a p-power denominator and v_p(c_k - x_k) >= g_k."""
     p, v, gs = s.p, pval(s.den, s.p), s.guarantees
     # One inverse mod the largest modulus serves every smaller one.
-    inverse = pow(s.den // p**v, -1, p ** max(max(gs) + v, 0))
+    inverse = pow(s.den // p**v, -1, p ** max(dump_exponent(s), 0))
     residues = [Fraction(x * inverse % p ** max(g + v, 0), p**v) for x, g in zip(s.nums, gs)]
     return {
         "p": int(p),

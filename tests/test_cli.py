@@ -35,6 +35,7 @@ from pmlog import (
     residue_from_integer,
 )
 from pmlog.base import Value
+from pmlog.series import dump_exponent
 
 
 def run(capsys, *argv):
@@ -365,7 +366,7 @@ def test_series_print_limit_boundary_is_exact(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         built = build_log_pm(Prime(p), Sign.from_str(sign), SeriesPrecision(t_prec, p_prec))
-        bound = p ** (max(built.guarantees) + pval(built.den, p))
+        bound = p ** dump_exponent(built)
         printed = [int(c[key]) for c in json.loads(out)["coeffs"] for key in ("num", "den")]
         assert max(printed) <= bound
         assert (len(str(max(printed))) == len(str(bound))) == tight
@@ -964,17 +965,23 @@ def test_well_formed_calls_build_no_parser(capsys, monkeypatch):
 
 def closed_pipe_run(argv, env, read_first_line):
     # `pmlog argv` with its stdout a pipe that the reader closes, after one
-    # line or before the program writes anything; (exit code, stderr lines).
+    # line or before the program starts; (exit code, stderr lines).
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pmlog", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**env, "PYTHONPATH": src},
-    )
+    command = [sys.executable, "-m", "pmlog", *argv]
+    env = {**env, "PYTHONPATH": src}
     if read_first_line:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert proc.stdout.readline()
-    proc.stdout.close()
+        proc.stdout.close()
+    else:
+        # The read end is closed before the program starts, so no write
+        # can reach a reader, however early it comes.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.Popen(command, stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
     _, err = proc.communicate(timeout=60)
     return proc.returncode, err.decode().splitlines()
 

@@ -23,7 +23,7 @@ from pmlog import (
     support_masses,
     verify_product_identity,
 )
-from pmlog.series import _binomial_rows, _quotient, dump_dict
+from pmlog.series import _binomial_rows, _quotient, dump_dict, dump_exponent
 from level_rows import rows
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
@@ -433,7 +433,8 @@ def test_dump_dict_schema():
 @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
 def test_dump_prints_the_canonical_residue_of_each_coefficient(p, sign):
     # c_k lies in [0, p^g_k), has a power-of-p denominator and agrees with
-    # the built coefficient x_k mod p^g_k: the one such rational.
+    # the built coefficient x_k mod p^g_k: the one such rational.  No printed
+    # integer exceeds p^dump_exponent(s), the exponent the print gate checks.
     for t_prec, p_prec in ((1, 1), (4, 2), (8, 6), (12, 8), (20, 5)):
         s = build_log_pm(Prime(p), sign, SeriesPrecision(t_prec, p_prec))
         dump = dump_dict(s, sign)
@@ -443,6 +444,7 @@ def test_dump_prints_the_canonical_residue_of_each_coefficient(p, sign):
             assert 0 <= c < Fraction(p) ** g, (t_prec, p_prec, coeff)
             assert c.denominator == den == p ** pval(den, p)
             assert c == x or pval(c - x, p) >= g
+            assert max(int(coeff["num"]), den) <= p ** dump_exponent(s)
 
 
 def test_dump_of_a_coefficient_below_its_guarantee_is_zero():

@@ -1,17 +1,17 @@
 """Statement-deletion mutation survey of src/pmlog: what no test would notice.
 
 Usage:
-    python3 tools/mutation_survey.py [--module NAME ...] [--timeout SECONDS] [--jobs N]
+    python3 tools/mutation_survey.py
 
 Each mutant replaces one statement inside a function body of a src/pmlog
 module (docstrings and `pass` excepted, nested statements included) with
 `pass`.  The mutants are made one at a time in a temporary copy of the
 working tree, and each runs that module's tests plus tests/test_values.py,
-tests/test_golden.py and tests/test_acceptance.py under `pytest -x`.  A
-failing run kills the mutant, a run past the timeout counts as detected
-(hung), and a passing run is a survivor.  Each run may use 1 GiB of
-address space; a mutant that needs more fails.  The unmutated copy must
-pass the same tests first.
+tests/test_golden.py and tests/test_acceptance.py under `pytest -x`, as many
+at once as the machine has CPUs.  A failing run kills the mutant, a run past
+TIMEOUT counts as detected (hung), and a passing run is a survivor.  Each
+run may use 1 GiB of address space; a mutant that needs more fails.  The
+unmutated copy must pass the same tests first.
 
 Prints each survivor as `module.py:line  statement`, then one row per module:
 mutants, killed, hung, survived.  Progress goes to standard error.  Uses the
@@ -21,7 +21,6 @@ module, and the tier-1 run (tests/) does not collect it.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import concurrent.futures
 import os
@@ -39,6 +38,7 @@ PACKAGE = Path("src") / "pmlog"
 ALWAYS = ["tests/test_values.py", "tests/test_golden.py", "tests/test_acceptance.py"]
 # A module's own tests are tests/test_<module>.py, but for these.
 TESTS = {"cli": ["tests/test_cli.py", "tests/test_cli_fuzz.py"]}
+TIMEOUT = 60.0  # seconds per mutant
 
 
 def tests_for(module: str) -> list[str]:
@@ -132,7 +132,9 @@ def make_copy(parent: Path, index: int) -> Path:
     return tree
 
 
-def survey(modules: list[str], timeout: float, jobs: int) -> int:
+def survey() -> int:
+    modules = sorted(path.stem for path in (ROOT / PACKAGE).glob("*.py"))
+    jobs = os.cpu_count() or 1
     mutants = []
     for module in modules:
         source = (ROOT / PACKAGE / f"{module}.py").read_text()
@@ -144,7 +146,7 @@ def survey(modules: list[str], timeout: float, jobs: int) -> int:
             copies.put(make_copy(Path(temp), index))
         every_test = sorted({test for module in modules for test in tests_for(module)})
         tree = copies.get()
-        baseline = run_tests(tree, every_test, timeout * len(modules))
+        baseline = run_tests(tree, every_test, TIMEOUT * len(modules))
         copies.put(tree)
         if baseline != "passed":
             print(f"the unmutated tree {baseline} its tests; no survey", file=sys.stderr)
@@ -161,7 +163,7 @@ def survey(modules: list[str], timeout: float, jobs: int) -> int:
             path = tree / PACKAGE / f"{module}.py"
             try:
                 path.write_text(mutated)
-                outcome = run_tests(tree, tests_for(module), timeout)
+                outcome = run_tests(tree, tests_for(module), TIMEOUT)
             finally:
                 path.write_text(source)
                 copies.put(tree)
@@ -187,17 +189,5 @@ def survey(modules: list[str], timeout: float, jobs: int) -> int:
     return 0
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    every = sorted(path.stem for path in (ROOT / PACKAGE).glob("*.py"))
-    parser.add_argument("--module", action="append", choices=every, help="survey only these")
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per mutant")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
-    args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    return survey(args.module or every, args.timeout, args.jobs)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(survey())
