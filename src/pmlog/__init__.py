@@ -3,13 +3,13 @@ machine checks of the identities relating the two descriptions.
 
 Everything is computed in exact rational arithmetic: residues mod p^n as
 digit vectors, p-power cyclotomic quotient rings, truncated power series
-with tracked p-adic guarantees, and the distribution values themselves
-(always zero or a pure negative power of p).
+(the logarithms as partial products cut at a proven tail bound), and the
+distribution values themselves (always zero or a pure negative power of p).
 """
 
 __version__ = "0.1.0"
 
-from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign, pval
+from .base import ENUMERATION_CAP, ResourceCapError, Sign, pval
 from .bivariate import biamice_check, bimu_oracle, bimu_value
 from .cyclotomic import (
     CyclotomicElement,
@@ -47,22 +47,19 @@ from .distribution import (
 )
 from .report import VerificationReport
 from .series import (
-    FACTOR_CAP,
     SeriesPrecision,
     TruncatedSeries,
     build_log_pm,
+    factor_count,
     log_pm_partial_product,
     phi_shifted,
     series_log_classical,
-    stabilization_factor_count,
     verify_product_identity,
 )
 
 __all__ = [
     "__version__",
     "ENUMERATION_CAP",
-    "FACTOR_CAP",
-    "ConvergenceError",
     "ResourceCapError",
     "Sign",
     "pval",
@@ -85,8 +82,8 @@ __all__ = [
     "series_log_classical",
     "phi_shifted",
     "build_log_pm",
+    "factor_count",
     "log_pm_partial_product",
-    "stabilization_factor_count",
     "verify_product_identity",
     "DistValue",
     "StepFunction",

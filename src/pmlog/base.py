@@ -30,10 +30,6 @@ class ResourceCapError(Exception):
     """An operation would enumerate past the configured cap."""
 
 
-class ConvergenceError(Exception):
-    """An iterative construction failed to stabilize under its factor cap."""
-
-
 class Value:
     """Base of the value classes.  A subclass names its fields in its class
     statement, `class Residue(Value, fields=("p", "n", "digits")):`, with
@@ -108,11 +104,12 @@ def pval(q: Fraction | int, p: int) -> int:
     num, den = (q, 1) if isinstance(q, int) else Fraction(q).as_integer_ratio()
     if num == 0:
         raise ValueError("the zero rational has no finite p-adic valuation")
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _multiplicity(num, p) - _multiplicity(den, p)
+
+
+def _multiplicity(x: int, p: int) -> int:
+    # The exponent of p in x != 0, which is below x's bit length as p >= 2.
+    for v in range(x.bit_length()):
+        x, r = divmod(x, p)
+        if r:
+            return v

@@ -3,7 +3,7 @@ the identity verification suites.
 
 JSON and CSV go to standard output; diagnostics and timings go to standard
 error.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource or convergence error, or standard output closed early.
+3 resource cap hit, or standard output closed early.
 """
 
 from __future__ import annotations
@@ -16,17 +16,17 @@ import sys
 import time
 
 from . import __version__
-from .base import ENUMERATION_CAP, ConvergenceError, ResourceCapError, Sign
+from .base import ENUMERATION_CAP, ResourceCapError, Sign
 from .bivariate import bimu_oracle, bimu_value
 from .digits import Prime, digit_strings, residue_from_integer
 from .distribution import digit_test_level, mass_exponent, mu_oracle, mu_value
 # VerificationReport is also read from this module by the benchmark's self-test.
 from .report import VerificationReport, write_report  # noqa: F401
 from .series import DEFAULT_P_PREC, DEFAULT_T_PREC, SeriesPrecision, build_log_pm
-from .series import dump_dict, dump_exponent
+from .series import dump_dict, dump_exponent, require_within_cap
 from .suites import SUITES, run_suite
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 TABLE_ROW_CAP = 10**5
 
 UNIVARIATE_SIGNS = ("+", "-")
@@ -39,20 +39,16 @@ def _extract_sign(argv: list[str]) -> tuple[list[str], str | None]:
     # sign flag is pulled out before parsing and validated per command.
     rest: list[str] = []
     sign: str | None = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
+    tokens = iter(argv)
+    for tok in tokens:
         if tok == "--sign":
-            if i + 1 >= len(argv):
+            sign = next(tokens, None)
+            if sign is None:
                 raise ValueError("--sign requires a value")
-            sign = argv[i + 1]
-            i += 2
         elif tok.startswith("--sign="):
             sign = tok[len("--sign=") :]
-            i += 1
         else:
             rest.append(tok)
-            i += 1
     return rest, sign
 
 
@@ -195,7 +191,9 @@ def cmd_table(args) -> int:
 def cmd_series(args) -> int:
     p = Prime(args.p)
     sign = Sign.from_str(args.sign)
-    series = build_log_pm(p, sign, SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec))
+    prec = SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec)
+    require_within_cap(p, (sign,), prec)
+    series = build_log_pm(p, sign, prec)
     _require_printable(p, dump_exponent(series))
     print(json.dumps(dump_dict(series, sign), indent=2))
     return 0
@@ -346,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceCapError, ConvergenceError) as exc:
+    except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -31,10 +31,9 @@ def _is_prime(p: int) -> bool:
             return p == q
     if p >= PRIME_LIMIT:
         raise ValueError(f"{p} is too large to certify as prime (the limit is {PRIME_LIMIT})")
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    # p - 1 = d 2^s with d odd: s counts the trailing zero bits.
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
     for q in _MR_BASES:
         x = pow(q, d, p)
         if x == 1 or x == p - 1:

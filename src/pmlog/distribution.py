@@ -31,12 +31,10 @@ from .digits import Prime, Residue, enumerate_R, in_S, residue_from_integer
 
 
 def _is_negative_p_power(q: Fraction, p: int) -> bool:
-    if q.numerator != 1 or q.denominator == 1:
-        return False
+    # 1/den is 1/p^e, e >= 1, just when den > 1 divides p^B, B = den's bit
+    # length: p^B > den, so p^B holds every power of p up to den.
     den = q.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
+    return q.numerator == 1 and den > 1 and p ** den.bit_length() % den == 0
 
 
 class DistValue(Value, fields=("p", "value")):

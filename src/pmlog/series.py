@@ -1,44 +1,42 @@
-"""Truncated power series over Q with joint T-adic and p-adic precision.
+"""Truncated power series over Q, and the plus/minus logarithms as exact
+partial products cut at a proven factor count.
 
-The plus/minus logarithms are infinite products
+The plus/minus logarithms are the infinite products
 
-    (1/p) * prod_j Phi(p, e(j))(1 + T) / p,    e(j) = 2j or 2j - 1,
+    log± = (1/p) * prod_(j >= 1) F(e(j)),    F(m) = Phi(p, m)(1 + T) / p,
 
-whose factors tend to 1 coefficientwise in the p-adic sense, so a finite
-partial product determines every coefficient to any prescribed p-power.
-All arithmetic is exact: a series is held as integer numerators over one
-positive common denominator in lowest terms (a divisor of p^K after K
-factors), plus a guarantee g_k per coefficient meaning "this coefficient
-matches the limit modulo p^(g_k)".
+with e(j) = 2j for plus and 2j - 1 for minus, and (1/p) times the first K
+factors is exactly the Amice transform of mu± at level e(K).  A series is
+held exactly, as integer numerators over one positive common denominator in
+lowest terms, so the only error of a partial product is its omitted tail.
 
-Bookkeeping rules:
-  * exact constructions start at the working precision M for every k;
-  * dividing a series by p lowers each guarantee by one (the constant
-    term of Phi(1 + T) / p is p / p = 1 exactly and keeps its guarantee);
-  * multiplying two series propagates worst cases: the pair (i, j) bounds
-    g_(i+j) by min(g_i + v(b_j), h_j + v(a_i), g_i + h_j).  Each valuation
-    is taken capped at its own guarantee, v'(a_i) = min(v(a_i), g_i), which
-    folds the third term into the first two and is read off one gcd.
+The tail bound.  For 1 <= k < t_prec, C(N, k) = (N / k) C(N - 1, k - 1)
+gives v_p(C(i p^(m-1), k)) >= m - 1 - v_p(k) >= m - 1 - L, where
+L = floor(log_p(t_prec - 1)), or 0 when t_prec = 1.  The T^k coefficient of
+Phi(p, m)(1 + T) is sum_(i < p) C(i p^(m-1), k) and its constant term is p,
+so below T^t_prec each factor F(m)
+  * is 1 mod p^(m - 2 - L), and
+  * has no coefficient below p^(-1), and none below 1 once m >= L + 2.
+So P_K = prod_(j <= K) F(e(j)) has valuation >= -w, where
+w = #{j : e(j) <= L + 1}; the tail prod_(j > K) F(e(j)) is
+1 mod p^(e(K+1) - 2 - L); and
 
-The partial product stops at the first K where appending factor K + 1
-moves no coefficient at its guaranteed precision; that stopping rule is
-itself the soundness statement the tests assert.  A hard factor cap
-turns a bookkeeping bug into a loud error instead of a spin.
+    log± = (1/p) P_K  mod p^(e(K+1) - 3 - L - w).
+
+factor_count is the least K that puts this exponent at p_prec or above, so
+every coefficient build_log_pm returns is certified mod p^p_prec, and the
+count is known before any multiply, which lets the build's cost be checked
+against the enumeration cap first.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from fractions import Fraction
-from itertools import count, islice, pairwise
 from operator import add, mul
 
-from .base import ConvergenceError, Level, Sign, Value, level, pval, store_fields
+from .base import ENUMERATION_CAP, Level, ResourceCapError, Sign, Value, level, pval, store_fields
 from .digits import Prime
-
-# Hard bound on the number of partial-product factors.
-FACTOR_CAP = 64
 
 DEFAULT_T_PREC = 8
 DEFAULT_P_PREC = 6
@@ -55,33 +53,32 @@ class SeriesPrecision(Value, fields=("t_prec", "p_prec")):
         store_fields(self, (t_prec, p_prec))
 
 
-class TruncatedSeries(Value, fields=("p", "prec", "nums", "den", "guarantees")):
+class TruncatedSeries(Value, fields=("p", "prec", "nums", "den")):
     """Integer numerators over one positive denominator, in lowest terms on
-    construction, plus per-coefficient p-adic guarantees."""
+    construction."""
 
     __slots__ = ()
 
-    def __init__(self, p: Prime, prec: SeriesPrecision, nums: tuple, den: int, guarantees: tuple):
+    def __init__(self, p: Prime, prec: SeriesPrecision, nums: tuple, den: int):
         n = prec.t_prec
-        if len(nums) != n or len(guarantees) != n:
-            raise ValueError(f"expected {n} coefficients and guarantees")
+        if len(nums) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(nums)}")
         if den < 1:
             raise ValueError("the common denominator must be positive")
         g = math.gcd(den, *nums)
         if g != 1:
             nums, den = tuple(c // g for c in nums), den // g
-        store_fields(self, (p, prec, nums, den, guarantees))
+        store_fields(self, (p, prec, nums, den))
 
     @classmethod
     def from_coefficients(cls, p: Prime, prec: SeriesPrecision, coeffs) -> "TruncatedSeries":
-        """An exactly known series; every guarantee starts at the working precision."""
+        """The series of these rational coefficients, padded with zeros to t_prec."""
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > prec.t_prec:
             raise ValueError("more coefficients than t_prec")
         cs += [Fraction(0)] * (prec.t_prec - len(cs))
         den = math.lcm(*(c.denominator for c in cs))
-        nums = tuple(c.numerator * (den // c.denominator) for c in cs)
-        return cls(p, prec, nums, den, (prec.p_prec,) * prec.t_prec)
+        return cls(p, prec, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     @classmethod
     def one(cls, p: Prime, prec: SeriesPrecision) -> "TruncatedSeries":
@@ -92,45 +89,14 @@ class TruncatedSeries(Value, fields=("p", "prec", "nums", "den", "guarantees")):
         """The coefficients as reduced Fractions, built afresh on each read."""
         return tuple(Fraction(c, self.den) for c in self.nums)
 
-    def _capped_valuations(self) -> list[int]:
-        # min(v_p(c_k), g_k) for each c_k = nums[k] / den, so a zero reads as
-        # its guarantee.  With s = v_p(den) and G = max(s + max g, 0), the gcd
-        # of nums[k] and p^G is p^min(v_p(nums[k]), G): no division loop.
-        p, gs = self.p, self.guarantees
-        shift = pval(self.den, p)
-        top = max(shift + max(gs), 0)
-        exponent = {p**e: e - shift for e in range(top + 1)}
-        power = p**top
-        return [min(exponent[math.gcd(c, power)], g) for c, g in zip(self.nums, gs)]
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.p != other.p or self.prec != other.prec:
             raise ValueError("series have different primes or precisions")
         a, b = self.nums, other.nums
-        ga, gb = self.guarantees, other.guarantees
-        va, vb = self._capped_valuations(), other._capped_valuations()
-        nums, guars = [], []
-        for k in range(self.prec.t_prec):
-            # T^k collects the pairs (i, k - i); the reversed slices line
-            # them up so each sum and min over the pairs runs in C.  The
-            # capped valuations already hold the g_i + h_j term.
-            nums.append(sum(map(mul, a[: k + 1], b[k::-1])))
-            worst = (map(add, ga[: k + 1], vb[k::-1]), map(add, va[: k + 1], gb[k::-1]))
-            guars.append(min(map(min, worst)))
-        return TruncatedSeries(self.p, self.prec, tuple(nums), self.den * other.den, tuple(guars))
-
-    def scale(self, q: Fraction | int) -> "TruncatedSeries":
-        """Multiply by a nonzero rational scalar; guarantees shift by v_p(q)."""
-        if q == 0:
-            raise ValueError("cannot scale by zero")
-        shift = pval(q, self.p)
-        return TruncatedSeries(
-            self.p,
-            self.prec,
-            tuple(c * q.numerator for c in self.nums),
-            self.den * q.denominator,
-            tuple(g + shift for g in self.guarantees),
-        )
+        # T^k collects the pairs (i, k - i); the reversed slice lines them
+        # up so each sum runs in C.
+        nums = tuple(sum(map(mul, a[: k + 1], b[k::-1])) for k in range(self.prec.t_prec))
+        return TruncatedSeries(self.p, self.prec, nums, self.den * other.den)
 
 
 def series_log_classical(p: Prime, prec: SeriesPrecision) -> TruncatedSeries:
@@ -155,7 +121,7 @@ def phi_shifted(p: Prime, m: int, prec: SeriesPrecision) -> TruncatedSeries:
     # every measured p.
     build = _binomial_rows if 3 * (p - 1) <= prec.t_prec else _quotient
     coeffs = build(p, p ** (m - 1), prec.t_prec)
-    return TruncatedSeries(p, prec, tuple(coeffs), 1, (prec.p_prec,) * prec.t_prec)
+    return TruncatedSeries(p, prec, tuple(coeffs), 1)
 
 
 def _binomial_rows(p: int, h: int, n: int) -> list[int]:
@@ -188,105 +154,73 @@ def _binomials(e: int, n: int) -> list[int]:
     return out
 
 
-def _phi_factor(p: Prime, m: int, prec: SeriesPrecision) -> TruncatedSeries:
-    # Phi(p, m)(1 + T) / p: the same integers over p times the denominator,
-    # exact on the constant term (p / p = 1), one guarantee lost elsewhere.
-    base = phi_shifted(p, m, prec)
-    guars = (base.guarantees[0],) + tuple(g - 1 for g in base.guarantees[1:])
-    return TruncatedSeries(p, prec, base.nums, base.den * p, guars)
+def factor_count(p: Prime, sign: Sign, prec: SeriesPrecision) -> int:
+    """The least K with e(K + 1) >= p_prec + 3 + L + w (module docstring): the
+    number of factors after which the partial product is log± mod p^p_prec."""
+    # L: p^(L + 1) >= t_prec first at L = floor(log_p(t_prec - 1)), and at
+    # the latest at t_prec's bit length less one.
+    top = next(e for e in range(prec.t_prec.bit_length()) if p ** (e + 1) >= prec.t_prec)
+    # w: the j with 2j - parity <= L + 1.
+    w = (top + 1 + sign.parity) // 2
+    # e(K + 1) = 2K + 2 - parity reaches the target first at this K.
+    return (prec.p_prec + 2 + top + w + sign.parity) // 2
 
 
-def _factor_level(sign: Sign, j: int) -> int:
-    # The j-th even (plus) or odd (minus) cyclotomic level.
-    return 2 * j - sign.parity
-
-
-def _moves_at_precision(extended: TruncatedSeries, product: TruncatedSeries) -> bool:
-    # Does appending the next factor change any coefficient at its guarantee?
-    # Over one common denominator D each difference is an integer numerator,
-    # and it moves at guarantee g when p^(g + v_p(D)) does not divide it.
-    p = product.p
-    den = math.lcm(extended.den, product.den)
-    ea, eb = den // extended.den, den // product.den
-    shift = pval(den, p)
-    return any(
-        g + shift > 0 and (x * ea - y * eb) % p ** (g + shift) != 0
-        for x, y, g in zip(extended.nums, product.nums, product.guarantees)
-    )
-
-
-def _partial_products(p: Prime, sign: Sign, prec: SeriesPrecision) -> Iterator[TruncatedSeries]:
-    # The products of the first 0, 1, 2, ... factors Phi(p, e(j))(1 + T) / p,
-    # before the leading 1/p.
-    product = TruncatedSeries.one(p, prec)
-    yield product
-    for j in count(1):
-        product = product * _phi_factor(p, _factor_level(sign, j), prec)
-        yield product
-
-
-def _stabilized_product(
-    p: Prime, sign: Sign, prec: SeriesPrecision
-) -> tuple[TruncatedSeries, int]:
-    # The first partial product that the next factor leaves unmoved, and
-    # its number of factors; needing more than FACTOR_CAP factors raises.
-    products = islice(_partial_products(p, sign, prec), FACTOR_CAP + 1)
-    for factors, (product, extended) in enumerate(pairwise(products)):
-        if not _moves_at_precision(extended, product):
-            return product, factors
-    raise ConvergenceError(f"partial product did not stabilize within {FACTOR_CAP} factors")
+def require_within_cap(p: Prime, signs: tuple[Sign, ...], prec: SeriesPrecision) -> None:
+    """Refuse, before any multiply, to build log± for each sign in signs and,
+    for two signs, their product: each multiply is t_prec (t_prec + 1) / 2
+    coefficient products."""
+    t = prec.t_prec
+    multiplies = sum(factor_count(p, sign, prec) for sign in signs) + len(signs) - 1
+    if multiplies * t * (t + 1) // 2 > ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"the series at t_prec {t} and p_prec {prec.p_prec} exceed the enumeration cap"
+            f" of {ENUMERATION_CAP} coefficient products"
+        )
 
 
 def log_pm_partial_product(
     p: Prime, sign: Sign, prec: SeriesPrecision, factor_count: int
 ) -> TruncatedSeries:
-    """(1/p) times the product of the first factor_count factors, no stopping rule."""
+    """(1/p) times the first factor_count factors Phi(p, e(j))(1 + T) / p,
+    e(j) = 2j (plus) or 2j - 1 (minus): exactly the Amice transform of mu±
+    at level e(factor_count)."""
     if factor_count < 0:
         raise ValueError("factor_count must be >= 0")
-    products = _partial_products(p, sign, prec)
-    return next(islice(products, factor_count, None)).scale(Fraction(1, p))
-
-
-def stabilization_factor_count(p: Prime, sign: Sign, prec: SeriesPrecision) -> int:
-    """The number of factors after which the partial product has stabilized."""
-    _, factors = _stabilized_product(p, sign, prec)
-    return factors
+    product = TruncatedSeries.one(p, prec)
+    for j in range(1, factor_count + 1):
+        product = product * phi_shifted(p, 2 * j - sign.parity, prec)
+    return TruncatedSeries(p, prec, product.nums, p ** (factor_count + 1))
 
 
 def build_log_pm(p: Prime, sign: Sign, prec: SeriesPrecision) -> TruncatedSeries:
-    """The plus or minus logarithm as a stabilized partial product.
-
-    Multiplies factors Phi(p, e(j))(1 + T) / p, with e(j) even for plus and
-    odd for minus, until the next factor moves no coefficient at its
-    guaranteed precision, then applies the leading 1/p.
-    """
-    product, _ = _stabilized_product(p, sign, prec)
-    return product.scale(Fraction(1, p))
+    """The plus or minus logarithm mod p^p_prec in every coefficient: the
+    partial product of factor_count factors."""
+    return log_pm_partial_product(p, sign, prec, factor_count(p, sign, prec))
 
 
 def verify_product_identity(p: Prime, prec: SeriesPrecision) -> Level:
     """Check p^2 * T * log_plus * log_minus against the classical logarithm.
 
     Gives a level of one case T^k for every k below t_prec: the valuation
-    of the residual and the guaranteed bound it must meet; a coefficient
-    passes when the residual vanishes or its valuation reaches the bound.
+    of the residual and the bound it must meet; a coefficient passes when
+    the residual vanishes or its valuation reaches the bound.  The built
+    series are L± = log± + e± with v_p(e±) >= p_prec, so the residual is
+    p^2 T (e+ L- + L+ e- - e+ e-), of valuation at least
+    p_prec + 2 - max(v_p(den L+), v_p(den L-)).
     """
-    log_plus = build_log_pm(p, Sign.PLUS, prec)
-    log_minus = build_log_pm(p, Sign.MINUS, prec)
-    lhs = (log_plus * log_minus).scale(p * p)  # still to be shifted by one T power
+    log_plus, log_minus = (build_log_pm(p, sign, prec) for sign in Sign)
+    product = log_plus * log_minus
     classical = series_log_classical(p, prec)
+    bound = prec.p_prec + 2 - max(pval(log_plus.den, p), pval(log_minus.den, p))
     # Over one common denominator D each residual is an integer numerator.
-    den = math.lcm(lhs.den, classical.den)
-    el, ec = den // lhs.den, den // classical.den
+    den = math.lcm(product.den, classical.den)
+    el, ec = p * p * (den // product.den), den // classical.den
     shift = pval(den, p)
     texts = []
     for k in range(prec.t_prec):
-        if k == 0:
-            residual = 0  # both sides have no constant term
-            bound = classical.guarantees[0]
-        else:
-            residual = lhs.nums[k - 1] * el - classical.nums[k] * ec
-            bound = min(lhs.guarantees[k - 1], classical.guarantees[k])
+        # Both sides have no constant term.
+        residual = product.nums[k - 1] * el - classical.nums[k] * ec if k else 0
         v = None if residual == 0 else pval(residual, p) - shift
         actual = "v_p(residual) = " + ("exact" if v is None else str(v))
         texts.append((f"v_p(residual) >= {bound}", actual, v is None or v >= bound))
@@ -295,25 +229,26 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> Level:
 
 def dump_exponent(s: TruncatedSeries) -> int:
     """The e of the print gate: no integer that dump_dict(s, ...) prints exceeds p^e."""
-    return max(s.guarantees) + pval(s.den, s.p)
+    return s.prec.p_prec + pval(s.den, s.p)
 
 
 def dump_dict(s: TruncatedSeries, sign: Sign) -> dict:
     """The stable JSON form of s, big integers as decimal strings.  Each x_k =
     nums[k] / den, den = p^v u with p not dividing u, prints as its canonical
-    residue c_k = (nums[k] u^(-1) mod p^(g_k + v)) / p^v: the one rational in
-    [0, p^(g_k)) with a p-power denominator and v_p(c_k - x_k) >= g_k."""
-    p, v, gs = s.p, pval(s.den, s.p), s.guarantees
-    # One inverse mod the largest modulus serves every smaller one.
-    inverse = pow(s.den // p**v, -1, p ** max(dump_exponent(s), 0))
-    residues = [Fraction(x * inverse % p ** max(g + v, 0), p**v) for x, g in zip(s.nums, gs)]
+    residue c_k = (nums[k] u^(-1) mod p^(p_prec + v)) / p^v: the one rational
+    in [0, p^p_prec) with a p-power denominator and v_p(c_k - x_k) >= p_prec."""
+    p, g = s.p, s.prec.p_prec
+    v = pval(s.den, p)
+    modulus = p ** dump_exponent(s)
+    inverse = pow(s.den // p**v, -1, modulus)
+    residues = [Fraction(x * inverse % modulus, p**v) for x in s.nums]
     return {
         "p": int(p),
         "sign": sign.value,
         "t_prec": s.prec.t_prec,
-        "p_prec": s.prec.p_prec,
+        "p_prec": g,
         "coeffs": [
             {"k": k, "num": str(c.numerator), "den": str(c.denominator), "guaranteed_mod_p_pow": g}
-            for k, (c, g) in enumerate(zip(residues, gs))
+            for k, c in enumerate(residues)
         ],
     }

@@ -22,7 +22,7 @@ from .cyclotomic import _ring_dim
 from .digits import Prime
 from .distribution import amice_level, mu_level, mu_oracle_level, verify_additivity
 from .report import VerificationReport
-from .series import SeriesPrecision, verify_product_identity
+from .series import SeriesPrecision, require_within_cap, verify_product_identity
 
 Levels = Iterator[Level]
 
@@ -62,8 +62,9 @@ def _logproduct(p: Prime, max_n: int, prec: SeriesPrecision) -> Levels:
 
 
 # Each suite, in the order `all` runs them, as (cost, unit, levels): cost(p,
-# n) is the work of level n in the unit named, or None for a suite not
-# bounded by level; levels(p, max_n, prec) yields the suite's cases.
+# n) is the work of level n in the unit named, or None for logproduct, whose
+# one level's cost series.require_within_cap checks; levels(p, max_n, prec)
+# yields the suite's cases.
 SUITES: dict[str, tuple[Callable[[int, int], int] | None, str | None, Callable[..., Levels]]] = {
     # Per level n and sign, mu_oracle_level folds a product of p^floor(n/2)
     # or p^ceil(n/2) terms into the classes of the p^n cosets.
@@ -115,6 +116,8 @@ def run_suite(name: str, p: Prime, max_n: int, prec: SeriesPrecision) -> Verific
     chosen = list(SUITES) if name == "all" else [name]
     for suite in chosen:
         cost, unit, _ = SUITES[suite]
+        if cost is None:  # both logarithms and their product
+            require_within_cap(p, tuple(Sign), prec)
         work = 0
         for n in range(1, max_n + 1) if cost else ():
             work += cost(p, n)

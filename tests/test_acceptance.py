@@ -1,9 +1,9 @@
 """Acceptance suite: the headline identities at their stated desk-scale
 bounds, one printed pass/fail line per criterion.
 
-Every check is exact (tolerance zero); the series criterion is exact at the
-tracked per-coefficient p-adic guarantees.  Run with `pytest -s` to see the
-pass/fail lines.
+Every check is exact (tolerance zero); the series criterion is exact mod
+p^p_prec, where a proven tail bound cuts the logarithms' products.  Run with
+`pytest -s` to see the pass/fail lines.
 """
 
 from fractions import Fraction

@@ -21,6 +21,7 @@ import pytest
 from test_cli_fuzz import sloppy, well_formed
 
 import pmlog.cli as cli
+import pmlog.series as series
 import pmlog.suites as suites
 from pmlog import (
     DistValue,
@@ -28,6 +29,7 @@ from pmlog import (
     SeriesPrecision,
     Sign,
     build_log_pm,
+    factor_count,
     mu_level,
     mu_oracle,
     mu_value,
@@ -259,7 +261,7 @@ def test_series_single_coefficient(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["coeffs"] == [
-        {"k": 0, "num": "1", "den": "3", "guaranteed_mod_p_pow": 3}
+        {"k": 0, "num": "1", "den": "3", "guaranteed_mod_p_pow": 4}
     ]
 
 
@@ -326,7 +328,7 @@ def test_series_large_prime_in_bounded_time(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 0
     assert json.loads(out)["coeffs"][0] == {
-        "k": 0, "num": "1", "den": "1000003", "guaranteed_mod_p_pow": 5
+        "k": 0, "num": "1", "den": "1000003", "guaranteed_mod_p_pow": 6
     }
 
 
@@ -344,7 +346,7 @@ def test_series_at_a_large_prime_prints_each_residue_below_its_bound(capsys):
     assert max(map(abs, built.nums)) >= 10 ** sys.get_int_max_str_digits()
     v = pval(built.den, p)
     coeffs = json.loads(out)["coeffs"]
-    assert [c["guaranteed_mod_p_pow"] for c in coeffs] == list(built.guarantees)
+    assert [c["guaranteed_mod_p_pow"] for c in coeffs] == [24] * 24
     for c in coeffs:
         assert 0 <= int(c["num"]) < p ** (c["guaranteed_mod_p_pow"] + v)
         assert 1 <= int(c["den"]) <= p**v
@@ -392,6 +394,71 @@ def test_verify_logproduct_suite(capsys):
     report = json.loads(out)
     assert report["overall_pass"] is True
     assert len(report["cases"]) == 10
+
+
+PAST_THE_OLD_FACTOR_CAP = [
+    ["series", "--sign", "+", "--p", "3", "--tprec", "2", "--pprec", "3000"],
+    ["series", "--sign", "-", "--p", "5", "--tprec", "3", "--pprec", "5000"],
+    ["verify", "--suite", "logproduct", "--p", "3", "--tprec", "6", "--pprec", "130"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", PAST_THE_OLD_FACTOR_CAP, ids=["series-3-2-3000", "series-5-3-5000", "logproduct-3-6-130"]
+)
+def test_series_past_64_factors_finish_at_their_precision(capsys, argv):
+    # Each needs more than 64 factors, which a fixed factor cap once refused.
+    p, t_prec, p_prec = (int(argv[argv.index(flag) + 1]) for flag in ("--p", "--tprec", "--pprec"))
+    prec = SeriesPrecision(t_prec, p_prec)
+    assert min(factor_count(Prime(p), sign, prec) for sign in Sign) > 64
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    payload = json.loads(out)
+    if argv[0] == "series":
+        assert [c["guaranteed_mod_p_pow"] for c in payload["coeffs"]] == [p_prec] * t_prec
+    else:
+        assert payload["overall_pass"] is True and len(payload["cases"]) == t_prec
+
+
+def test_series_cost_cap_boundary_is_exact(capsys, monkeypatch):
+    # At (p, t_prec, p_prec) = (3, 6, 8), L = 1 and w = 1 for both signs, so
+    # each logarithm takes (8 + 2 + 1 + 1 + parity) // 2 = 6 factors, and a
+    # multiply is 6 * 7 / 2 = 21 coefficient products: 126 for one series,
+    # and (6 + 6 + 1) * 21 = 273 for logproduct, alone or last in `all`.
+    precision = ["--p", "3", "--tprec", "6", "--pprec", "8"]
+    for argv, cost in (
+        (["series", "--sign", "+", *precision], 126),
+        (["series", "--sign", "-", *precision], 126),
+        (["verify", "--suite", "logproduct", *precision], 273),
+        (["verify", "--suite", "all", "--max-n", "1", *precision], 273),
+    ):
+        monkeypatch.undo()
+        monkeypatch.setattr(series, "ENUMERATION_CAP", cost)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(series, "ENUMERATION_CAP", cost - 1)
+        # refused before any factor is built, and before any suite of `all` runs
+        monkeypatch.setattr(series, "phi_shifted", None)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == (
+            "error: the series at t_prec 6 and p_prec 8 exceed the enumeration cap"
+            f" of {cost - 1} coefficient products\n"
+        )
+
+
+def test_series_past_the_cost_cap_are_refused_at_once(capsys):
+    # 20 multiplies of 2,001,000 coefficient products each, and a p_prec of
+    # 4,000 digits: both are refused before any multiply.
+    for argv in (
+        ["verify", "--suite", "logproduct", "--p", "2", "--tprec", "2000", "--pprec", "1"],
+        ["series", "--sign", "-", "--p", "2", "--tprec", "1", "--pprec", "10" * 2000],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "") and "enumeration cap" in err
 
 
 def test_verify_all_passes_and_is_deterministic(capsys):

@@ -7,7 +7,8 @@ dropped or stray tokens, or shuffled.  Every call must return an exit code
 in 0-3, let no exception escape, and finish within CALL_LIMIT_S.
 
 The sizes drawn stay small: p up to 13 (or 2^61 - 1), n and m up to 13,
---max-n up to 3, --tprec and --pprec up to 24.  Half the table calls add
+--max-n up to 3, --tprec and --pprec up to 24, or 10^7, which the series
+cost cap refuses at any p before any work.  Half the table calls add
 `--force`, which lifts the table's row cap but not the enumeration cap on
 its p^n or p^(n+m) rows, so a forced table stays bounded too.  Larger
 sizes are the business of the cap tests in test_cli.py.
@@ -29,7 +30,7 @@ CALL_LIMIT_S = 10.0
 PRIMES = ["2", "3", "5", "7", "13", "2305843009213693951"]
 SIZES = ["1", "2", "3", "5", "13"]
 RESIDUES = ["0", "1", "5", "100", "-1", "10000000000000000000000"]
-PRECISIONS = ["1", "8", "24"]
+PRECISIONS = ["1", "8", "24", "10000000"]
 SUITES = ["oracle", "additivity", "amice", "biamice", "logproduct", "all"]
 # What a sloppy draw puts in place of a value: out-of-range numbers, bad
 # tokens, flags or signs where a value belongs, and ints that int() reads

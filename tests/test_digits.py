@@ -49,7 +49,7 @@ def test_prime_accepts_primes(p):
     + [561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461],
 )
 def test_prime_rejects_nonprimes(p):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
         Prime(p)
 
 

@@ -2,11 +2,14 @@
 oracle point queries must stay byte-identical across refactors and speed-ups.
 
 Each digest is the SHA-256 of everything the command writes to stdout.
-The verify, table, value and bivalue digests were recorded under
-FORMAT_VERSION "1" and are unchanged by "2".  Format "2" prints each series
-coefficient as its canonical residue below p^(guarantee), so every series
-digest was re-recorded under it, and the 2^61 - 1 series digest added.
-After a deliberate FORMAT_VERSION bump, regenerate them with
+The amice, biamice, oracle, additivity, table, value and bivalue digests
+were recorded under FORMAT_VERSION "1" and are unchanged since.  Format "2"
+printed each series coefficient as its canonical residue below
+p^(guarantee).  Format "3" certifies every coefficient mod p^p_prec, by the
+proven tail bound of series.py: the series dumps print that one guarantee,
+and logproduct (alone and in `all`) checks one bound per run, so the
+series, logproduct and all digests were re-recorded under it.  After a
+deliberate FORMAT_VERSION bump, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -37,13 +40,13 @@ GOLDEN = {
     "verify --suite amice --p 7 --max-n 4": "d0611db93fbd2fcf8b52b5f58d090bf901ac1d1479985dcfcf6d8c2d2e4ceb8c",
     "verify --suite amice --p 13 --max-n 3": "bca9b9b02ccb901661145cf8fa53872a3c8671ab1a20321c4b4a334ac5c88fbf",
     "verify --suite biamice --p 7 --max-n 2": "17f13bc1e1babb59f72ce81b4f56e58026a13964ea5cc9e2d832e8f49622e89f",
-    "verify --suite all --p 2 --max-n 5": "2dd57b136fddbe81cab7e6e9d0eba0efc72bf271e3eed9d4e6aa1232df69e28d",
-    "verify --suite all --p 3 --max-n 4": "1de0d02b343b9fee75489ccc0d5081dfa578adeabbbebecc92359b2dcee721da",
-    "verify --suite all --p 5 --max-n 3": "df0671e036d81222f52175c1720f84c8d6895fdc9ea5d755f44caef61055f912",
-    "series --sign + --p 2 --tprec 48 --pprec 32": "0d60643ab91abf3698255fca1ef84d3b068b14e3da771a6dd7dcc7b0a9476a0d",
-    "series --sign - --p 3 --tprec 32 --pprec 16": "8c21abf72746ac0e1c2c3a2fe316eff11f490d6b6db25264d8915d4c4c412d33",
-    "verify --suite logproduct --p 2 --tprec 40 --pprec 24": "7553a2a9feef12f2221f8ff80982451f9d8497c3b0e48a2f28f4d9e09b34a7f6",
-    "verify --suite logproduct --p 7 --tprec 24 --pprec 10": "0a2ab798834667a9042144f6d679f589b9dec054f7e1c2f39cae61048589de33",
+    "verify --suite all --p 2 --max-n 5": "2d49ebf531634cc6dc37ae7dc3106dfc8068282f00c751b3c061ac8a2cb38e23",
+    "verify --suite all --p 3 --max-n 4": "3664cb033302e4d77669d66d7d5233b1bb01e81beaab5dd0a75ad971ee3e784c",
+    "verify --suite all --p 5 --max-n 3": "77cc9b861cac919a4b308f7dd5186993a01bc57bb774632f22f9b6a6226718f9",
+    "series --sign + --p 2 --tprec 48 --pprec 32": "86b61959a18bf5c87d604b364513c8cab10c14821074f0874ba93dc8c14a143b",
+    "series --sign - --p 3 --tprec 32 --pprec 16": "fe331b180e6a3374077ccd3c995214f32c73121c87a91b1df6f44ee925cf6828",
+    "verify --suite logproduct --p 2 --tprec 40 --pprec 24": "d7eba01be7ce3fd5769d40eb3dd1159a7af27c01867efd12b47713b6f411d188",
+    "verify --suite logproduct --p 7 --tprec 24 --pprec 10": "b69c97358b1199c8c6ed4dc150c98c8dae4de5811770d35806c1b9ee483320a7",
     "table --sign + --p 3 --n 6": "7399272408c71e030fa4875feedc34886edda65f1d9ce9ba420df5487bbcd471",
     "verify --suite oracle --p 5 --max-n 4": "cd49d30d44cbae7dae8bb2adebed0363d65853aa0833c745190c008f15570d43",
     "verify --suite additivity --p 3 --max-n 6": "92f48885f6c3dbdda489594a66f7363e2f45b314b2729a79d0255bc22217e6f6",
@@ -58,17 +61,17 @@ GOLDEN = {
     # so are (13, 12), (11, 10) and (7, 5), where t_prec is about p - 1;
     # (5, 12), (13, 36) and (11, 30) sit on the switch, and (7, 17) is one
     # step short of it.
-    "series --sign - --p 13 --tprec 8 --pprec 6": "c57f330c2b938d89f5cd03c256f0122903d1336dd3e6a5aa38c44b7e2b3b59c9",
-    "series --sign + --p 1000003 --tprec 8 --pprec 6": "8a4081c75e89c8db919a792cb5c5995f9d16a5a7a56f4ef2c3d136e670cd5265",
-    "verify --suite logproduct --p 31 --tprec 24 --pprec 12": "aff2f161651254da5baff7e444506ad025250dc097eca1398750bf5014f83f13",
-    "verify --suite logproduct --p 13 --tprec 12 --pprec 8": "fe4ec9eb4a7dd8719b1437dc192e4469e957e4767b4fe58d4a8751cb708f8523",
-    "series --sign + --p 11 --tprec 10 --pprec 8": "f5d75dbd23f954cffd3f33c89dc405ec9481a53586c2da4c54a0423e8a0acb13",
-    "verify --suite logproduct --p 2 --tprec 64 --pprec 40": "1ebbc9d6f6a088006de3d9b27c92da9e970a63175dfc621b44d7d19109ae7fd9",
-    "series --sign - --p 7 --tprec 5 --pprec 8": "1a0e2e111ab597ccbc48576fc5e5992b892f70a703bfdbb16f406d5b73ef9a63",
-    "verify --suite logproduct --p 5 --tprec 12 --pprec 8": "a22b65698d150217b54d4151f7dec34f659059274ee348f4cc4737744d10ab0b",
-    "verify --suite logproduct --p 13 --tprec 36 --pprec 8": "1810226fe6a8e541201edeacb564caddc13ec5d7a61df1632758a95559d3cb6f",
-    "series --sign + --p 11 --tprec 30 --pprec 8": "fe3632380a983fe568da4f87dfb1a1b725895a13028ee93e8c75350312345892",
-    "series --sign - --p 7 --tprec 17 --pprec 8": "e0a5de9109eb9cea6cab1eb13b88c39dad2ad0e4d14bda4ee9f1e37317da8c4c",
+    "series --sign - --p 13 --tprec 8 --pprec 6": "3d29acb86851c02c37e46885115ba6fec9baa58b59b76d9e71f23faecb70d287",
+    "series --sign + --p 1000003 --tprec 8 --pprec 6": "2a8eb4fb5c5e44fa201559cb50b9a24446915764a0e80b4bc9d06735eea5f49b",
+    "verify --suite logproduct --p 31 --tprec 24 --pprec 12": "6c4bfa2fec9026ec538aa1bcf5894855fa42709db8a7ef40204b703018b8fd2a",
+    "verify --suite logproduct --p 13 --tprec 12 --pprec 8": "1acf4b94d039e8a1c6bc0c2c13565d5a3e9d33ef93a2f63e3b2208aaf36688cb",
+    "series --sign + --p 11 --tprec 10 --pprec 8": "1d0c16bc7a9fac99edffadb5c65ac25d19465e1914d7bb10b9f8eef86cd00064",
+    "verify --suite logproduct --p 2 --tprec 64 --pprec 40": "8855d433ab8d7fd9b6e2d5f59b4ef9d295deb9258907d76d35dce7ca4bbf2ed4",
+    "series --sign - --p 7 --tprec 5 --pprec 8": "e110168afa29a5b1d98a4ecaf187e84c2d09a9dca856a647d2aa5678e899c01b",
+    "verify --suite logproduct --p 5 --tprec 12 --pprec 8": "1c6d5bcbb575417be79e1a3cbd31dec0ab7467ad3df04b19ad7b6e0fcbf48719",
+    "verify --suite logproduct --p 13 --tprec 36 --pprec 8": "0b1785863ae68928aad61d4a1fdea5b98ab7add3ca98a7edd33c4ab35de8fb21",
+    "series --sign + --p 11 --tprec 30 --pprec 8": "c307a2eea065a0e9325fa00415bb1fc688f457d23fefdc27d8157d0cb260ebc5",
+    "series --sign - --p 7 --tprec 17 --pprec 8": "f8b2d43bd81b5f1c8c027424b7fc822dfd23b44c940968550243b28db52f7258",
     # The benchmark's scan invocations not pinned above, an odd-n table and
     # a table with n < m, which the level-at-once tables split in halves.
     "table --sign + --p 3 --n 8": "0aff028e9ceec4cf5b16ba2c1cc6cdfc4136656d4dad3a809969b783b52a1728",
@@ -79,7 +82,7 @@ GOLDEN = {
     "verify --suite additivity --p 2 --max-n 13": "bcefa496697ce68af3927c54bd12a4cdc0041e1a4040ce7e3f6e0a82c232b0ee",
     "verify --suite oracle --p 2 --max-n 12": "3f51b2c6c72f708220315629d28ad5a88bf270815efbb7a844973b06c60a2bec",
     # A dump whose exact numerators run past the 4,300-digit print limit.
-    "series --sign - --p 2305843009213693951 --tprec 24 --pprec 24": "597e040eb9a6f85bf8884cdd01be2c2c2158709c0f7027d76f22a3a6cb7d53cb",
+    "series --sign - --p 2305843009213693951 --tprec 24 --pprec 24": "11d0bd156b84f8c852a77b0d7419e8a839b8031d8e2ceff6dc24618163c25602",
 }
 
 

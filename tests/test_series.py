@@ -1,4 +1,5 @@
-"""Truncated series construction, the precision bookkeeping, and the product identity."""
+"""Truncated series construction, the proven tail bound behind the factor count, and
+the product identity."""
 
 import math
 import random
@@ -8,18 +9,18 @@ import pytest
 
 import pmlog.series as series
 from pmlog import (
-    ConvergenceError,
     Prime,
+    ResourceCapError,
     SeriesPrecision,
     Sign,
     TruncatedSeries,
     build_log_pm,
     cyclo_poly,
+    factor_count,
     log_pm_partial_product,
     phi_shifted,
     pval,
     series_log_classical,
-    stabilization_factor_count,
     support_masses,
     verify_product_identity,
 )
@@ -44,7 +45,6 @@ def test_log_classical_coefficients():
     assert s.coeffs[2] == Fraction(-1, 2)
     assert s.coeffs[4] == Fraction(-1, 4)
     assert pval(s.coeffs[4], 2) == -2
-    assert all(g == PREC.p_prec for g in s.guarantees)
 
 
 def test_phi_shifted_examples():
@@ -102,29 +102,14 @@ def test_phi_shifted_switches_at_three_times_p_minus_one(p, t_prec, monkeypatch)
     assert phi_shifted(p, 2, SeriesPrecision(t_prec, 6)).coeffs[0] == p
 
 
-def with_guarantees(p, prec, coeffs, guars):
-    # an exactly known series with the given guarantees in place of M
-    exact = TruncatedSeries.from_coefficients(p, prec, coeffs)
-    return TruncatedSeries(exact.p, exact.prec, exact.nums, exact.den, tuple(guars))
-
-
 def textbook_mul(x, y):
-    # the reference product: a Fraction double loop, with the worst-case
-    # guarantee rule applied pair by pair on uncapped valuations
-    p, n = x.p, x.prec.t_prec
-
-    def v(q):
-        return math.inf if q == 0 else pval(q, p)
-
+    # the reference product: a Fraction double loop
+    n = x.prec.t_prec
     coeffs = [Fraction(0)] * n
-    guars = [math.inf] * n
     for i in range(n):
         for j in range(n - i):
-            ci, cj = x.coeffs[i], y.coeffs[j]
-            gi, gj = x.guarantees[i], y.guarantees[j]
-            coeffs[i + j] += ci * cj
-            guars[i + j] = min(guars[i + j], gi + v(cj), gj + v(ci), gi + gj)
-    return tuple(coeffs), tuple(guars)
+            coeffs[i + j] += x.coeffs[i] * y.coeffs[j]
+    return tuple(coeffs)
 
 
 def random_series(rng, p, prec):
@@ -139,78 +124,66 @@ def random_series(rng, p, prec):
             den *= rng.choice([2, 3, 5, 7, 11, 13, 35, 143])  # not a power of p
         num = rng.randint(-(p**8), p**8) * p ** rng.randint(0, 4)
         coeffs.append(Fraction(num or 1, den))
-    guars = tuple(rng.randint(-6, 12) for _ in range(prec.t_prec))
-    return with_guarantees(p, prec, coeffs, guars)
+    return TruncatedSeries.from_coefficients(p, prec, coeffs)
+
+
+def special_operands(p):
+    # high valuations, a p-power denominator, one that is not a power of p,
+    # and the all-zero operand
+    prec = SeriesPrecision(5, 6)
+    return [
+        TruncatedSeries.from_coefficients(p, prec, coeffs)
+        for coeffs in (
+            [p**5, p**3, Fraction(p**7, p**2), 1, 0],
+            [Fraction(1, p**2), Fraction(p, p**2), 1, 0, p],
+            [Fraction(p**4, 77 * p), Fraction(1, 35), Fraction(p**2, 11), 0, 1],
+            [],
+        )
+    ], prec
 
 
 @pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 11, 13)])
 def test_mul_matches_textbook_product(p):
     rng = random.Random(int(p))
+    pairs = []
     for _ in range(40):
         prec = SeriesPrecision(rng.randint(1, 12), rng.randint(1, 10))
-        x, y = random_series(rng, p, prec), random_series(rng, p, prec)
+        pairs.append((random_series(rng, p, prec), random_series(rng, p, prec)))
+    operands, prec = special_operands(p)
+    operands += [random_series(rng, p, prec) for _ in range(4)]
+    pairs += [(x, y) for x in operands for y in operands]
+    for x, y in pairs:
         product = x * y
-        assert (product.coeffs, product.guarantees) == textbook_mul(x, y)
+        assert product.coeffs == textbook_mul(x, y)
         assert all(type(c) is Fraction for c in product.coeffs)
 
 
 def test_mul_with_all_zero_operand():
-    x = with_guarantees(Prime(5), PREC, (Fraction(0),) * 8, range(-3, 5))
+    x = TruncatedSeries.from_coefficients(Prime(5), PREC, [])
     y = build_log_pm(Prime(5), Sign.PLUS, PREC)
     product = x * y
-    assert product.coeffs == (Fraction(0),) * 8
-    assert (product.coeffs, product.guarantees) == textbook_mul(x, y)
-
-
-def cap_cases(p):
-    # series whose valuations reach or pass their guarantees, so the cap
-    # min(v_p(c_k), g_k) binds on their coefficients
-    prec = SeriesPrecision(5, 6)
-    return [
-        # valuations above and at their guarantees, one below, and a zero
-        ([p**5, p**3, Fraction(p**7, p**2), 1, 0], (3, 3, 4, 5, 5)),
-        # the largest guarantee is the one that binds
-        ([p**6, p**9, 1, p, 0], (6, 2, 1, 1, 0)),
-        # denominator p^2 with every guarantee at most -2: p^(2 + max g) <= 1
-        ([Fraction(1, p**2), Fraction(p, p**2), 1, 0, p], (-2, -3, -2, -4, -5)),
-        ([Fraction(1, p**2), 0, 0, 1, 7], (-3, -4, -5, -3, -6)),
-        # a denominator that is not a power of p
-        ([Fraction(p**4, 77 * p), Fraction(1, 35), Fraction(p**2, 11), 0, 1], (3, 0, 2, 2, 1)),
-        # the all-zero operand
-        ([], (4, -1, 0, 7, 2)),
-    ], prec
-
-
-@pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 13)])
-def test_mul_matches_textbook_product_where_the_cap_binds(p):
-    cases, prec = cap_cases(p)
-    series_list = [with_guarantees(p, prec, coeffs, guars) for coeffs, guars in cases]
-    rng = random.Random(int(p) + 100)
-    series_list += [random_series(rng, p, prec) for _ in range(4)]
-    for x in series_list:
-        for y in series_list:
-            product = x * y
-            assert (product.coeffs, product.guarantees) == textbook_mul(x, y)
+    assert product.coeffs == (Fraction(0),) * 8 == textbook_mul(x, y)
+    assert (product.nums, product.den) == ((0,) * 8, 1)
 
 
 def test_equal_series_may_hold_different_numerators():
     p = Prime(3)
     s = build_log_pm(p, Sign.MINUS, PREC)
-    # scaling by p and back multiplies both numerators and denominator by
-    # p, and construction divides that common factor out again
-    other = s.scale(p).scale(Fraction(1, p))
+    # numerators and denominator times p: construction divides that common
+    # factor out again
+    other = TruncatedSeries(p, PREC, tuple(c * p for c in s.nums), s.den * p)
     assert other.nums == s.nums and other.den == s.den
     assert math.gcd(s.den, *s.nums) == 1
     assert other == s and hash(other) == hash(s)
-    x = TruncatedSeries(p, PREC, (1, 3, 0, 9, 0, 0, 0, 2), 3, (6,) * 8)
-    y = TruncatedSeries(p, PREC, (5, 15, 0, 45, 0, 0, 0, 10), 15, (6,) * 8)
+    x = TruncatedSeries(p, PREC, (1, 3, 0, 9, 0, 0, 0, 2), 3)
+    y = TruncatedSeries(p, PREC, (5, 15, 0, 45, 0, 0, 0, 10), 15)
     assert (y.nums, y.den) == ((1, 3, 0, 9, 0, 0, 0, 2), 3)
     assert x == y and hash(x) == hash(y) and x.coeffs == y.coeffs
-    assert x != TruncatedSeries(p, PREC, x.nums, 9, x.guarantees)
-    assert x != TruncatedSeries(p, PREC, x.nums, x.den, (5,) + (6,) * 7)
+    assert x != TruncatedSeries(p, PREC, x.nums, 9)
+    assert x != TruncatedSeries(p, SeriesPrecision(8, 5), x.nums, x.den)
     assert x != x.coeffs
     with pytest.raises(ValueError):
-        TruncatedSeries(p, PREC, x.nums, 0, x.guarantees)
+        TruncatedSeries(p, PREC, x.nums, 0)
 
 
 def test_pval_integer_and_rational_paths_agree():
@@ -233,23 +206,114 @@ def test_build_log_pm_constant_term(p, sign):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
 def test_stabilization_and_soundness(p, sign):
-    count = stabilization_factor_count(p, sign, PREC)
-    assert 0 < count <= 64
+    count = factor_count(p, sign, PREC)
     built = build_log_pm(p, sign, PREC)
-    at_count = log_pm_partial_product(p, sign, PREC, count)
-    assert built == at_count
-    # appending one more factor moves nothing at the guaranteed precision
+    assert built == log_pm_partial_product(p, sign, PREC, count)
+    # appending one more factor moves nothing mod p^p_prec
     next_one = log_pm_partial_product(p, sign, PREC, count + 1)
-    for new, old, g in zip(next_one.coeffs, built.coeffs, built.guarantees, strict=True):
+    for new, old in zip(next_one.coeffs, built.coeffs, strict=True):
         diff = new - old
-        assert diff == 0 or pval(diff, p) >= g
+        assert diff == 0 or pval(diff, p) >= PREC.p_prec
+
+
+def tail_terms(p, sign, prec):
+    # L, the largest v_p(k) for 0 < k < t_prec (0 at t_prec = 1), and w, the
+    # number of j >= 1 with e(j) = 2j - parity <= L + 1, counted one by one.
+    top = max((pval(k, p) for k in range(1, prec.t_prec)), default=0)
+    w = sum(1 for j in range(1, top + 3) if 2 * j - sign.parity <= top + 1)
+    return top, w
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_phi_shifted_coefficients_meet_the_binomial_bound(p):
+    # v_p(C(i p^(m-1), k)) >= m - 1 - v_p(k) for every summand, so the T^k
+    # coefficient of Phi(p, m)(1 + T) meets it too: the tail bound's lemma.
+    prec = SeriesPrecision(40, 1)
+    for m in range(1, 6):
+        coeffs = phi_shifted(Prime(p), m, prec).coeffs
+        assert coeffs[0] == p
+        for k in range(1, 40):
+            assert coeffs[k] == 0 or pval(coeffs[k], p) >= m - 1 - pval(k, p), (m, k)
+
+
+def fraction_log_pm(p, sign, t_prec, factors):
+    # (1/p) prod_(j <= factors) Phi(p, e(j))(1 + T) / p as Fractions: each
+    # factor summed from binomial rows C(i h, k), k < t_prec, by the integer
+    # recurrence C(N, k + 1) = C(N, k) (N - k) / (k + 1), the integer product
+    # convolved by hand, and p^(factors + 1) divided out at the end; no
+    # series code.
+    product = [1] + [0] * (t_prec - 1)
+    for j in range(1, factors + 1):
+        h = p ** (2 * j - sign.parity - 1)
+        factor = [0] * t_prec
+        for i in range(p):
+            binomial = 1
+            for k in range(t_prec):
+                factor[k] += binomial
+                binomial = binomial * (i * h - k) // (k + 1)
+        product = [sum(product[i] * factor[k - i] for i in range(k + 1)) for k in range(t_prec)]
+    return [Fraction(c, p ** (factors + 1)) for c in product]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11, 13, 101])
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+@pytest.mark.parametrize("t_prec", [1, 8, 40])
+def test_build_agrees_with_eight_more_factors_mod_p_to_the_p_prec(p, sign, t_prec):
+    # The product of factor_count + 8 factors is log± to far more digits,
+    # so every built coefficient must agree with it mod p^p_prec.
+    for p_prec in (1, 6, 20):
+        prec = SeriesPrecision(t_prec, p_prec)
+        built = build_log_pm(Prime(p), sign, prec).coeffs
+        longer = fraction_log_pm(p, sign, t_prec, factor_count(Prime(p), sign, prec) + 8)
+        for k, (x, y) in enumerate(zip(built, longer, strict=True)):
+            assert x == y or pval(x - y, p) >= p_prec, (p_prec, k)
+
+
+def test_the_guarantee_is_reached_at_p_2():
+    # log+ at (t_prec, p_prec) = (8, 6) misses its T^6 coefficient by
+    # exactly 2^6: no coefficient is certified below what is printed.
+    prec = SeriesPrecision(8, 6)
+    built = build_log_pm(Prime(2), Sign.PLUS, prec).coeffs
+    longer = fraction_log_pm(2, Sign.PLUS, 8, factor_count(Prime(2), Sign.PLUS, prec) + 8)
+    assert pval(built[6] - longer[6], 2) == 6
+
+
+@pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 101)])
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+def test_factor_count_is_the_least_count_the_tail_bound_admits(p, sign):
+    # The least K with e(K + 1) >= p_prec + 3 + L + w, against the bound
+    # recomputed here and the counts K - 1 and K.
+    def level(j):
+        return 2 * j - sign.parity
+
+    for t_prec in sorted({1, 2, 3, p - 1, p, p + 1, p * p, p * p + 1, 40}):
+        top, w = tail_terms(p, sign, SeriesPrecision(t_prec, 1))
+        for p_prec in range(1, 21):
+            prec = SeriesPrecision(t_prec, p_prec)
+            target = p_prec + 3 + top + w
+            count = factor_count(p, sign, prec)
+            assert level(count + 1) >= target, (t_prec, p_prec)
+            assert count == 0 or level(count) < target, (t_prec, p_prec)
+
+
+def test_the_cost_cap_boundary_is_exact(monkeypatch):
+    # At (3, 6, 8) each sign takes 6 factors and each multiply 6 * 7 / 2 = 21
+    # coefficient products: 126 for one logarithm, (6 + 6 + 1) * 21 = 273
+    # for both and their product.
+    prec = SeriesPrecision(6, 8)
+    for signs, cost in (((Sign.PLUS,), 126), ((Sign.MINUS,), 126), (tuple(Sign), 273)):
+        monkeypatch.setattr(series, "ENUMERATION_CAP", cost)
+        assert series.require_within_cap(Prime(3), signs, prec) is None
+        monkeypatch.setattr(series, "ENUMERATION_CAP", cost - 1)
+        with pytest.raises(ResourceCapError, match=f"enumeration cap of {cost - 1} "):
+            series.require_within_cap(Prime(3), signs, prec)
 
 
 def test_build_is_deterministic():
     a = build_log_pm(Prime(3), Sign.PLUS, PREC)
     b = build_log_pm(Prime(3), Sign.PLUS, PREC)
     assert a == b
-    assert a.coeffs == b.coeffs and a.guarantees == b.guarantees
+    assert a.coeffs == b.coeffs
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -263,9 +327,9 @@ def test_monotone_refinement(p, sign, finer):
     coarse = build_log_pm(p, sign, PREC)
     fine = build_log_pm(p, sign, finer)
     # zip stops at the coarse series' t_prec terms
-    for new, old, g in zip(fine.coeffs, coarse.coeffs, coarse.guarantees):
+    for new, old in zip(fine.coeffs, coarse.coeffs):
         diff = new - old
-        assert diff == 0 or pval(diff, p) >= g
+        assert diff == 0 or pval(diff, p) >= PREC.p_prec
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -277,6 +341,10 @@ def test_product_identity_passes(p, prec):
     cases = rows(verify_product_identity(p, prec))
     assert all(passed for *_, passed in cases), [row for row in cases if not row[3]]
     assert len(cases) == prec.t_prec
+    # one bound for every T^k: p_prec + 2 less the larger denominator valuation
+    dens = [build_log_pm(p, sign, prec).den for sign in Sign]
+    bound = prec.p_prec + 2 - max(pval(den, p) for den in dens)
+    assert {expected for _, expected, *_ in cases} == {f"v_p(residual) >= {bound}"}
 
 
 def test_product_identity_linear_term_exact():
@@ -289,11 +357,11 @@ def test_product_identity_linear_term_exact():
 
 
 def coefficient_valuation_profile(s: TruncatedSeries) -> list[tuple[int, int | None]]:
-    """Per-coefficient valuations; None marks a coefficient that is zero at
-    its guaranteed precision (exactly zero or indistinguishable from it)."""
+    """Per-coefficient valuations; None marks a coefficient that is zero mod
+    p^p_prec (exactly zero or indistinguishable from it)."""
     profile: list[tuple[int, int | None]] = []
-    for k, (c, g) in enumerate(zip(s.coeffs, s.guarantees)):
-        if c == 0 or pval(c, s.p) >= g:
+    for k, c in enumerate(s.coeffs):
+        if c == 0 or pval(c, s.p) >= s.prec.p_prec:
             profile.append((k, None))
         else:
             profile.append((k, pval(c, s.p)))
@@ -305,9 +373,10 @@ def test_valuation_profile():
     log_plus = build_log_pm(p, Sign.PLUS, PREC)
     profile = coefficient_valuation_profile(log_plus)
     assert profile[0] == (0, -1)
-    count = stabilization_factor_count(p, Sign.PLUS, PREC)
+    # no coefficient below p^(-1 - w), w = 1 at t_prec 8 for p = 3 (L = 1)
     observed = [v for _, v in profile if v is not None]
-    assert min(observed) >= -(1 + count)
+    assert min(observed) >= -2
+    assert tail_terms(p, Sign.PLUS, PREC)[1] == 1
 
 
 def test_valuation_profile_zero_coefficient():
@@ -315,34 +384,11 @@ def test_valuation_profile_zero_coefficient():
     profile = coefficient_valuation_profile(s)
     assert profile[1] == (1, None)
     assert profile[2] == (2, 0)
-    # a nonzero coefficient below its guarantee also reads as zero
-    t = with_guarantees(Prime(3), PREC, s.coeffs, (1,) * PREC.t_prec)
-    assert coefficient_valuation_profile(t)[0] == (0, 0)
+    # a nonzero coefficient at or past p^p_prec also reads as zero
+    t = TruncatedSeries.from_coefficients(Prime(3), SeriesPrecision(8, 1), [1, 3, Fraction(1, 2)])
+    assert coefficient_valuation_profile(t)[:3] == [(0, 0), (1, None), (2, 0)]
     u = TruncatedSeries.from_coefficients(Prime(3), PREC, [3**6])
     assert coefficient_valuation_profile(u)[0] == (0, None)
-
-
-@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
-def test_factor_cap_boundary(sign, monkeypatch):
-    p = Prime(3)
-    count = stabilization_factor_count(p, sign, PREC)
-    # the check needs factor count + 1 to see that it moves nothing
-    monkeypatch.setattr(series, "FACTOR_CAP", count + 1)
-    assert stabilization_factor_count(p, sign, PREC) == count
-    monkeypatch.setattr(series, "FACTOR_CAP", count)
-    with pytest.raises(ConvergenceError, match=f"did not stabilize within {count} factors"):
-        stabilization_factor_count(p, sign, PREC)
-    # the plain partial product takes no stopping rule and no cap
-    assert log_pm_partial_product(p, sign, PREC, 0) == TruncatedSeries.one(p, PREC).scale(
-        Fraction(1, p)
-    )
-    assert log_pm_partial_product(p, sign, PREC, 70).coeffs[0] == Fraction(1, p)
-
-
-def test_factor_cap_raises(monkeypatch):
-    monkeypatch.setattr(series, "FACTOR_CAP", 1)
-    with pytest.raises(ConvergenceError, match="did not stabilize within 1 factors"):
-        build_log_pm(Prime(2), Sign.MINUS, PREC)
 
 
 def support_sum(sign, p, n, t_prec):
@@ -375,12 +421,15 @@ def test_partial_product_is_the_amice_sum_over_the_support(p):
                 n += 1
 
 
-@pytest.mark.parametrize("p,t_prec,p_prec,factors", [(2, 12, 12, 7), (3, 10, 8, 4), (5, 8, 6, 3)])
-def test_stabilized_log_pm_is_the_amice_sum_of_its_level(p, t_prec, p_prec, factors):
-    # The stopping rule takes `factors` factors here, so the stabilized
-    # series is the level 2 factors (plus) or 2 factors - 1 (minus) sum.
+@pytest.mark.parametrize(
+    "p,t_prec,p_prec,plus,minus", [(2, 12, 12, 9, 10), (3, 10, 8, 6, 7), (5, 8, 6, 5, 5)]
+)
+def test_stabilized_log_pm_is_the_amice_sum_of_its_level(p, t_prec, p_prec, plus, minus):
+    # factor_count takes `plus` and `minus` factors here, so each built
+    # series is the Amice sum of level 2 factors (plus) or 2 factors - 1 (minus).
     prec = SeriesPrecision(t_prec, p_prec)
-    for sign in Sign:
+    for sign, factors in zip(Sign, (plus, minus)):
+        assert factor_count(Prime(p), sign, prec) == factors
         n = 2 * factors - sign.parity
         assert build_log_pm(Prime(p), sign, prec).coeffs == support_sum(sign, p, n, t_prec)
 
@@ -390,17 +439,6 @@ def test_series_arithmetic_requires_matching_precision():
     b = series_log_classical(Prime(3), SeriesPrecision(10, 6))
     with pytest.raises(ValueError):
         _ = a * b
-
-
-def test_scale_tracks_guarantees():
-    s = TruncatedSeries.from_coefficients(Prime(3), PREC, [1, 3])
-    down = s.scale(Fraction(1, 3))
-    assert down.coeffs[0] == Fraction(1, 3)
-    assert all(g == PREC.p_prec - 1 for g in down.guarantees)
-    up = s.scale(9)
-    assert all(g == PREC.p_prec + 2 for g in up.guarantees)
-    with pytest.raises(ValueError, match="cannot scale by zero"):
-        s.scale(0)
 
 
 def test_series_constructions_refuse_inputs_out_of_range():
@@ -426,37 +464,37 @@ def test_dump_dict_schema():
     assert first["num"] == "1" and first["den"] == "3"
     assert isinstance(first["num"], str) and isinstance(first["den"], str)
     assert [c["k"] for c in dump["coeffs"]] == list(range(8))
-    assert [c["guaranteed_mod_p_pow"] for c in dump["coeffs"]] == list(s.guarantees)
+    assert [c["guaranteed_mod_p_pow"] for c in dump["coeffs"]] == [6] * 8
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
 @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
 def test_dump_prints_the_canonical_residue_of_each_coefficient(p, sign):
-    # c_k lies in [0, p^g_k), has a power-of-p denominator and agrees with
-    # the built coefficient x_k mod p^g_k: the one such rational.  No printed
-    # integer exceeds p^dump_exponent(s), the exponent the print gate checks.
-    for t_prec, p_prec in ((1, 1), (4, 2), (8, 6), (12, 8), (20, 5)):
-        s = build_log_pm(Prime(p), sign, SeriesPrecision(t_prec, p_prec))
+    # c_k lies in [0, p^p_prec), has a power-of-p denominator and agrees
+    # with the built coefficient x_k mod p^p_prec: the one such rational.  No
+    # printed integer exceeds p^dump_exponent(s), the print gate's exponent.
+    for t_prec, g in ((1, 1), (4, 2), (8, 6), (12, 8), (20, 5)):
+        s = build_log_pm(Prime(p), sign, SeriesPrecision(t_prec, g))
         dump = dump_dict(s, sign)
-        for coeff, x, g in zip(dump["coeffs"], s.coeffs, s.guarantees, strict=True):
+        for coeff, x in zip(dump["coeffs"], s.coeffs, strict=True):
             den = int(coeff["den"])
             c = Fraction(int(coeff["num"]), den)
-            assert 0 <= c < Fraction(p) ** g, (t_prec, p_prec, coeff)
+            assert coeff["guaranteed_mod_p_pow"] == g
+            assert 0 <= c < Fraction(p) ** g, (t_prec, g, coeff)
             assert c.denominator == den == p ** pval(den, p)
             assert c == x or pval(c - x, p) >= g
             assert max(int(coeff["num"]), den) <= p ** dump_exponent(s)
 
 
 def test_dump_of_a_coefficient_below_its_guarantee_is_zero():
-    # Over the common denominator 6 = 3 * 2, v = 1: 1/3 at guarantee -1 has
-    # g + v = 0 and prints 0, 9/2 at guarantee 2 is 0 mod 9, and 7/3 at
-    # guarantee 0 keeps its fractional part, 1/3.
-    p, prec = Prime(3), SeriesPrecision(3, 4)
-    s = with_guarantees(p, prec, [Fraction(1, 3), Fraction(9, 2), Fraction(7, 3)], (-1, 2, 0))
+    # Over the common denominator 6 = 3 * 2, v = 1, mod 3^2: 27/2 is 0 mod 9,
+    # 7/3 keeps its fractional part, 7/3, and 1/2 prints its inverse 5.
+    p, prec = Prime(3), SeriesPrecision(3, 2)
+    s = TruncatedSeries.from_coefficients(p, prec, [Fraction(27, 2), Fraction(7, 3), Fraction(1, 2)])
     assert [(c["num"], c["den"]) for c in dump_dict(s, Sign.PLUS)["coeffs"]] == [
         ("0", "1"),
-        ("0", "1"),
-        ("1", "3"),
+        ("7", "3"),
+        ("5", "1"),
     ]
 
 
@@ -470,12 +508,10 @@ INVARIANCE_GRID = [
 
 @pytest.mark.parametrize("p,sign,t_prec,p_prec", INVARIANCE_GRID)
 def test_dump_does_not_depend_on_where_the_product_stopped(p, sign, t_prec, p_prec):
-    # Eight factors past the stopping point, taken at the built guarantees,
-    # print the same bytes: the dump holds only the certified classes.
+    # Eight factors past the factor count print the same bytes: the dump
+    # holds only the classes mod p^p_prec.
     prec = SeriesPrecision(t_prec, p_prec)
     built = build_log_pm(Prime(p), sign, prec)
-    count = stabilization_factor_count(Prime(p), sign, prec)
-    longer = log_pm_partial_product(Prime(p), sign, prec, count + 8)
+    longer = log_pm_partial_product(Prime(p), sign, prec, factor_count(Prime(p), sign, prec) + 8)
     assert longer != built
-    at_built = TruncatedSeries(Prime(p), prec, longer.nums, longer.den, built.guarantees)
-    assert dump_dict(at_built, sign) == dump_dict(built, sign)
+    assert dump_dict(longer, sign) == dump_dict(built, sign)

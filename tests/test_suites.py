@@ -88,6 +88,16 @@ def test_all_checks_every_cap_before_any_suite_runs(capsys, monkeypatch, p, max_
     )
 
 
+@pytest.mark.parametrize("name", ["logproduct", "all"])
+def test_the_series_cost_is_checked_before_any_suite_runs(monkeypatch, name):
+    # logproduct at (p, t_prec, p_prec) = (3, 6, 8) is 273 coefficient
+    # products (tests/test_series.py); the other suites are far below the cap.
+    refuse_any_work(monkeypatch)
+    monkeypatch.setattr(series, "ENUMERATION_CAP", 272)
+    with pytest.raises(ResourceCapError, match="the series at t_prec 6 and p_prec 8 exceed"):
+        suites.run_suite(name, Prime(3), 1, SeriesPrecision(t_prec=6, p_prec=8))
+
+
 def test_a_cap_is_reported_for_the_first_suite_past_it(monkeypatch):
     refuse_any_work(monkeypatch)
     # p = 3 up to n = 2 costs oracle 36, additivity 96, amice 154, biamice 1096

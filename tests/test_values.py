@@ -44,7 +44,6 @@ def fields(cls):
             "prec": SeriesPrecision(2, 4),
             "nums": (1, 2),
             "den": 3,
-            "guarantees": (4, 4),
         },
         VerificationReport: lambda: {
             "suite": "oracle",
@@ -61,7 +60,7 @@ CHANGED = {
     StepFunction: {"values": {residue_from_integer(a, P3, 1): Fraction(1) for a in range(3)}},
     CyclotomicElement: {"den": 1},
     SeriesPrecision: {"p_prec": 5},
-    TruncatedSeries: {"guarantees": (4, 3)},
+    TruncatedSeries: {"nums": (1, 1)},
     VerificationReport: {"blocks": []},
 }
 
@@ -197,8 +196,8 @@ REFUSED = [
     (CyclotomicElement, {"den": 0}, "the denominator must be nonzero"),
     (SeriesPrecision, {"t_prec": 0}, "t_prec and p_prec must be >= 1"),
     (SeriesPrecision, {"p_prec": 0}, "t_prec and p_prec must be >= 1"),
-    (TruncatedSeries, {"nums": (1,)}, "expected 2 coefficients and guarantees"),
-    (TruncatedSeries, {"guarantees": (4, 4, 4)}, "expected 2 coefficients and guarantees"),
+    (TruncatedSeries, {"nums": (1,)}, "expected 2 coefficients, got 1"),
+    (TruncatedSeries, {"nums": (1, 2, 3)}, "expected 2 coefficients, got 3"),
     (TruncatedSeries, {"den": 0}, "the common denominator must be positive"),
 ]
 

@@ -14,15 +14,18 @@ run may use 1 GiB of address space; a mutant that needs more fails.  The
 unmutated copy must pass the same tests first.
 
 Prints each survivor as `module.py:line  statement`, then one row per module:
-mutants, killed, hung, survived.  Progress goes to standard error.  Uses the
-standard library and the pytest the tests already need; it is not a test
-module, and the tier-1 run (tests/) does not collect it.
+mutants, killed, hung, survived.  Progress goes to standard error.  A SIGTERM
+stops the survey: the test runs in progress are killed and the temporary
+copies removed.  Uses the standard library and the pytest the tests already
+need; it is not a test module, and the tier-1 run (tests/) does not collect
+it.
 """
 
 from __future__ import annotations
 
 import ast
 import concurrent.futures
+import contextlib
 import os
 import queue
 import shutil
@@ -102,8 +105,23 @@ LAUNCH = (
 MEMORY_LIMIT = 2**30
 
 
-def run_tests(tree: Path, tests: list[str], timeout: float) -> str:
-    """'passed', 'failed' or 'hung' for pytest -x over tests in the copy at tree."""
+def _end(proc: subprocess.Popen) -> None:
+    # Kill a run's whole session, the programs its tests started too, unless
+    # it has exited.
+    if proc.poll() is None:
+        with contextlib.suppress(ProcessLookupError):  # it exited meanwhile
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def _stop(signum, frame) -> None:
+    # A SIGTERM unwinds the survey like an exception, so its cleanup runs.
+    raise SystemExit(128 + signum)
+
+
+def run_tests(tree: Path, tests: list[str], timeout: float, running: set) -> str:
+    """'passed', 'failed' or 'hung' for pytest -x over tests in the copy at
+    tree; the run is in `running` while it runs, so that a stop can end it."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     pytest = ["-x", "-q", "-p", "no:cacheprovider", *tests]
     command = [sys.executable, "-c", LAUNCH, str(MEMORY_LIMIT), *pytest]
@@ -115,13 +133,14 @@ def run_tests(tree: Path, tests: list[str], timeout: float) -> str:
         stderr=subprocess.DEVNULL,
         start_new_session=True,  # so a timeout ends the programs the tests start too
     )
+    running.add(proc)
     try:
-        code = proc.wait(timeout=timeout)
+        return "passed" if proc.wait(timeout=timeout) == 0 else "failed"
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
         return "hung"
-    return "passed" if code == 0 else "failed"
+    finally:
+        running.discard(proc)
+        _end(proc)
 
 
 def make_copy(parent: Path, index: int) -> Path:
@@ -133,6 +152,7 @@ def make_copy(parent: Path, index: int) -> Path:
 
 
 def survey() -> int:
+    signal.signal(signal.SIGTERM, _stop)
     modules = sorted(path.stem for path in (ROOT / PACKAGE).glob("*.py"))
     jobs = os.cpu_count() or 1
     mutants = []
@@ -140,13 +160,14 @@ def survey() -> int:
         source = (ROOT / PACKAGE / f"{module}.py").read_text()
         for node in targets(source):
             mutants.append((module, source, node))
+    running: set[subprocess.Popen] = set()
     with tempfile.TemporaryDirectory(prefix="mutation-survey-") as temp:
         copies: queue.Queue[Path] = queue.Queue()
         for index in range(jobs):
             copies.put(make_copy(Path(temp), index))
         every_test = sorted({test for module in modules for test in tests_for(module)})
         tree = copies.get()
-        baseline = run_tests(tree, every_test, TIMEOUT * len(modules))
+        baseline = run_tests(tree, every_test, TIMEOUT * len(modules), running)
         copies.put(tree)
         if baseline != "passed":
             print(f"the unmutated tree {baseline} its tests; no survey", file=sys.stderr)
@@ -163,15 +184,23 @@ def survey() -> int:
             path = tree / PACKAGE / f"{module}.py"
             try:
                 path.write_text(mutated)
-                outcome = run_tests(tree, tests_for(module), TIMEOUT)
+                outcome = run_tests(tree, tests_for(module), TIMEOUT, running)
             finally:
                 path.write_text(source)
                 copies.put(tree)
             print(f"{outcome:7} {module}.py:{node.lineno}", file=sys.stderr)
             return outcome
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=jobs)
+        try:
             outcomes = list(pool.map(outcome_of, mutants))
+        finally:
+            # On a stop, start no more mutants and end the running ones, so
+            # the workers return before the copies are removed.
+            pool.shutdown(wait=False, cancel_futures=True)
+            for proc in running.copy():
+                _end(proc)
+            pool.shutdown()
 
     columns = ("mutants", "killed", "hung", "survived", "invalid")
     table = {module: dict.fromkeys(columns, 0) for module in [*modules, "total"]}
