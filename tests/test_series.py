@@ -127,35 +127,46 @@ def random_series(rng, p, prec):
     return TruncatedSeries.from_coefficients(p, prec, coeffs)
 
 
-def special_operands(p):
-    # high valuations, a p-power denominator, one that is not a power of p,
-    # and the all-zero operand
-    prec = SeriesPrecision(5, 6)
-    return [
-        TruncatedSeries.from_coefficients(p, prec, coeffs)
-        for coeffs in (
-            [p**5, p**3, Fraction(p**7, p**2), 1, 0],
-            [Fraction(1, p**2), Fraction(p, p**2), 1, 0, p],
-            [Fraction(p**4, 77 * p), Fraction(1, 35), Fraction(p**2, 11), 0, 1],
-            [],
-        )
-    ], prec
-
-
 @pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 11, 13)])
 def test_mul_matches_textbook_product(p):
     rng = random.Random(int(p))
-    pairs = []
     for _ in range(40):
         prec = SeriesPrecision(rng.randint(1, 12), rng.randint(1, 10))
-        pairs.append((random_series(rng, p, prec), random_series(rng, p, prec)))
-    operands, prec = special_operands(p)
-    operands += [random_series(rng, p, prec) for _ in range(4)]
-    pairs += [(x, y) for x in operands for y in operands]
-    for x, y in pairs:
+        x, y = random_series(rng, p, prec), random_series(rng, p, prec)
         product = x * y
         assert product.coeffs == textbook_mul(x, y)
         assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def cap_cases(p):
+    # coefficients whose valuations reach or pass p_prec = 6, so a product
+    # reduced mod p^p_prec would lose them and the exact product must not
+    prec = SeriesPrecision(5, 6)
+    return [
+        # valuations above, at and below p_prec, and a zero
+        [p**5, p**3, Fraction(p**7, p**2), 1, 0],
+        [p**6, p**9, 1, p, 0],
+        # a p-power denominator
+        [Fraction(1, p**2), Fraction(p, p**2), 1, 0, p],
+        [Fraction(1, p**2), 0, 0, 1, 7],
+        # a denominator that is not a power of p
+        [Fraction(p**4, 77 * p), Fraction(1, 35), Fraction(p**2, 11), 0, 1],
+        # the all-zero operand
+        [],
+    ], prec
+
+
+@pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 13)])
+def test_mul_matches_textbook_product_where_the_cap_binds(p):
+    cases, prec = cap_cases(p)
+    series_list = [TruncatedSeries.from_coefficients(p, prec, coeffs) for coeffs in cases]
+    rng = random.Random(int(p) + 100)
+    series_list += [random_series(rng, p, prec) for _ in range(4)]
+    for x in series_list:
+        for y in series_list:
+            product = x * y
+            assert product.coeffs == textbook_mul(x, y)
+            assert all(type(c) is Fraction for c in product.coeffs)
 
 
 def test_mul_with_all_zero_operand():
