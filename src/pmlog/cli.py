@@ -193,6 +193,8 @@ def cmd_series(args) -> int:
     sign = Sign.from_str(args.sign)
     prec = SeriesPrecision(t_prec=args.tprec, p_prec=args.pprec)
     require_within_cap(p, (sign,), prec)
+    # Every dump prints p^(p_prec + 1) or more: its constant term is 1/p.
+    _require_printable(p, prec.p_prec + 1)
     series = build_log_pm(p, sign, prec)
     _require_printable(p, dump_exponent(series))
     print(json.dumps(dump_dict(series, sign), indent=2))

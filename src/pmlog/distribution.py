@@ -156,8 +156,6 @@ def _oracle_levels(sign: Sign, p: Prime, n: int) -> tuple[int, int, int]:
     # The even (plus) or odd (minus) cyclotomic levels behind the level-n
     # values, as their count and the first of them, and the power of p the
     # collapsed character sum is divided by.
-    if p**n > ENUMERATION_CAP:
-        raise ResourceCapError(f"{p}^{n} roots of unity exceed the enumeration cap")
     return (n + sign.parity) // 2, 2 - sign.parity, (3 * n + 2 + sign.parity) // 2
 
 
@@ -175,9 +173,10 @@ def mu_oracle(sign: Sign, r: Residue) -> DistValue:
     p, n, a = r.p, r.n, r.value
     count, first, scale = _oracle_levels(sign, p, n)
     low, order, folded = count // 2, p**n, {}
+    # The larger half first: its cap check then refuses before any expansion.
+    high = _indexed_product(p, count - low, first + 2 * low)
     for e, c in _indexed_product(p, low, first).items():
         folded[e % order] = folded.get(e % order, 0) + c
-    high = _indexed_product(p, count - low, first + 2 * low)
     hits = sum(c * folded.get((a - e) % order, 0) for e, c in high.items())
     return DistValue(p, Fraction(order * hits, p**scale))
 
@@ -190,6 +189,7 @@ def mu_oracle_level(sign: Sign, p: Prime, n: int) -> list[DistValue]:
     product is expanded once and its exponents folded mod p^n: p^n +
     p^ceil(n/2) steps for the whole level instead of one count per coset.
     """
+    _require_level(p, n)
     count, first, scale = _oracle_levels(sign, p, n)
     poly = _indexed_product(p, count, first)
     order, den = p**n, p**scale

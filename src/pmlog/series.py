@@ -99,12 +99,6 @@ class TruncatedSeries(Value, fields=("p", "prec", "nums", "den")):
         return TruncatedSeries(self.p, self.prec, nums, self.den * other.den)
 
 
-def series_log_classical(p: Prime, prec: SeriesPrecision) -> TruncatedSeries:
-    """The usual logarithm of 1 + T: coefficients (-1)^(k+1) / k, no constant term."""
-    coeffs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, prec.t_prec)]
-    return TruncatedSeries.from_coefficients(p, prec, coeffs)
-
-
 def phi_shifted(p: Prime, m: int, prec: SeriesPrecision) -> TruncatedSeries:
     """The level-m cyclotomic polynomial evaluated at 1 + T, exactly truncated.
 
@@ -211,17 +205,15 @@ def verify_product_identity(p: Prime, prec: SeriesPrecision) -> Level:
     """
     log_plus, log_minus = (build_log_pm(p, sign, prec) for sign in Sign)
     product = log_plus * log_minus
-    classical = series_log_classical(p, prec)
     bound = prec.p_prec + 2 - max(pval(log_plus.den, p), pval(log_minus.den, p))
-    # Over one common denominator D each residual is an integer numerator.
-    den = math.lcm(product.den, classical.den)
-    el, ec = p * p * (den // product.den), den // classical.den
-    shift = pval(den, p)
+    # log(1 + T) has T^k coefficient (-1)^(k+1) / k, so with D = product.den
+    # the T^k residual times k D is the integer p^2 k nums[k - 1] + (-1)^k D.
+    shift = pval(product.den, p)
     texts = []
     for k in range(prec.t_prec):
         # Both sides have no constant term.
-        residual = product.nums[k - 1] * el - classical.nums[k] * ec if k else 0
-        v = None if residual == 0 else pval(residual, p) - shift
+        residual = p * p * k * product.nums[k - 1] + (-1) ** k * product.den if k else 0
+        v = None if residual == 0 else pval(residual, p) - pval(k, p) - shift
         actual = "v_p(residual) = " + ("exact" if v is None else str(v))
         texts.append((f"v_p(residual) >= {bound}", actual, v is None or v >= bound))
     return level("T^", "", texts, texts.__getitem__)

@@ -8,27 +8,20 @@ p^p_prec, where a proven tail bound cuts the logarithms' products.  Run with
 
 from fractions import Fraction
 
-from pmlog import (
-    Prime,
-    SeriesPrecision,
-    Sign,
+from pmlog.base import Sign
+from pmlog.bivariate import biamice_check, bimu_oracle, bimu_value
+from pmlog.cyclotomic import even_product, odd_product, zeta_power
+from pmlog.digits import Prime, enumerate_R, residue_from_integer
+from pmlog.distribution import (
     StepFunction,
-    biamice_check,
-    bimu_oracle,
-    bimu_value,
-    enumerate_R,
-    even_product,
     integrate,
     interpolation_rhs,
     mu_oracle,
     mu_value,
-    odd_product,
-    residue_from_integer,
     total_mass,
     verify_additivity,
-    verify_product_identity,
-    zeta_power,
 )
+from pmlog.series import SeriesPrecision, verify_product_identity
 import pmlog.cli as cli
 from level_rows import rows
 

@@ -7,22 +7,12 @@ import pytest
 
 import pmlog.bivariate as bivariate
 import pmlog.suites as suites
-from pmlog import (
-    Prime,
-    ResourceCapError,
-    SeriesPrecision,
-    Sign,
-    biamice_check,
-    bimu_oracle,
-    bimu_value,
-    eval_at_zeta,
-    in_S_minus,
-    in_S_plus,
-    integrate,
-    mu_value,
-    residue_from_integer,
-    StepFunction,
-)
+from pmlog.base import ResourceCapError, Sign
+from pmlog.bivariate import biamice_check, bimu_oracle, bimu_value
+from pmlog.cyclotomic import eval_at_zeta
+from pmlog.digits import Prime, in_S_minus, in_S_plus, residue_from_integer
+from pmlog.distribution import StepFunction, integrate, interpolation_rhs, mu_value
+from pmlog.series import SeriesPrecision
 from level_rows import rows
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -165,8 +155,6 @@ def test_biamice_lhs_matches_coset_pair_scan(p, max_n):
 
 def test_biamice_parity_mismatch_is_zero_on_both_sides():
     # plus paired with an even k vanishes; so does the whole product
-    from pmlog import interpolation_rhs
-
     s = bisign("+-")
     p, n, k1, k2 = P3, 2, 2, 2
     cases = {label: row for label, *row in rows(*biamice_check(p, n)[s])}

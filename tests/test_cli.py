@@ -23,21 +23,10 @@ from test_cli_fuzz import sloppy, well_formed
 import pmlog.cli as cli
 import pmlog.series as series
 import pmlog.suites as suites
-from pmlog import (
-    DistValue,
-    Prime,
-    SeriesPrecision,
-    Sign,
-    build_log_pm,
-    factor_count,
-    mu_level,
-    mu_oracle,
-    mu_value,
-    pval,
-    residue_from_integer,
-)
-from pmlog.base import Value
-from pmlog.series import dump_exponent
+from pmlog.base import Sign, Value, pval
+from pmlog.digits import Prime, residue_from_integer
+from pmlog.distribution import DistValue, mu_level, mu_oracle, mu_value
+from pmlog.series import SeriesPrecision, build_log_pm, dump_exponent, factor_count
 
 
 def run(capsys, *argv):
@@ -130,11 +119,23 @@ def test_value_usage_errors(capsys):
 
 
 def test_value_resource_error_exit_code(capsys):
+    # At n = 80 each of the oracle's half products has 2^20 terms.
     code, _, err = run(
-        capsys, "value", "--sign", "+", "--p", "2", "--n", "21", "--a", "0", "--oracle"
+        capsys, "value", "--sign", "+", "--p", "2", "--n", "80", "--a", "0", "--oracle"
     )
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("command,signs", [("value", ["+"]), ("bivalue", ["-+", "--m", "21"])])
+def test_oracle_answers_past_the_level_cap(capsys, command, signs):
+    # 2^21 cosets exceed the cap, but the point oracle expands two half
+    # products of at most 2^6 terms.
+    argv = [command, "--sign", *signs, "--p", "2", "--n", "21", "--a", "0", "--oracle"]
+    code, out, _ = run(capsys, *argv, *(["--b", "2"] if command == "bivalue" else []))
+    assert code == 0
+    result = json.loads(out)
+    assert result["agree"] is True and result["value"]["zero"] is False
 
 
 @pytest.mark.parametrize(
@@ -145,6 +146,9 @@ def test_value_resource_error_exit_code(capsys):
         ["bivalue", "--sign", "+-", "--p", "2", "--n", "1", "--m", "200000", "--a", "0", "--b", "0"],
         ["table", "--sign", "+", "--p", "2", "--n", "200000", "--force"],
         ["table", "--sign", "--", "--p", "3", "--n", "200000", "--m", "1", "--force"],
+        # The dump's constant term 1/p puts p^(p_prec + 1) among its printed
+        # integers, so this is refused before the series is built.
+        ["series", "--sign", "+", "--p", "2", "--tprec", "1", "--pprec", "100000"],
     ],
 )
 def test_unprintable_denominator_is_a_resource_error(capsys, argv):

@@ -9,21 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmlog import (
-    ENUMERATION_CAP,
+from pmlog.base import ENUMERATION_CAP, ResourceCapError, Sign
+from pmlog.cyclotomic import (
     CyclotomicElement,
-    Prime,
-    ResourceCapError,
-    Sign,
+    _fold,
+    _ring_dim,
     character_sum,
     cyclo_poly,
-    enumerate_R,
     eval_at_zeta,
     even_product,
     odd_product,
     zeta_power,
 )
-from pmlog.cyclotomic import _fold, _ring_dim
+from pmlog.digits import Prime, enumerate_R
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 

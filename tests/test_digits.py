@@ -10,18 +10,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pmlog import (
+from pmlog.base import ResourceCapError, Sign
+from pmlog.digits import (
     PRIME_LIMIT,
     Prime,
     Residue,
-    ResourceCapError,
-    Sign,
+    digit_strings,
     enumerate_R,
     in_S_minus,
     in_S_plus,
     residue_from_integer,
 )
-from pmlog.digits import digit_strings
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
 WIDE_PRIMES = PRIMES + [Prime(7), Prime(11), Prime(13)]

@@ -12,37 +12,33 @@ import pytest
 
 import pmlog.cli as cli
 import pmlog.distribution as distribution
-from pmlog import (
-    ENUMERATION_CAP,
+from pmlog.base import ENUMERATION_CAP, ResourceCapError, Sign
+from pmlog.bivariate import bimu_oracle
+from pmlog.cyclotomic import (
     CyclotomicElement,
-    DistValue,
-    Prime,
-    ResourceCapError,
-    Sign,
-    StepFunction,
-    amice_level,
-    bimu_oracle,
     character_sum,
     cyclo_poly,
-    digit_test_level,
     eval_at_zeta,
     even_product,
-    in_S_minus,
-    in_S_plus,
+    odd_product,
+    zeta_power,
+)
+from pmlog.digits import Prime, Residue, in_S, in_S_minus, in_S_plus, residue_from_integer
+from pmlog.distribution import (
+    DistValue,
+    StepFunction,
+    amice_level,
+    digit_test_level,
     integrate,
     interpolation_rhs,
     mu_level,
     mu_oracle,
     mu_oracle_level,
     mu_value,
-    odd_product,
-    residue_from_integer,
     support_masses,
     total_mass,
     verify_additivity,
-    zeta_power,
 )
-from pmlog.digits import Residue, in_S
 from level_rows import rows
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -119,8 +115,27 @@ def test_oracle_equivalence(p, max_n):
 
 
 def test_mu_oracle_cap():
-    with pytest.raises(ResourceCapError):
-        mu_oracle(Sign.PLUS, residue_from_integer(0, P2, 21))
+    # At n = 80 each half product has 2^20 > ENUMERATION_CAP terms.
+    with pytest.raises(ResourceCapError, match="support of 2\\^20 terms"):
+        mu_oracle(Sign.PLUS, residue_from_integer(0, P2, 80))
+
+
+@pytest.mark.parametrize("p,n", [(P2, 21), (P2, 30), (P3, 20), (P5, 16)])
+def test_mu_oracle_past_the_level_cap(p, n):
+    # p^n cosets exceed the cap, but the point oracle only expands half
+    # products of p^floor(K/2) and p^ceil(K/2) terms.
+    assert p**n > ENUMERATION_CAP
+    rng = random.Random(f"oracle {p} {n}")
+    for sign in SIGNS:
+        for a in [0, 1, p**n - 1, *(rng.randrange(p**n) for _ in range(6))]:
+            r = residue_from_integer(a, p, n)
+            assert mu_oracle(sign, r) == mu_value(sign, r), (sign, a)
+
+
+def test_mu_oracle_level_keeps_the_level_cap(monkeypatch):
+    refuse(monkeypatch, ["cyclo_poly"])
+    with pytest.raises(ResourceCapError, match="cosets exceed"):
+        mu_oracle_level(Sign.PLUS, P2, 21)
 
 
 def patch_everywhere(monkeypatch, name, fake):
@@ -210,12 +225,12 @@ def test_the_digit_route_runs_without_the_oracle_route(monkeypatch):
 
 
 def test_mu_oracle_refuses_past_the_cap_before_expanding(monkeypatch, capsys):
-    refuse(monkeypatch, ["_indexed_product"])
-    assert P2**21 > ENUMERATION_CAP
+    refuse(monkeypatch, ["cyclo_poly", "_sparse_mul"])
+    assert P2**20 > ENUMERATION_CAP
     for sign in SIGNS:
         with pytest.raises(ResourceCapError):
-            mu_oracle(sign, residue_from_integer(0, P2, 21))
-    argv = ["value", "--oracle", "--sign", "+", "--p", "2", "--n", "21", "--a", "0"]
+            mu_oracle(sign, residue_from_integer(0, P2, 80))
+    argv = ["value", "--oracle", "--sign", "+", "--p", "2", "--n", "80", "--a", "0"]
     assert cli.main(argv) == 3
     assert "cap" in capsys.readouterr().err
 

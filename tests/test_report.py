@@ -11,9 +11,10 @@ import pytest
 
 import pmlog.cli as cli
 import pmlog.report as report_module
-from pmlog import Prime, SeriesPrecision
 from pmlog.base import level
+from pmlog.digits import Prime
 from pmlog.report import WRITE_BLOCK, VerificationReport, write_report
+from pmlog.series import SeriesPrecision
 from pmlog.suites import run_suite
 from level_rows import rows
 

@@ -8,23 +8,23 @@ from fractions import Fraction
 import pytest
 
 import pmlog.series as series
-from pmlog import (
-    Prime,
-    ResourceCapError,
+from pmlog.base import ResourceCapError, Sign, pval
+from pmlog.cyclotomic import cyclo_poly
+from pmlog.digits import Prime
+from pmlog.distribution import support_masses
+from pmlog.series import (
     SeriesPrecision,
-    Sign,
     TruncatedSeries,
+    _binomial_rows,
+    _quotient,
     build_log_pm,
-    cyclo_poly,
+    dump_dict,
+    dump_exponent,
     factor_count,
     log_pm_partial_product,
     phi_shifted,
-    pval,
-    series_log_classical,
-    support_masses,
     verify_product_identity,
 )
-from pmlog.series import _binomial_rows, _quotient, dump_dict, dump_exponent
 from level_rows import rows
 
 PRIMES = [Prime(2), Prime(3), Prime(5)]
@@ -39,12 +39,18 @@ def test_series_precision_validation():
 
 
 def test_log_classical_coefficients():
-    s = series_log_classical(Prime(2), PREC)
-    assert s.coeffs[0] == 0
-    assert s.coeffs[1] == 1
-    assert s.coeffs[2] == Fraction(-1, 2)
-    assert s.coeffs[4] == Fraction(-1, 4)
-    assert pval(s.coeffs[4], 2) == -2
+    # The product identity's integer residuals against p^2 T log+ log- -
+    # log(1 + T) in Fractions, with log(1 + T) = sum (-1)^(k+1) T^k / k.
+    for p in [Prime(q) for q in (2, 3, 5, 7, 13)]:
+        for t_prec in (1, 2, 5, 12, 27):
+            prec = SeriesPrecision(t_prec, 4)
+            plus, minus = (build_log_pm(p, sign, prec) for sign in Sign)
+            product = (0, *(plus * minus).coeffs)
+            log = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, t_prec)]
+            for k, (_, _, actual, _) in enumerate(rows(verify_product_identity(p, prec))):
+                residual = p * p * product[k] - log[k]
+                v = "exact" if residual == 0 else str(pval(residual, p))
+                assert actual == f"v_p(residual) = {v}", (p, t_prec, k)
 
 
 def test_phi_shifted_examples():
@@ -446,8 +452,9 @@ def test_stabilized_log_pm_is_the_amice_sum_of_its_level(p, t_prec, p_prec, plus
 
 
 def test_series_arithmetic_requires_matching_precision():
-    a = series_log_classical(Prime(3), PREC)
-    b = series_log_classical(Prime(3), SeriesPrecision(10, 6))
+    log = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, PREC.t_prec)]
+    a = TruncatedSeries.from_coefficients(Prime(3), PREC, log)
+    b = TruncatedSeries.from_coefficients(Prime(3), SeriesPrecision(10, 6), log)
     with pytest.raises(ValueError):
         _ = a * b
 

@@ -16,20 +16,13 @@ import pmlog.digits as digits
 import pmlog.distribution as distribution
 import pmlog.series as series
 import pmlog.suites as suites
-from pmlog import (
-    ENUMERATION_CAP,
-    CyclotomicElement,
-    DistValue,
-    Prime,
-    ResourceCapError,
-    Sign,
-    VerificationReport,
-    amice_level,
-    biamice_check,
-    verify_additivity,
-    verify_product_identity,
-)
-from pmlog.series import SeriesPrecision
+from pmlog.base import ENUMERATION_CAP, ResourceCapError, Sign
+from pmlog.bivariate import biamice_check
+from pmlog.cyclotomic import CyclotomicElement
+from pmlog.digits import Prime
+from pmlog.distribution import DistValue, amice_level, verify_additivity
+from pmlog.report import VerificationReport
+from pmlog.series import SeriesPrecision, verify_product_identity
 from level_rows import rows
 
 

@@ -9,20 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from pmlog import (
-    CyclotomicElement,
-    DistValue,
-    Prime,
-    Residue,
-    SeriesPrecision,
-    Sign,
-    StepFunction,
-    TruncatedSeries,
-    VerificationReport,
-    pval,
-    residue_from_integer,
-)
-from pmlog.base import Value
+from pmlog.base import Sign, Value, pval
+from pmlog.cyclotomic import CyclotomicElement
+from pmlog.digits import Prime, Residue, residue_from_integer
+from pmlog.distribution import DistValue, StepFunction
+from pmlog.report import VerificationReport
+from pmlog.series import SeriesPrecision, TruncatedSeries
 
 P3 = Prime(3)
 
