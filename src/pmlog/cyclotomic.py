@@ -188,7 +188,7 @@ def eval_at_zeta(poly: Mapping[int, Fraction | int], p: Prime, n: int) -> Cyclot
     Takes any exponent-to-coefficient mapping; exponents may be negative,
     coefficients integral or rational.  The coefficients are put over their
     one least common denominator and the integer numerators folded onto the
-    power basis: zeta_power and products use this fold.
+    power basis by _fold; zeta_power comes here, ring products call _fold.
     """
     den = math.lcm(*(c.denominator for c in poly.values()))
     return _fold(((e, c.numerator * (den // c.denominator)) for e, c in poly.items()), p, n, den)

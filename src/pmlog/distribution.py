@@ -17,7 +17,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable
 
 from .base import ENUMERATION_CAP, Level, ResourceCapError, Sign, Value, level, pval, store_fields
 from .cyclotomic import (
@@ -70,7 +70,8 @@ class DistValue(Value, fields=("p", "value")):
 
 
 class StepFunction(Value, fields=("p", "n", "values")):
-    """A function on Z_p constant on cosets mod p^n, with one value per coset.
+    """A function on Z_p constant on cosets mod p^n: the tuple of its p^n
+    values, values[a] the value on the coset a + p^n Z_p, 0 <= a < p^n.
 
     Values may be rationals or cyclotomic elements; rational scalars act on
     either, so integration lands in whatever ring the values inhabit.
@@ -78,26 +79,17 @@ class StepFunction(Value, fields=("p", "n", "values")):
 
     __slots__ = ()
 
-    def __init__(self, p: Prime, n: int, values: Mapping[Residue, object]) -> None:
-        total = p**n
-        if len(values) != total:
-            raise ValueError(f"expected {total} coset values, got {len(values)}")
-        # p^n distinct cosets of this level, with integer digits, are all of
-        # them; only when a key is not one is every coset looked up, to name
-        # the missing one.
-        digits = itertools.chain.from_iterable(map(operator.attrgetter("digits"), values))
-        if not (
-            all(type(r) is Residue and r.p == p and r.n == n for r in values)
-            and {*map(type, digits)} <= {int}
-        ):
-            for a in range(total):
-                if residue_from_integer(a, p, n) not in values:
-                    raise ValueError(f"missing value for coset {a} mod {p}^{n}")
+    def __init__(self, p: Prime, n: int, values: Iterable[object]) -> None:
+        _require_level(p, n)
+        values = tuple(values)
+        if len(values) != p**n:
+            raise ValueError(f"expected {p**n} coset values, got {len(values)}")
         store_fields(self, (p, n, values))
 
     @classmethod
     def from_function(cls, p: Prime, n: int, fn: Callable[[int], object]) -> "StepFunction":
-        return cls(p, n, {residue_from_integer(a, p, n): fn(a) for a in range(p**n)})
+        _require_level(p, n)
+        return cls(p, n, map(fn, range(p**n)))
 
 
 def mass_exponent(sign: Sign, n: int) -> int:
@@ -245,12 +237,9 @@ def integrate(sign: Sign, f: StepFunction):
     Returns a rational for rational-valued f and a cyclotomic element for
     element-valued f.
     """
-    total = None
-    for a, mass in support_masses(sign, f.p, f.n).items():
-        term = f.values[residue_from_integer(a, f.p, f.n)] * mass
-        total = term if total is None else total + term
-    # The zero coset always carries mass, so total is never None here.
-    return total
+    terms = (f.values[a] * mass for a, mass in support_masses(sign, f.p, f.n).items())
+    # The zero coset always carries mass, so there is always a first term.
+    return functools.reduce(operator.add, terms)
 
 
 def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement:

@@ -6,6 +6,7 @@ import itertools
 import operator
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,10 +48,8 @@ SIGNS = [Sign.PLUS, Sign.MINUS]
 
 def coset_scan_integral(sign, f):
     """Integration by the plain sum over every coset, zeros included."""
-    cosets = sorted(f.values, key=lambda r: r.value)
-    return functools.reduce(
-        operator.add, (f.values[r] * mu_value(sign, r).value for r in cosets)
-    )
+    masses = (mu_value(sign, residue_from_integer(a, f.p, f.n)).value for a in range(f.p**f.n))
+    return functools.reduce(operator.add, map(operator.mul, f.values, masses))
 
 
 def test_mu_value_examples():
@@ -544,28 +543,43 @@ def test_dist_value_json():
 
 
 def test_step_function_validation():
-    with pytest.raises(ValueError):
-        StepFunction(P3, 1, {residue_from_integer(0, P3, 1): Fraction(1)})
-    with pytest.raises(ValueError, match="missing value for coset 0 mod 3"):
-        StepFunction(P3, 1, {a: Fraction(1) for a in range(3)})
-    with pytest.raises(ValueError, match="missing value for coset 0 mod 3"):
-        halves = [Residue(P3, 1, (0.5,)), *(residue_from_integer(a, P3, 1) for a in (1, 2))]
-        StepFunction(P3, 1, dict.fromkeys(halves, Fraction(1)))
-    r0 = residue_from_integer(0, P2, 1)
-    with pytest.raises(ValueError):
-        StepFunction(P2, 1, {r0: Fraction(1), residue_from_integer(0, P2, 2): Fraction(1)})
+    for values in [(), (Fraction(1),), (Fraction(1),) * 4]:
+        with pytest.raises(ValueError, match=f"expected 3 coset values, got {len(values)}$"):
+            StepFunction(P3, 1, values)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="modulus exponent n must be >= 1"):
+            StepFunction(P3, n, (Fraction(1),))
+    # The level is checked before the values are read.
+    unread = iter([Fraction(1)])
+    with pytest.raises(ResourceCapError, match="2\\^20 cosets exceed the enumeration cap"):
+        StepFunction(P2, 20, unread)
+    assert next(unread) == Fraction(1)
+    assert StepFunction(P3, 1, iter([Fraction(1)] * 3)).values == (Fraction(1),) * 3
+
+
+def test_step_function_level_is_checked_before_any_value():
+    # 2^20 cosets exceed the enumeration cap: refused at once, fn never called.
+    calls = []
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        StepFunction.from_function(P2, 20, calls.append)
+    assert time.perf_counter() - start < 0.1 and calls == []
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="modulus exponent n must be >= 1"):
+            StepFunction.from_function(P3, n, calls.append)
+    assert calls == []
 
 
 def test_step_function_builds_each_coset_once(monkeypatch):
-    # 3^8 cosets: from_function builds each key once, and __init__ takes
-    # p^n keys of its own level as every coset without building them again.
-    calls, real = [], distribution.residue_from_integer
-    monkeypatch.setattr(
-        distribution, "residue_from_integer", lambda *args: calls.append(args) or real(*args)
-    )
-    f = StepFunction.from_function(P3, 8, lambda a: Fraction(a % 3))
-    assert len(calls) == 3**8
-    assert f.values[real(5, P3, 8)] == Fraction(2)
+    # 3^8 cosets: from_function calls fn once per representative a, in
+    # increasing order, and builds no Residue.
+    calls, built, real = [], [], Residue.__init__
+    monkeypatch.setattr(Residue, "__init__", lambda *args, **kw: built.append(kw) or real(*args, **kw))
+    f = StepFunction.from_function(P3, 8, lambda a: calls.append(a) or Fraction(a % 3))
+    assert calls == list(range(3**8)) and built == []
+    assert f.values[5] == Fraction(2) and len(f.values) == 3**8
+    residue_from_integer(5, P3, 8)
+    assert len(built) == 1  # the patch does see a Residue being built
 
 
 @pytest.mark.parametrize("sign", list(Sign))

@@ -286,6 +286,50 @@ def test_build_agrees_with_eight_more_factors_mod_p_to_the_p_prec(p, sign, t_pre
             assert x == y or pval(x - y, p) >= p_prec, (p_prec, k)
 
 
+def reduced_log_pm(p, sign, prec):
+    # log± built as build_log_pm builds it, from phi_shifted factors and
+    # TruncatedSeries products, but with every partial product's numerators
+    # reduced mod p^(p_prec + K + 1), K = factor_count: the division by
+    # p^(K + 1) at the end leaves each coefficient known mod p^p_prec.
+    count = factor_count(p, sign, prec)
+    modulus = p ** (prec.p_prec + count + 1)
+    product = TruncatedSeries.one(p, prec)
+    for j in range(1, count + 1):
+        product = product * phi_shifted(p, 2 * j - sign.parity, prec)
+        product = TruncatedSeries(p, prec, tuple(c % modulus for c in product.nums), product.den)
+    return TruncatedSeries(p, prec, product.nums, p ** (count + 1))
+
+
+REDUCED_PRIMES = [Prime(q) for q in (2, 3, 5, 7, 13, 31, 101)]
+REDUCED_PRECS = [
+    SeriesPrecision(t_prec, p_prec)
+    for t_prec, p_prec in ((1, 1), (2, 3), (8, 6), (12, 8), (24, 10), (40, 24), (5, 12))
+]
+
+
+@pytest.mark.parametrize("p", REDUCED_PRIMES)
+def test_a_build_reduced_mod_p_to_the_p_prec_plus_k_plus_1_dumps_the_same(p):
+    # The arithmetic a capped-precision kernel relies on: the exact product
+    # carries nothing the dump prints past p^(p_prec + K + 1).
+    changed = 0
+    for prec in REDUCED_PRECS:
+        for sign in Sign:
+            exact, reduced = build_log_pm(p, sign, prec), reduced_log_pm(p, sign, prec)
+            assert reduced.den == exact.den, (prec, sign)
+            assert dump_dict(reduced, sign) == dump_dict(exact, sign), (prec, sign)
+            changed += reduced.nums != exact.nums
+    assert changed  # the reduction did cut some numerators
+
+
+@pytest.mark.parametrize("p", REDUCED_PRIMES)
+def test_the_product_identity_passes_on_the_reduced_build(p, monkeypatch):
+    monkeypatch.setattr(series, "build_log_pm", reduced_log_pm)
+    for prec in REDUCED_PRECS:
+        cases = rows(verify_product_identity(p, prec))
+        assert len(cases) == prec.t_prec
+        assert all(passed for *_, passed in cases), (prec, [row for row in cases if not row[3]])
+
+
 def test_the_guarantee_is_reached_at_p_2():
     # log+ at (t_prec, p_prec) = (8, 6) misses its T^6 coefficient by
     # exactly 2^6: no coefficient is certified below what is printed.
