@@ -7,8 +7,8 @@ import itertools
 from fractions import Fraction
 from typing import Callable
 
-# Largest exhaustive enumeration (set size, root count, coset count) any
-# operation will attempt before raising ResourceCapError.
+# Largest exhaustive enumeration (set size, root count, coset count, counted
+# work) any operation will attempt; check_cap alone reads it.
 ENUMERATION_CAP = 10**6
 
 # A level of a verify suite's cases, (prefix, labels, suffix, texts, index):
@@ -28,6 +28,19 @@ def level(prefix: str, suffix: str, keys: list, text: Callable[[int], tuple], st
 
 class ResourceCapError(Exception):
     """An operation would enumerate past the configured cap."""
+
+
+def check_cap(
+    base: int, exponent: int, unit: str, cap: int | None = None, name: str = "enumeration cap"
+) -> None:
+    """Raise ResourceCapError "<base>^<exponent> exceeds the <name> of <cap> <unit>"
+    ("<base> exceeds ..." at exponent 1) if base^exponent > cap, ENUMERATION_CAP
+    as read at the call if cap is None.  base^L > cap for base >= 2 at the cap's
+    bit length L, so the power is built only up to L, never past the cap."""
+    cap = ENUMERATION_CAP if cap is None else cap
+    if base ** min(exponent, cap.bit_length()) > cap:
+        count = base if exponent == 1 else f"{base}^{exponent}"
+        raise ResourceCapError(f"{count} exceeds the {name} of {cap} {unit}")
 
 
 class Value:

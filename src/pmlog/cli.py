@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .base import ENUMERATION_CAP, ResourceCapError, Sign
+from .base import ResourceCapError, Sign, check_cap
 from .bivariate import bimu_oracle, bimu_value
 from .digits import Prime, digit_strings, residue_from_integer
 from .distribution import digit_test_level, mass_exponent, mu_oracle, mu_value
@@ -149,13 +149,11 @@ def cmd_value(args) -> int:
 def cmd_table(args) -> int:
     p = Prime(args.p)
     signs, e = _coordinates(args, p, ("m",))
-    # p^k rows, compared with the caps exactly without building p^k: p^L
-    # already exceeds both caps when L is the enumeration cap's bit length.
+    # p^k rows: --force lifts the table cap, never the enumeration cap.
     k = args.n if len(signs) == 1 else args.n + args.m
-    rows = p ** min(k, ENUMERATION_CAP.bit_length())
-    if rows > ENUMERATION_CAP or (rows > TABLE_ROW_CAP and not args.force):
-        cap = "enumeration cap" if rows > ENUMERATION_CAP else "table cap (use --force)"
-        raise ResourceCapError(f"{p}^{k} rows exceed the {cap}")
+    check_cap(p, k, "rows")
+    if not args.force:
+        check_cap(p, k, "rows without --force", TABLE_ROW_CAP, "table cap")
     out = sys.stdout
     # The in_S, value_num and value_den fields and the line end of a coset
     # without mass; a coset with mass has in_S true and value 1/p^e.  Each

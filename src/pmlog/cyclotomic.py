@@ -7,7 +7,9 @@ Q[x] / Phi(p, n)(x) is represented densely on the power basis
 denominator (`coeffs` views them as Fractions); the class of x is the
 distinguished primitive p^n-th root of unity zeta.  Every p^n-th root of
 unity, primitive or not, is a power of zeta, so a single ring per (p, n)
-carries all the character sums.
+carries all the character sums.  A ring whose p^n roots of unity, more
+than its d coefficients, exceed the enumeration cap is refused on entry:
+by zero, eval_at_zeta and distribution.interpolation_rhs, not by _fold.
 
 Reduction uses two facts: x^(p^n) = 1 in the quotient, and
 x^d = -(1 + x^h + x^(2h) + ... + x^((p-2)h)) with h = p^(n-1), which
@@ -24,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .base import ENUMERATION_CAP, ResourceCapError, Value, store_fields
+from .base import Value, check_cap, store_fields
 from .digits import Prime
 
 SparsePoly = dict[int, int]
@@ -52,8 +54,7 @@ def _indexed_product(p: Prime, count: int, first: int) -> SparsePoly:
     # Product of Phi(p, m) for m = first, first + 2, ..., first + 2(count - 1).
     if count < 0:
         raise ValueError("count must be >= 0")
-    if p**count > ENUMERATION_CAP:
-        raise ResourceCapError(f"support of {p}^{count} terms exceeds the enumeration cap")
+    check_cap(p, count, "product terms")
     prod: SparsePoly = {0: 1}
     for m in range(first, first + 2 * count, 2):
         prod = _sparse_mul(prod, cyclo_poly(p, m))
@@ -94,6 +95,7 @@ class CyclotomicElement(Value, fields=("p", "level", "nums", "den")):
 
     @classmethod
     def zero(cls, p: Prime, n: int) -> "CyclotomicElement":
+        check_cap(p, n, "roots of unity")
         return cls(p, n, (0,) * _ring_dim(p, n))
 
     @property
@@ -190,6 +192,7 @@ def eval_at_zeta(poly: Mapping[int, Fraction | int], p: Prime, n: int) -> Cyclot
     one least common denominator and the integer numerators folded onto the
     power basis by _fold; zeta_power comes here, ring products call _fold.
     """
+    check_cap(p, n, "roots of unity")
     den = math.lcm(*(c.denominator for c in poly.values()))
     return _fold(((e, c.numerator * (den // c.denominator)) for e, c in poly.items()), p, n, den)
 

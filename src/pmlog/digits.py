@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .base import ENUMERATION_CAP, ResourceCapError, Sign, Value, store_fields
+from .base import Sign, Value, check_cap, store_fields
 
 
 # Miller-Rabin with the first 13 primes as bases is exact for every
@@ -129,8 +129,7 @@ def enumerate_R(p: Prime, count: int, sign: Sign) -> set[int]:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if p**count > ENUMERATION_CAP:
-        raise ResourceCapError(f"{p}^{count} elements exceed the enumeration cap {ENUMERATION_CAP}")
+    check_cap(p, count, "elements")
     result = {0}
     for l in range(count):
         step = p ** (2 * l + 1 - sign.parity)  # the positions S leaves free

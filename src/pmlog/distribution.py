@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .base import ENUMERATION_CAP, Level, ResourceCapError, Sign, Value, level, pval, store_fields
+from .base import Level, Sign, Value, check_cap, level, pval, store_fields
 from .cyclotomic import (
     CyclotomicElement,
     _fold,
@@ -108,8 +108,7 @@ def mu_value(sign: Sign, r: Residue) -> DistValue:
 def _require_level(p: Prime, n: int) -> None:
     if n < 1:
         raise ValueError("modulus exponent n must be >= 1")
-    if p**n > ENUMERATION_CAP:
-        raise ResourceCapError(f"{p}^{n} cosets exceed the enumeration cap")
+    check_cap(p, n, "cosets")
 
 
 def digit_test_level(sign: Sign, p: Prime, n: int, inside, outside) -> list:
@@ -144,53 +143,52 @@ def mu_level(sign: Sign, p: Prime, n: int) -> list[Fraction]:
     return digit_test_level(sign, p, n, Fraction(1, p ** mass_exponent(sign, n)), Fraction(0))
 
 
-def _oracle_levels(sign: Sign, p: Prime, n: int) -> tuple[int, int, int]:
+def _oracle_levels(sign: Sign, n: int) -> tuple[int, int]:
     # The even (plus) or odd (minus) cyclotomic levels behind the level-n
-    # values, as their count and the first of them, and the power of p the
-    # collapsed character sum is divided by.
-    return (n + sign.parity) // 2, 2 - sign.parity, (3 * n + 2 + sign.parity) // 2
+    # values, as their count K and the first of them.
+    return (n + sign.parity) // 2, 2 - sign.parity
 
 
 def mu_oracle(sign: Sign, r: Residue) -> DistValue:
     """The same value recomputed by a root-of-unity character sum.
 
-    The character sum of the even (plus) or odd (minus) cyclotomic product,
-    shifted by -a, collapses to p^n times the sum of the product's
-    coefficients at exponents congruent to a mod p^n.  That one class is
-    counted from two half products: the K levels split into a low and a
-    high half, the low half's exponents are folded mod p^n, and each high
-    term e reads the fold at a - e, in p^floor(K/2) + p^ceil(K/2) steps
-    instead of the whole product's p^K.  Independent of the digit test.
+    The character sum of the product of the K even (plus) or odd (minus)
+    cyclotomic levels, shifted by -a, collapses to p^n times the sum of the
+    product's coefficients at exponents congruent to a mod p^n, and the
+    value is that over p^(n + K + 1): the class sum over p^(K + 1).  Two
+    half products give it: the low half's exponents are folded mod p^n, and
+    each high term e reads the fold at a - e, in p^floor(K/2) + p^ceil(K/2)
+    steps instead of the whole product's p^K.  Independent of the digit test.
     """
     p, n, a = r.p, r.n, r.value
-    count, first, scale = _oracle_levels(sign, p, n)
+    count, first = _oracle_levels(sign, n)
     low, order, folded = count // 2, p**n, {}
     # The larger half first: its cap check then refuses before any expansion.
     high = _indexed_product(p, count - low, first + 2 * low)
     for e, c in _indexed_product(p, low, first).items():
         folded[e % order] = folded.get(e % order, 0) + c
     hits = sum(c * folded.get((a - e) % order, 0) for e, c in high.items())
-    return DistValue(p, Fraction(order * hits, p**scale))
+    return DistValue(p, Fraction(hits, p ** (count + 1)))
 
 
 def mu_oracle_level(sign: Sign, p: Prime, n: int) -> list[DistValue]:
     """mu_oracle of every coset mod p^n, indexed by its representative a.
 
-    The character sum for the coset a collapses to p^n times the sum of
-    the product's coefficients at exponents congruent to a mod p^n, so the
+    The value at the coset a is the sum of the product's coefficients at
+    exponents congruent to a mod p^n over p^(K + 1), as in mu_oracle, so the
     product is expanded once and its exponents folded mod p^n: p^n +
     p^ceil(n/2) steps for the whole level instead of one count per coset.
     """
     _require_level(p, n)
-    count, first, scale = _oracle_levels(sign, p, n)
+    count, first = _oracle_levels(sign, n)
     poly = _indexed_product(p, count, first)
-    order, den = p**n, p**scale
+    order, den = p**n, p ** (count + 1)
     folded = [0] * order
     for e, c in poly.items():
         folded[e % order] += c
     # One DistValue per distinct sum, shared by its cosets: each value that
     # appears is still validated, once.
-    values = {c: DistValue(p, Fraction(order * c, den)) for c in set(folded)}
+    values = {c: DistValue(p, Fraction(c, den)) for c in set(folded)}
     return list(map(values.__getitem__, folded))
 
 
@@ -214,10 +212,10 @@ def support_masses(sign: Sign, p: Prime, n: int) -> dict[int, Fraction]:
     the total mass 1/p, so this path can neither drop nor add a coset
     without failing loudly.
     """
-    count, modulus = (n + sign.parity) // 2, p**n
-    den = p ** mass_exponent(sign, n)
+    support = sorted(enumerate_R(p, (n + sign.parity) // 2, sign))
+    modulus, den = p**n, p ** mass_exponent(sign, n)
     mass, masses = Fraction(1, den), {}
-    for a in sorted(enumerate_R(p, count, sign)):
+    for a in support:
         digits, rest = [], a
         for _ in range(n):
             rest, digit = divmod(rest, p)
@@ -257,6 +255,7 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
         raise ValueError("require 1 <= k <= n")
     if k % 2 == sign.parity:
         return CyclotomicElement.zero(p, n)
+    check_cap(p, n, "roots of unity")
     # Plus takes odd k and the even levels 2, 4, ..., k - 1; minus takes
     # even k and the odd levels 1, 3, ..., k - 1.
     product = (even_product, odd_product)[sign.parity](p, k // 2)
@@ -316,14 +315,13 @@ def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Level]]
 def verify_additivity(sign: Sign, p: Prime, n: int) -> Level:
     """Check that refining every coset mod p^n into its p children mod p^(n+1)
     preserves the assigned mass: a level of one case per coset a."""
-    modulus = p**n
     # Both levels as integer numerators over the children's denominator
     # p^e, placed by the digit test: a child in the support has numerator
     # 1, a parent p^(e - its own mass exponent).
     e = mass_exponent(sign, n + 1)
     children = digit_test_level(sign, p, n + 1, 1, 0)
     parents = digit_test_level(sign, p, n, p ** (e - mass_exponent(sign, n)), 0)
-    den = p**e
+    modulus, den = p**n, p**e
     # The children of a mod p^n are a + j p^n, j < p: the j-th block of p^n.
     totals = map(sum, zip(*(children[j * modulus : (j + 1) * modulus] for j in range(p))))
     pairs = list(zip(parents, totals))

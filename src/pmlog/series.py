@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from .base import ENUMERATION_CAP, Level, ResourceCapError, Sign, Value, level, pval, store_fields
+from .base import Level, Sign, Value, check_cap, level, pval, store_fields
 from .digits import Prime
 
 DEFAULT_T_PREC = 8
@@ -166,11 +166,8 @@ def require_within_cap(p: Prime, signs: tuple[Sign, ...], prec: SeriesPrecision)
     coefficient products."""
     t = prec.t_prec
     multiplies = sum(factor_count(p, sign, prec) for sign in signs) + len(signs) - 1
-    if multiplies * t * (t + 1) // 2 > ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"the series at t_prec {t} and p_prec {prec.p_prec} exceed the enumeration cap"
-            f" of {ENUMERATION_CAP} coefficient products"
-        )
+    unit = f"coefficient products for the series at t_prec {t} and p_prec {prec.p_prec}"
+    check_cap(multiplies * t * (t + 1) // 2, 1, unit)
 
 
 def log_pm_partial_product(

@@ -16,7 +16,7 @@ import functools
 import itertools
 from typing import Callable, Iterator
 
-from .base import ENUMERATION_CAP, Level, ResourceCapError, Sign, level
+from .base import Level, Sign, check_cap, level
 from .bivariate import biamice_check
 from .cyclotomic import _ring_dim
 from .digits import Prime
@@ -119,13 +119,9 @@ def run_suite(name: str, p: Prime, max_n: int, prec: SeriesPrecision) -> Verific
         if cost is None:  # both logarithms and their product
             require_within_cap(p, tuple(Sign), prec)
         work = 0
-        for n in range(1, max_n + 1) if cost else ():
+        for n in range(1, max_n + 1) if cost else ():  # refused at the first level past the cap
             work += cost(p, n)
-            if work > ENUMERATION_CAP:  # the first level past the cap
-                raise ResourceCapError(
-                    f"the {suite} suite up to n={max_n} exceeds the enumeration cap"
-                    f" of {ENUMERATION_CAP} {unit}"
-                )
+            check_cap(work, 1, f"{unit} for the {suite} suite up to n={n}")
     blocks = [(suite, list(SUITES[suite][2](p, max_n, prec))) for suite in chosen]
     parameters = {"p": int(p), "max_n": max_n, "t_prec": prec.t_prec, "p_prec": prec.p_prec}
     return VerificationReport(suite=name, parameters=parameters, blocks=blocks)

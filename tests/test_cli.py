@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 from test_cli_fuzz import sloppy, well_formed
 
+import pmlog.base as base
 import pmlog.cli as cli
 import pmlog.series as series
 import pmlog.suites as suites
@@ -317,10 +318,10 @@ def test_verify_oracle_suite_refuses_past_the_cap_before_any_work(capsys):
 def test_verify_oracle_suite_cap_boundary_is_exact(capsys, monkeypatch):
     # p = 3 up to n = 2: 2 * (3 + 3) + 2 * (9 + 3) = 36 cosets folded and
     # product terms
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 36)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 36)
     code, _, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "2")
     assert code == 0
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 35)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 35)
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "2")
     assert code == 3
     assert out == ""
@@ -439,16 +440,16 @@ def test_series_cost_cap_boundary_is_exact(capsys, monkeypatch):
         (["verify", "--suite", "all", "--max-n", "1", *precision], 273),
     ):
         monkeypatch.undo()
-        monkeypatch.setattr(series, "ENUMERATION_CAP", cost)
+        monkeypatch.setattr(base, "ENUMERATION_CAP", cost)
         assert run(capsys, *argv)[0] == 0
-        monkeypatch.setattr(series, "ENUMERATION_CAP", cost - 1)
+        monkeypatch.setattr(base, "ENUMERATION_CAP", cost - 1)
         # refused before any factor is built, and before any suite of `all` runs
         monkeypatch.setattr(series, "phi_shifted", None)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err == (
-            "error: the series at t_prec 6 and p_prec 8 exceed the enumeration cap"
-            f" of {cost - 1} coefficient products\n"
+            f"error: {cost} exceeds the enumeration cap of {cost - 1} coefficient products"
+            " for the series at t_prec 6 and p_prec 8\n"
         )
 
 
@@ -523,10 +524,10 @@ def test_verify_additivity_suite_refuses_past_the_cap_before_any_work(capsys):
 
 def test_verify_additivity_suite_cap_boundary_is_exact(capsys, monkeypatch):
     # p = 3 up to n = 2: 2 * ((3 + 9) + (9 + 27)) = 96 valued cosets
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 96)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 96)
     code, _, _ = run(capsys, "verify", "--suite", "additivity", "--p", "3", "--max-n", "2")
     assert code == 0
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 95)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 95)
     code, out, _ = run(capsys, "verify", "--suite", "additivity", "--p", "3", "--max-n", "2")
     assert code == 3
     assert out == ""
@@ -564,10 +565,10 @@ def test_verify_interpolation_suites_refuse_past_the_cap_before_any_work(capsys,
 )
 def test_verify_interpolation_suite_cap_boundary_is_exact(capsys, monkeypatch, suite, cost):
     argv = ["verify", "--suite", suite, "--p", "3", "--max-n", "2"]
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", cost)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", cost)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", cost - 1)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", cost - 1)
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -610,7 +611,7 @@ def test_forced_two_variable_table_is_held_to_the_enumeration_cap(capsys):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == "error: 2^38 rows exceed the enumeration cap\n"
+    assert err == "error: 2^38 exceeds the enumeration cap of 1000000 rows\n"
 
 
 @pytest.mark.parametrize(
@@ -627,22 +628,22 @@ def test_table_cap_names_the_row_count_by_its_exponent(capsys, sizes, rows):
     code, out, err = run(capsys, "table", "--p", "2", *sizes)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == f"error: 2^{rows} rows exceed the enumeration cap\n"
+    assert err == f"error: 2^{rows} exceeds the enumeration cap of 1000000 rows\n"
 
 
 def test_table_caps_are_exact(capsys, monkeypatch):
     # With caps of 100 and 10 rows, 3^3 = 27 rows need --force and 3^5 = 243
     # are refused even with it, for one variable and for two (m = 1).
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", 100)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 100)
     monkeypatch.setattr(cli, "TABLE_ROW_CAP", 10)
-    refused = {3: "table cap (use --force)", 5: "enumeration cap"}
+    refused = {3: "table cap of 10 rows without --force", 5: "enumeration cap of 100 rows"}
     for sign, second in (("+", []), ("-+", ["--m", "1"])):
         for k, force in ((2, []), (3, []), (4, ["--force"]), (5, []), (5, ["--force"])):
             n = str(k - len(second) // 2)
             argv = ["table", "--sign", sign, "--p", "3", "--n", n, *second, *force]
             code, out, err = run(capsys, *argv)
             if k in refused:
-                assert (code, out, err) == (3, "", f"error: 3^{k} rows exceed the {refused[k]}\n")
+                assert (code, out, err) == (3, "", f"error: 3^{k} exceeds the {refused[k]}\n")
             else:
                 assert code == 0 and len(out.splitlines()) == 3**k + 1
 

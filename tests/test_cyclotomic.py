@@ -401,3 +401,19 @@ def test_only_the_zero_element_is_zero():
     assert CyclotomicElement.zero(p, 2).is_zero()
     assert not zeta_power(p, 2, 1).is_zero()
     assert (zeta_power(p, 2, 1) - zeta_power(p, 2, 1)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CyclotomicElement.zero(Prime(2), 40),
+        lambda: zeta_power(Prime(2), 40, 1),
+        lambda: eval_at_zeta({0: 1}, Prime(2), 40),
+    ],
+    ids=["zero", "zeta_power", "eval_at_zeta"],
+)
+def test_a_ring_past_the_cap_is_refused_before_it_is_built(build):
+    # The level-40 ring at p = 2 has 2^40 roots of unity and 2^39 coefficients.
+    refusal = "^2\\^40 exceeds the enumeration cap of 1000000 roots of unity$"
+    with pytest.raises(ResourceCapError, match=refusal):
+        build()

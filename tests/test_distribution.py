@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import pmlog.base as base
 import pmlog.cli as cli
 import pmlog.distribution as distribution
 from pmlog.base import ENUMERATION_CAP, ResourceCapError, Sign
@@ -91,7 +92,7 @@ def test_mu_level_cap_and_exponent(monkeypatch):
                 mu_level(sign, P3, n)
     with pytest.raises(ResourceCapError):
         mu_level(Sign.PLUS, P2, 20)
-    monkeypatch.setattr(distribution, "ENUMERATION_CAP", 3**4)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 3**4)
     for sign in SIGNS:
         assert len(mu_level(sign, P3, 4)) == 3**4
         with pytest.raises(ResourceCapError):
@@ -115,7 +116,8 @@ def test_oracle_equivalence(p, max_n):
 
 def test_mu_oracle_cap():
     # At n = 80 each half product has 2^20 > ENUMERATION_CAP terms.
-    with pytest.raises(ResourceCapError, match="support of 2\\^20 terms"):
+    refusal = "^2\\^20 exceeds the enumeration cap of 1000000 product terms$"
+    with pytest.raises(ResourceCapError, match=refusal):
         mu_oracle(Sign.PLUS, residue_from_integer(0, P2, 80))
 
 
@@ -133,7 +135,8 @@ def test_mu_oracle_past_the_level_cap(p, n):
 
 def test_mu_oracle_level_keeps_the_level_cap(monkeypatch):
     refuse(monkeypatch, ["cyclo_poly"])
-    with pytest.raises(ResourceCapError, match="cosets exceed"):
+    refusal = "^2\\^21 exceeds the enumeration cap of 1000000 cosets$"
+    with pytest.raises(ResourceCapError, match=refusal):
         mu_oracle_level(Sign.PLUS, P2, 21)
 
 
@@ -277,7 +280,7 @@ def test_mu_oracle_level_matches_point_oracle(p):
 def test_mu_oracle_level_cap(monkeypatch):
     with pytest.raises(ResourceCapError):
         mu_oracle_level(Sign.PLUS, P2, 20)
-    monkeypatch.setattr(distribution, "ENUMERATION_CAP", 3**4)
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 3**4)
     for sign in SIGNS:
         assert len(mu_oracle_level(sign, P3, 4)) == 3**4
         with pytest.raises(ResourceCapError):
@@ -399,6 +402,14 @@ def test_interpolation_rhs_parity_zero():
     assert interpolation_rhs(Sign.PLUS, 2, P3, 3).is_zero()
     assert interpolation_rhs(Sign.MINUS, 1, P3, 2).is_zero()
     assert interpolation_rhs(Sign.MINUS, 3, P5, 3).is_zero()
+
+
+def test_interpolation_rhs_refuses_a_ring_past_the_cap():
+    # k = 1 is a closed form for plus and k = 2 a zero of the wrong parity;
+    # either would be an element of 2^39 coefficients.
+    for k in (1, 2):
+        with pytest.raises(ResourceCapError, match="^2\\^40 exceeds the enumeration cap of 1000000 "):
+            interpolation_rhs(Sign.PLUS, k, P2, 40)
 
 
 def test_interpolation_rhs_examples():
@@ -551,7 +562,8 @@ def test_step_function_validation():
             StepFunction(P3, n, (Fraction(1),))
     # The level is checked before the values are read.
     unread = iter([Fraction(1)])
-    with pytest.raises(ResourceCapError, match="2\\^20 cosets exceed the enumeration cap"):
+    refusal = "^2\\^20 exceeds the enumeration cap of 1000000 cosets$"
+    with pytest.raises(ResourceCapError, match=refusal):
         StepFunction(P2, 20, unread)
     assert next(unread) == Fraction(1)
     assert StepFunction(P3, 1, iter([Fraction(1)] * 3)).values == (Fraction(1),) * 3

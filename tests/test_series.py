@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import pmlog.base as base
 import pmlog.series as series
 from pmlog.base import ResourceCapError, Sign, pval
 from pmlog.cyclotomic import cyclo_poly
@@ -363,10 +364,11 @@ def test_the_cost_cap_boundary_is_exact(monkeypatch):
     # for both and their product.
     prec = SeriesPrecision(6, 8)
     for signs, cost in (((Sign.PLUS,), 126), ((Sign.MINUS,), 126), (tuple(Sign), 273)):
-        monkeypatch.setattr(series, "ENUMERATION_CAP", cost)
+        monkeypatch.setattr(base, "ENUMERATION_CAP", cost)
         assert series.require_within_cap(Prime(3), signs, prec) is None
-        monkeypatch.setattr(series, "ENUMERATION_CAP", cost - 1)
-        with pytest.raises(ResourceCapError, match=f"enumeration cap of {cost - 1} "):
+        monkeypatch.setattr(base, "ENUMERATION_CAP", cost - 1)
+        refusal = f"^{cost} exceeds the enumeration cap of {cost - 1} "
+        with pytest.raises(ResourceCapError, match=refusal):
             series.require_within_cap(Prime(3), signs, prec)
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import pmlog.base as base
 import pmlog.bivariate as bivariate
 import pmlog.cli as cli
 import pmlog.cyclotomic as cyclotomic
@@ -68,16 +69,20 @@ def refuse_any_work(monkeypatch):
         monkeypatch.setattr(suites, name, fail)
 
 
-@pytest.mark.parametrize("p,max_n", [(2, 11), (7, 4)])
-def test_all_checks_every_cap_before_any_suite_runs(capsys, monkeypatch, p, max_n):
-    # oracle, additivity and amice are within the cap here; biamice is not.
+@pytest.mark.parametrize(
+    "p,max_n,n,work",
+    [pytest.param(2, 11, 10, 2317200, id="2-11"), pytest.param(7, 4, 4, 1104496, id="7-4")],
+)
+def test_all_checks_every_cap_before_any_suite_runs(capsys, monkeypatch, p, max_n, n, work):
+    # oracle, additivity and amice are within the cap here; biamice is not,
+    # and is refused with its work up to the first level n past the cap.
     refuse_any_work(monkeypatch)
     code, out, err = verify(capsys, "all", p, max_n)
     assert code == 3
     assert out == ""
     assert err == (
-        f"error: the biamice suite up to n={max_n} exceeds the enumeration cap"
-        " of 1000000 ring coefficients, terms, products and support tuples\n"
+        f"error: {work} exceeds the enumeration cap of 1000000 ring coefficients, terms,"
+        f" products and support tuples for the biamice suite up to n={n}\n"
     )
 
 
@@ -86,16 +91,18 @@ def test_the_series_cost_is_checked_before_any_suite_runs(monkeypatch, name):
     # logproduct at (p, t_prec, p_prec) = (3, 6, 8) is 273 coefficient
     # products (tests/test_series.py); the other suites are far below the cap.
     refuse_any_work(monkeypatch)
-    monkeypatch.setattr(series, "ENUMERATION_CAP", 272)
-    with pytest.raises(ResourceCapError, match="the series at t_prec 6 and p_prec 8 exceed"):
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 272)
+    refusal = "^273 exceeds .* for the series at t_prec 6 and p_prec 8$"
+    with pytest.raises(ResourceCapError, match=refusal):
         suites.run_suite(name, Prime(3), 1, SeriesPrecision(t_prec=6, p_prec=8))
 
 
 def test_a_cap_is_reported_for_the_first_suite_past_it(monkeypatch):
     refuse_any_work(monkeypatch)
     # p = 3 up to n = 2 costs oracle 36, additivity 96, amice 154, biamice 1096
-    monkeypatch.setattr(suites, "ENUMERATION_CAP", 95)
-    with pytest.raises(ResourceCapError, match="the additivity suite up to n=2"):
+    monkeypatch.setattr(base, "ENUMERATION_CAP", 95)
+    refusal = "^96 exceeds .* for the additivity suite up to n=2$"
+    with pytest.raises(ResourceCapError, match=refusal):
         suites.run_suite("all", Prime(3), 2, SeriesPrecision(t_prec=8, p_prec=6))
 
 
