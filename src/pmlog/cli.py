@@ -90,7 +90,8 @@ _VERIFY_FLAGS = (
 def _require_printable(p: Prime, exponent: int) -> None:
     # Printed integers are at most p^exponent: refuse one past the int-to-str limit.
     limit = sys.get_int_max_str_digits()
-    digits = exponent * math.log10(p)  # its decimal length, up to rounding
+    # Its decimal length, up to rounding; past 4 limit, p^e >= 2^e > 10^limit.
+    digits = exponent * math.log10(p) if exponent <= 4 * limit else math.inf
     if limit == 0 or digits < limit - 1:
         return
     if digits > limit + 1 or p**exponent >= 10**limit:

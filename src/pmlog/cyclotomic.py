@@ -15,9 +15,9 @@ Reduction uses two facts: x^(p^n) = 1 in the quotient, and
 x^d = -(1 + x^h + x^(2h) + ... + x^((p-2)h)) with h = p^(n-1), which
 rewrites any monomial as at most p-1 basis terms.
 
-Products of even- or odd-indexed Phi's stay sparse (p^count monomials
-with unit coefficients), so they are kept as exponent-to-coefficient
-maps rather than ring elements.
+A product of even- or odd-indexed Phi's has p^count distinct exponents,
+each with coefficient 1 (every level puts one base-p digit at its own
+position), so it is kept as the list of its exponents.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from typing import Iterable, Mapping
 from .base import Value, check_cap, store_fields
 from .digits import Prime
 
-SparsePoly = dict[int, int]
 
-
-def cyclo_poly(p: Prime, n: int) -> SparsePoly:
+def cyclo_poly(p: Prime, n: int) -> dict[int, int]:
     """The p^n-th cyclotomic polynomial: p unit monomials at multiples of p^(n-1)."""
     if n < 1:
         raise ValueError("level n must be >= 1")
@@ -40,34 +38,25 @@ def cyclo_poly(p: Prime, n: int) -> SparsePoly:
     return {h * t: 1 for t in range(p)}
 
 
-def _sparse_mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    # Phi's at distinct levels multiply to distinct exponents, so no term cancels.
-    out: SparsePoly = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
-def _indexed_product(p: Prime, count: int, first: int) -> SparsePoly:
-    # Product of Phi(p, m) for m = first, first + 2, ..., first + 2(count - 1).
+def _indexed_product(p: Prime, count: int, first: int) -> list[int]:
+    # The exponents of the product of Phi(p, m), m = first, first + 2, ...,
+    # first + 2(count - 1); Phi's at distinct levels give distinct exponents.
     if count < 0:
         raise ValueError("count must be >= 0")
     check_cap(p, count, "product terms")
-    prod: SparsePoly = {0: 1}
+    prod = [0]
     for m in range(first, first + 2 * count, 2):
-        prod = _sparse_mul(prod, cyclo_poly(p, m))
+        prod = [e + f for f in cyclo_poly(p, m) for e in prod]
     return prod
 
 
-def even_product(p: Prime, count: int) -> SparsePoly:
-    """Multiply out the cyclotomic polynomials at even levels 2, 4, ..., 2*count."""
+def even_product(p: Prime, count: int) -> list[int]:
+    """The exponents of the product of the cyclotomic polynomials at levels 2, 4, ..., 2*count."""
     return _indexed_product(p, count, first=2)
 
 
-def odd_product(p: Prime, count: int) -> SparsePoly:
-    """Multiply out the cyclotomic polynomials at odd levels 1, 3, ..., 2*count - 1."""
+def odd_product(p: Prime, count: int) -> list[int]:
+    """The exponents of the product of the cyclotomic polynomials at levels 1, 3, ..., 2*count-1."""
     return _indexed_product(p, count, first=1)
 
 

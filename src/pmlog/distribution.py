@@ -153,39 +153,38 @@ def mu_oracle(sign: Sign, r: Residue) -> DistValue:
     """The same value recomputed by a root-of-unity character sum.
 
     The character sum of the product of the K even (plus) or odd (minus)
-    cyclotomic levels, shifted by -a, collapses to p^n times the sum of the
-    product's coefficients at exponents congruent to a mod p^n, and the
-    value is that over p^(n + K + 1): the class sum over p^(K + 1).  Two
-    half products give it: the low half's exponents are folded mod p^n, and
-    each high term e reads the fold at a - e, in p^floor(K/2) + p^ceil(K/2)
-    steps instead of the whole product's p^K.  Independent of the digit test.
+    cyclotomic levels, shifted by -a, collapses to p^n times the count of
+    the product's exponents (each of coefficient 1) congruent to a mod p^n,
+    and the value is that over p^(n + K + 1): the class count over
+    p^(K + 1).  Two half products give it: the low half's exponents are
+    counted by class mod p^n, and each high exponent e reads the count at
+    a - e, in p^floor(K/2) + p^ceil(K/2) steps instead of the whole
+    product's p^K.  Independent of the digit test.
     """
     p, n, a = r.p, r.n, r.value
     count, first = _oracle_levels(sign, n)
-    low, order, folded = count // 2, p**n, {}
+    low, order = count // 2, p**n
     # The larger half first: its cap check then refuses before any expansion.
     high = _indexed_product(p, count - low, first + 2 * low)
-    for e, c in _indexed_product(p, low, first).items():
-        folded[e % order] = folded.get(e % order, 0) + c
-    hits = sum(c * folded.get((a - e) % order, 0) for e, c in high.items())
+    folded = collections.Counter(e % order for e in _indexed_product(p, low, first))
+    hits = sum(folded[(a - e) % order] for e in high)
     return DistValue(p, Fraction(hits, p ** (count + 1)))
 
 
 def mu_oracle_level(sign: Sign, p: Prime, n: int) -> list[DistValue]:
     """mu_oracle of every coset mod p^n, indexed by its representative a.
 
-    The value at the coset a is the sum of the product's coefficients at
-    exponents congruent to a mod p^n over p^(K + 1), as in mu_oracle, so the
-    product is expanded once and its exponents folded mod p^n: p^n +
+    The value at the coset a is the count of the product's exponents
+    congruent to a mod p^n over p^(K + 1), as in mu_oracle, so the product
+    is expanded once and its exponents counted by class mod p^n: p^n +
     p^ceil(n/2) steps for the whole level instead of one count per coset.
     """
     _require_level(p, n)
     count, first = _oracle_levels(sign, n)
-    poly = _indexed_product(p, count, first)
     order, den = p**n, p ** (count + 1)
     folded = [0] * order
-    for e, c in poly.items():
-        folded[e % order] += c
+    for e in _indexed_product(p, count, first):
+        folded[e % order] += 1
     # One DistValue per distinct sum, shared by its cosets: each value that
     # appears is still validated, once.
     values = {c: DistValue(p, Fraction(c, den)) for c in set(folded)}
@@ -247,9 +246,9 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
     Zero when the parity of k disagrees with the sign; otherwise the
     product's prefactor times the cyclotomic values at zeta_k.  Each level
     m > k gives Phi(p, m)(zeta_k) = p, and those factors cancel against the
-    prefactor, so only the levels below k are multiplied out, as one sparse
-    product whose integer terms, each exponent scaled to the level-n root,
-    are folded once over p^(k//2 + 1) whatever n is.
+    prefactor, so only the levels below k are multiplied out, as one
+    product whose exponents, each scaled to the level-n root, are folded
+    once with coefficient 1 over p^(k//2 + 1) whatever n is.
     """
     if not 1 <= k <= n:
         raise ValueError("require 1 <= k <= n")
@@ -260,7 +259,7 @@ def interpolation_rhs(sign: Sign, k: int, p: Prime, n: int) -> CyclotomicElement
     # even k and the odd levels 1, 3, ..., k - 1.
     product = (even_product, odd_product)[sign.parity](p, k // 2)
     zeta_exp = p ** (n - k)  # zeta_k as a power of the level-n root
-    return _fold(((e * zeta_exp, c) for e, c in product.items()), p, n, p ** (k // 2 + 1))
+    return _fold(((e * zeta_exp, 1) for e in product), p, n, p ** (k // 2 + 1))
 
 
 def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Level]]:

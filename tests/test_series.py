@@ -372,6 +372,17 @@ def test_the_cost_cap_boundary_is_exact(monkeypatch):
             series.require_within_cap(Prime(3), signs, prec)
 
 
+def test_a_cost_too_long_to_print_is_refused_by_a_printable_count():
+    # t_prec, then each factor count, is refused before the cost, whose
+    # 4,301 digits or more are past the int-to-str limit, is multiplied out.
+    p, huge = Prime(2), 10**4300 - 1
+    for prec, sign in ((SeriesPrecision(huge, 1), None), (SeriesPrecision(1, huge), Sign.PLUS)):
+        count = huge if sign is None else factor_count(p, sign, prec)
+        with pytest.raises(ResourceCapError) as refused:
+            series.require_within_cap(p, tuple(Sign), prec)
+        assert str(refused.value).startswith(f"{count} exceeds the enumeration cap of 1000000 ")
+
+
 def test_build_is_deterministic():
     a = build_log_pm(Prime(3), Sign.PLUS, PREC)
     b = build_log_pm(Prime(3), Sign.PLUS, PREC)

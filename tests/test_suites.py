@@ -310,7 +310,7 @@ def test_level_suites_do_no_more_work_per_level_than_they_declare(monkeypatch, n
 @pytest.mark.parametrize("name,p", [("amice", 5), ("biamice", 3)])
 def test_amice_work_counts_each_right_side_term_once(monkeypatch, name, p):
     # A right side builds one element and, at its sign's parity, folds one
-    # term per monomial of its sparse product: the work counted during an
+    # term per exponent of its level product: the work counted during an
     # interpolation_rhs call is the ring dimension plus that many terms.
     work, real_rhs, seen = count_amice_work(monkeypatch), distribution.interpolation_rhs, []
 

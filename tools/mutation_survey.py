@@ -161,7 +161,12 @@ def survey() -> int:
         for node in targets(source):
             mutants.append((module, source, node))
     running: set[subprocess.Popen] = set()
+    # A SIGTERM between making the directory and the `with` owning it would
+    # leave the directory behind, so it waits, blocked, until the `with` owns
+    # it; it is unblocked before any child, which inherits the mask, starts.
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     with tempfile.TemporaryDirectory(prefix="mutation-survey-") as temp:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         copies: queue.Queue[Path] = queue.Queue()
         for index in range(jobs):
             copies.put(make_copy(Path(temp), index))
