@@ -26,7 +26,7 @@ from .series import DEFAULT_P_PREC, DEFAULT_T_PREC, SeriesPrecision, build_log_p
 from .series import dump_dict, dump_exponent, require_within_cap
 from .suites import SUITES, run_suite
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 TABLE_ROW_CAP = 10**5
 
 UNIVARIATE_SIGNS = ("+", "-")

@@ -1,5 +1,5 @@
-"""Truncated power series over Q, and the plus/minus logarithms as exact
-partial products cut at a proven factor count.
+"""Truncated power series over Q, and the plus/minus logarithms as partial
+products cut at a proven factor count and held mod a bounded power of p.
 
 The plus/minus logarithms are the infinite products
 
@@ -7,8 +7,7 @@ The plus/minus logarithms are the infinite products
 
 with e(j) = 2j for plus and 2j - 1 for minus, and (1/p) times the first K
 factors is exactly the Amice transform of mu± at level e(K).  A series is
-held exactly, as integer numerators over one positive common denominator in
-lowest terms, so the only error of a partial product is its omitted tail.
+integer numerators over one positive common denominator in lowest terms.
 
 The tail bound.  For 1 <= k < t_prec, C(N, k) = (N / k) C(N - 1, k - 1)
 gives v_p(C(i p^(m-1), k)) >= m - 1 - v_p(k) >= m - 1 - L, where
@@ -23,14 +22,18 @@ w = #{j : e(j) <= L + 1}; the tail prod_(j > K) F(e(j)) is
 
     log± = (1/p) P_K  mod p^(e(K+1) - 3 - L - w).
 
-factor_count is the least K that puts this exponent at p_prec or above, so
-every coefficient build_log_pm returns is certified mod p^p_prec, and the
-count is known before any multiply, which lets the build's cost be checked
-against the enumeration cap first.
+factor_count is the least K that puts this exponent at p_prec or above, and
+the count is known before any multiply, which lets the build's cost be
+checked against the enumeration cap first.  As (1/p) P_K is the integer
+product prod_(j <= K) Phi(p, e(j))(1 + T) over p^(K + 1), that product is
+needed only mod p^(p_prec + K + 1), and build_log_pm reduces every factor
+and partial product mod that power: the error of each coefficient it
+returns, omitted tail and reduction together, lies in p^p_prec Z_p.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -79,10 +82,6 @@ class TruncatedSeries(Value, fields=("p", "prec", "nums", "den")):
         cs += [Fraction(0)] * (prec.t_prec - len(cs))
         den = math.lcm(*(c.denominator for c in cs))
         return cls(p, prec, tuple(c.numerator * (den // c.denominator) for c in cs), den)
-
-    @classmethod
-    def one(cls, p: Prime, prec: SeriesPrecision) -> "TruncatedSeries":
-        return cls.from_coefficients(p, prec, [1])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -174,24 +173,22 @@ def require_within_cap(p: Prime, signs: tuple[Sign, ...], prec: SeriesPrecision)
         check_cap(count, 1, unit)
 
 
-def log_pm_partial_product(
-    p: Prime, sign: Sign, prec: SeriesPrecision, factor_count: int
-) -> TruncatedSeries:
-    """(1/p) times the first factor_count factors Phi(p, e(j))(1 + T) / p,
-    e(j) = 2j (plus) or 2j - 1 (minus): exactly the Amice transform of mu±
-    at level e(factor_count)."""
-    if factor_count < 0:
-        raise ValueError("factor_count must be >= 0")
-    product = TruncatedSeries.one(p, prec)
-    for j in range(1, factor_count + 1):
-        product = product * phi_shifted(p, 2 * j - sign.parity, prec)
-    return TruncatedSeries(p, prec, product.nums, p ** (factor_count + 1))
-
-
 def build_log_pm(p: Prime, sign: Sign, prec: SeriesPrecision) -> TruncatedSeries:
-    """The plus or minus logarithm mod p^p_prec in every coefficient: the
-    partial product of factor_count factors."""
-    return log_pm_partial_product(p, sign, prec, factor_count(p, sign, prec))
+    """The plus or minus logarithm mod p^p_prec in every coefficient: (1/p)
+    times the K = factor_count factors Phi(p, e(j))(1 + T) / p, e(j) = 2j
+    (plus) or 2j - 1 (minus), with every factor and partial product reduced
+    mod p^(p_prec + K + 1) and one division by p^(K + 1) at the end.  That
+    modulus is a multiple of p^(K + 1), so the gcd with p^(K + 1) and the
+    denominator are the exact product's."""
+    count = factor_count(p, sign, prec)  # >= 1, as p_prec >= 1
+    modulus = p ** (prec.p_prec + count + 1)
+
+    def cut(s: TruncatedSeries) -> TruncatedSeries:
+        return TruncatedSeries(p, prec, tuple(c % modulus for c in s.nums), 1)
+
+    factors = (cut(phi_shifted(p, 2 * j - sign.parity, prec)) for j in range(1, count + 1))
+    product = functools.reduce(lambda a, b: cut(a * b), factors)
+    return TruncatedSeries(p, prec, product.nums, p ** (count + 1))
 
 
 def verify_product_identity(p: Prime, prec: SeriesPrecision) -> Level:

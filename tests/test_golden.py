@@ -8,8 +8,13 @@ printed each series coefficient as its canonical residue below
 p^(guarantee).  Format "3" certifies every coefficient mod p^p_prec, by the
 proven tail bound of series.py: the series dumps print that one guarantee,
 and logproduct (alone and in `all`) checks one bound per run, so the
-series, logproduct and all digests were re-recorded under it.  After a
-deliberate FORMAT_VERSION bump, regenerate them with
+series, logproduct and all digests were re-recorded under it.  Format "4"
+builds each logarithm from numerators reduced mod p^(p_prec + K + 1), K
+the factor count: the series dumps print the same residues, and their
+digests are unchanged, but logproduct's `v_p(residual) = v` reads digits
+past the certified ones, so the seven logproduct and three all digests
+were re-recorded under it.  After a deliberate FORMAT_VERSION bump,
+regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -40,13 +45,13 @@ GOLDEN = {
     "verify --suite amice --p 7 --max-n 4": "d0611db93fbd2fcf8b52b5f58d090bf901ac1d1479985dcfcf6d8c2d2e4ceb8c",
     "verify --suite amice --p 13 --max-n 3": "bca9b9b02ccb901661145cf8fa53872a3c8671ab1a20321c4b4a334ac5c88fbf",
     "verify --suite biamice --p 7 --max-n 2": "17f13bc1e1babb59f72ce81b4f56e58026a13964ea5cc9e2d832e8f49622e89f",
-    "verify --suite all --p 2 --max-n 5": "2d49ebf531634cc6dc37ae7dc3106dfc8068282f00c751b3c061ac8a2cb38e23",
-    "verify --suite all --p 3 --max-n 4": "3664cb033302e4d77669d66d7d5233b1bb01e81beaab5dd0a75ad971ee3e784c",
-    "verify --suite all --p 5 --max-n 3": "77cc9b861cac919a4b308f7dd5186993a01bc57bb774632f22f9b6a6226718f9",
+    "verify --suite all --p 2 --max-n 5": "746454004585e2ef737ab26384c37afaf0d27ac6e3902e3b59fdef2bcc40e82a",
+    "verify --suite all --p 3 --max-n 4": "f1ea87d097449ebbbfd86384cb16e1bb983ff37907092ffdde613e1ca78dd6ed",
+    "verify --suite all --p 5 --max-n 3": "2eea3d9f92aad45aa09f8f37d7b5581f874075070df415c943c4212722b9438e",
     "series --sign + --p 2 --tprec 48 --pprec 32": "86b61959a18bf5c87d604b364513c8cab10c14821074f0874ba93dc8c14a143b",
     "series --sign - --p 3 --tprec 32 --pprec 16": "fe331b180e6a3374077ccd3c995214f32c73121c87a91b1df6f44ee925cf6828",
-    "verify --suite logproduct --p 2 --tprec 40 --pprec 24": "d7eba01be7ce3fd5769d40eb3dd1159a7af27c01867efd12b47713b6f411d188",
-    "verify --suite logproduct --p 7 --tprec 24 --pprec 10": "b69c97358b1199c8c6ed4dc150c98c8dae4de5811770d35806c1b9ee483320a7",
+    "verify --suite logproduct --p 2 --tprec 40 --pprec 24": "ccb481714a5ddb5b3e3361e1ed4fa05a63cd145ba0d7f6507c517bcdaa98a984",
+    "verify --suite logproduct --p 7 --tprec 24 --pprec 10": "b65bccb994a88cfc22a3aee4229bca3987120572f20d4bc75ba54f1277acac23",
     "table --sign + --p 3 --n 6": "7399272408c71e030fa4875feedc34886edda65f1d9ce9ba420df5487bbcd471",
     "verify --suite oracle --p 5 --max-n 4": "cd49d30d44cbae7dae8bb2adebed0363d65853aa0833c745190c008f15570d43",
     "verify --suite additivity --p 3 --max-n 6": "92f48885f6c3dbdda489594a66f7363e2f45b314b2729a79d0255bc22217e6f6",
@@ -63,13 +68,13 @@ GOLDEN = {
     # step short of it.
     "series --sign - --p 13 --tprec 8 --pprec 6": "3d29acb86851c02c37e46885115ba6fec9baa58b59b76d9e71f23faecb70d287",
     "series --sign + --p 1000003 --tprec 8 --pprec 6": "2a8eb4fb5c5e44fa201559cb50b9a24446915764a0e80b4bc9d06735eea5f49b",
-    "verify --suite logproduct --p 31 --tprec 24 --pprec 12": "6c4bfa2fec9026ec538aa1bcf5894855fa42709db8a7ef40204b703018b8fd2a",
-    "verify --suite logproduct --p 13 --tprec 12 --pprec 8": "1acf4b94d039e8a1c6bc0c2c13565d5a3e9d33ef93a2f63e3b2208aaf36688cb",
+    "verify --suite logproduct --p 31 --tprec 24 --pprec 12": "41b22b2f7ca677af6c4b937c1dcac22affa5103f54e74741011cc026f500c67f",
+    "verify --suite logproduct --p 13 --tprec 12 --pprec 8": "3e44a706ca3eff298597e214f28dd06739872ee04f5c46f875911eade3316b4b",
     "series --sign + --p 11 --tprec 10 --pprec 8": "1d0c16bc7a9fac99edffadb5c65ac25d19465e1914d7bb10b9f8eef86cd00064",
-    "verify --suite logproduct --p 2 --tprec 64 --pprec 40": "8855d433ab8d7fd9b6e2d5f59b4ef9d295deb9258907d76d35dce7ca4bbf2ed4",
+    "verify --suite logproduct --p 2 --tprec 64 --pprec 40": "72d4b7075ac6e98fb99d1bbc582b692a944008ba3ac4e377502db19d75622140",
     "series --sign - --p 7 --tprec 5 --pprec 8": "e110168afa29a5b1d98a4ecaf187e84c2d09a9dca856a647d2aa5678e899c01b",
-    "verify --suite logproduct --p 5 --tprec 12 --pprec 8": "1c6d5bcbb575417be79e1a3cbd31dec0ab7467ad3df04b19ad7b6e0fcbf48719",
-    "verify --suite logproduct --p 13 --tprec 36 --pprec 8": "0b1785863ae68928aad61d4a1fdea5b98ab7add3ca98a7edd33c4ab35de8fb21",
+    "verify --suite logproduct --p 5 --tprec 12 --pprec 8": "7cf7154daafa80cd2a5b80e179daedf9d6e3507004227e94a46aed9646dc483a",
+    "verify --suite logproduct --p 13 --tprec 36 --pprec 8": "3781547c756aec86878c3477e806a6e67c75802c7a6dea95a9b78bc94aca7292",
     "series --sign + --p 11 --tprec 30 --pprec 8": "c307a2eea065a0e9325fa00415bb1fc688f457d23fefdc27d8157d0cb260ebc5",
     "series --sign - --p 7 --tprec 17 --pprec 8": "f8b2d43bd81b5f1c8c027424b7fc822dfd23b44c940968550243b28db52f7258",
     # The benchmark's scan invocations not pinned above, an odd-n table and
@@ -81,7 +86,8 @@ GOLDEN = {
     # Levels of more cases than one write of the report writer (4,096).
     "verify --suite additivity --p 2 --max-n 13": "bcefa496697ce68af3927c54bd12a4cdc0041e1a4040ce7e3f6e0a82c232b0ee",
     "verify --suite oracle --p 2 --max-n 12": "3f51b2c6c72f708220315629d28ad5a88bf270815efbb7a844973b06c60a2bec",
-    # A dump whose exact numerators run past the 4,300-digit print limit.
+    # A dump whose exact product's numerators would run past the 4,300-digit
+    # print limit.
     "series --sign - --p 2305843009213693951 --tprec 24 --pprec 24": "11d0bd156b84f8c852a77b0d7419e8a839b8031d8e2ceff6dc24618163c25602",
 }
 

@@ -22,7 +22,6 @@ from pmlog.series import (
     dump_dict,
     dump_exponent,
     factor_count,
-    log_pm_partial_product,
     phi_shifted,
     verify_product_identity,
 )
@@ -221,17 +220,31 @@ def test_build_log_pm_constant_term(p, sign):
     assert build_log_pm(p, sign, PREC).coeffs[0] == Fraction(1, p)
 
 
+def exact_log_pm(p, sign, prec, factors):
+    # (1/p) prod_(j <= factors) Phi(p, e(j))(1 + T) / p from phi_shifted
+    # factors and TruncatedSeries products with no numerator reduced: exactly
+    # the Amice transform of mu± at level e(factors).
+    product = TruncatedSeries.from_coefficients(p, prec, [1])
+    for j in range(1, factors + 1):
+        product = product * phi_shifted(p, 2 * j - sign.parity, prec)
+    return TruncatedSeries(p, prec, product.nums, p ** (factors + 1))
+
+
+def agree_mod(xs, ys, p, digits):
+    # the two coefficient sequences agree mod p^digits term by term
+    return all(x == y or pval(x - y, p) >= digits for x, y in zip(xs, ys, strict=True))
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
 def test_stabilization_and_soundness(p, sign):
     count = factor_count(p, sign, PREC)
     built = build_log_pm(p, sign, PREC)
-    assert built == log_pm_partial_product(p, sign, PREC, count)
+    exact = exact_log_pm(p, sign, PREC, count)
+    assert built.den == exact.den
+    assert agree_mod(built.coeffs, exact.coeffs, p, PREC.p_prec)
     # appending one more factor moves nothing mod p^p_prec
-    next_one = log_pm_partial_product(p, sign, PREC, count + 1)
-    for new, old in zip(next_one.coeffs, built.coeffs, strict=True):
-        diff = new - old
-        assert diff == 0 or pval(diff, p) >= PREC.p_prec
+    assert agree_mod(exact_log_pm(p, sign, PREC, count + 1).coeffs, built.coeffs, p, PREC.p_prec)
 
 
 def tail_terms(p, sign, prec):
@@ -287,20 +300,6 @@ def test_build_agrees_with_eight_more_factors_mod_p_to_the_p_prec(p, sign, t_pre
             assert x == y or pval(x - y, p) >= p_prec, (p_prec, k)
 
 
-def reduced_log_pm(p, sign, prec):
-    # log± built as build_log_pm builds it, from phi_shifted factors and
-    # TruncatedSeries products, but with every partial product's numerators
-    # reduced mod p^(p_prec + K + 1), K = factor_count: the division by
-    # p^(K + 1) at the end leaves each coefficient known mod p^p_prec.
-    count = factor_count(p, sign, prec)
-    modulus = p ** (prec.p_prec + count + 1)
-    product = TruncatedSeries.one(p, prec)
-    for j in range(1, count + 1):
-        product = product * phi_shifted(p, 2 * j - sign.parity, prec)
-        product = TruncatedSeries(p, prec, tuple(c % modulus for c in product.nums), product.den)
-    return TruncatedSeries(p, prec, product.nums, p ** (count + 1))
-
-
 REDUCED_PRIMES = [Prime(q) for q in (2, 3, 5, 7, 13, 31, 101)]
 REDUCED_PRECS = [
     SeriesPrecision(t_prec, p_prec)
@@ -310,34 +309,71 @@ REDUCED_PRECS = [
 
 @pytest.mark.parametrize("p", REDUCED_PRIMES)
 def test_a_build_reduced_mod_p_to_the_p_prec_plus_k_plus_1_dumps_the_same(p):
-    # The arithmetic a capped-precision kernel relies on: the exact product
-    # carries nothing the dump prints past p^(p_prec + K + 1).
+    # The build reduces its numerators mod p^(p_prec + K + 1), K =
+    # factor_count, and the exact product of the same K factors carries
+    # nothing past that power that the dump prints: the two agree mod
+    # p^p_prec, over the same denominator, in the same bytes.
     changed = 0
     for prec in REDUCED_PRECS:
         for sign in Sign:
-            exact, reduced = build_log_pm(p, sign, prec), reduced_log_pm(p, sign, prec)
+            reduced = build_log_pm(p, sign, prec)
+            exact = exact_log_pm(p, sign, prec, factor_count(p, sign, prec))
             assert reduced.den == exact.den, (prec, sign)
+            assert agree_mod(reduced.coeffs, exact.coeffs, p, prec.p_prec), (prec, sign)
             assert dump_dict(reduced, sign) == dump_dict(exact, sign), (prec, sign)
             changed += reduced.nums != exact.nums
     assert changed  # the reduction did cut some numerators
 
 
+def identity_passes(p, prec):
+    cases = rows(verify_product_identity(p, prec))
+    assert len(cases) == prec.t_prec
+    assert all(passed for *_, passed in cases), (prec, [row for row in cases if not row[3]])
+
+
 @pytest.mark.parametrize("p", REDUCED_PRIMES)
-def test_the_product_identity_passes_on_the_reduced_build(p, monkeypatch):
-    monkeypatch.setattr(series, "build_log_pm", reduced_log_pm)
+def test_the_product_identity_passes_on_the_reduced_build(p):
     for prec in REDUCED_PRECS:
-        cases = rows(verify_product_identity(p, prec))
-        assert len(cases) == prec.t_prec
-        assert all(passed for *_, passed in cases), (prec, [row for row in cases if not row[3]])
+        identity_passes(p, prec)
+
+
+@pytest.mark.parametrize("p", REDUCED_PRIMES)
+def test_the_product_identity_passes_on_the_exact_product(p, monkeypatch):
+    # the same bound holds for the exact product of as many factors
+    def exact_build(p, sign, prec):
+        return exact_log_pm(p, sign, prec, factor_count(p, sign, prec))
+
+    monkeypatch.setattr(series, "build_log_pm", exact_build)
+    for prec in REDUCED_PRECS:
+        identity_passes(p, prec)
+
+
+BOUNDED_CASES = [(p, prec) for p in REDUCED_PRIMES for prec in REDUCED_PRECS]
+BOUNDED_CASES += [(Prime(2**61 - 1), SeriesPrecision(24, 24))]
+
+
+@pytest.mark.parametrize(
+    "p, prec", BOUNDED_CASES, ids=[f"{p}-{prec.t_prec}-{prec.p_prec}" for p, prec in BOUNDED_CASES]
+)
+def test_every_built_numerator_lies_below_p_to_the_p_prec_plus_k_plus_1(p, prec):
+    # The build's integers stay bounded whatever the factor count; the
+    # exact product's grow with every factor.
+    for sign in Sign:
+        modulus = p ** (prec.p_prec + factor_count(p, sign, prec) + 1)
+        assert all(0 <= c < modulus for c in build_log_pm(p, sign, prec).nums), sign
 
 
 def test_the_guarantee_is_reached_at_p_2():
-    # log+ at (t_prec, p_prec) = (8, 6) misses its T^6 coefficient by
-    # exactly 2^6: no coefficient is certified below what is printed.
+    # The exact product of factor_count factors of log+ at (t_prec, p_prec)
+    # = (8, 6) misses its T^6 coefficient by exactly 2^6: the count is the
+    # least the tail bound admits and certifies nothing past p^p_prec.  The
+    # build agrees with it mod 2^6.
     prec = SeriesPrecision(8, 6)
-    built = build_log_pm(Prime(2), Sign.PLUS, prec).coeffs
-    longer = fraction_log_pm(2, Sign.PLUS, 8, factor_count(Prime(2), Sign.PLUS, prec) + 8)
-    assert pval(built[6] - longer[6], 2) == 6
+    count = factor_count(Prime(2), Sign.PLUS, prec)
+    exact = fraction_log_pm(2, Sign.PLUS, 8, count)
+    longer = fraction_log_pm(2, Sign.PLUS, 8, count + 8)
+    assert pval(exact[6] - longer[6], 2) == 6
+    assert agree_mod(build_log_pm(Prime(2), Sign.PLUS, prec).coeffs, exact, 2, 6)
 
 
 @pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 101)])
@@ -490,7 +526,7 @@ def test_partial_product_is_the_amice_sum_over_the_support(p):
         for sign in Sign:
             n = 1
             while p ** ((n + sign.parity) // 2) <= 1000:
-                partial = log_pm_partial_product(Prime(p), sign, prec, (n + sign.parity) // 2)
+                partial = exact_log_pm(Prime(p), sign, prec, (n + sign.parity) // 2)
                 assert partial.coeffs == support_sum(sign, p, n, t_prec), (t_prec, sign, n)
                 n += 1
 
@@ -499,13 +535,16 @@ def test_partial_product_is_the_amice_sum_over_the_support(p):
     "p,t_prec,p_prec,plus,minus", [(2, 12, 12, 9, 10), (3, 10, 8, 6, 7), (5, 8, 6, 5, 5)]
 )
 def test_stabilized_log_pm_is_the_amice_sum_of_its_level(p, t_prec, p_prec, plus, minus):
-    # factor_count takes `plus` and `minus` factors here, so each built
-    # series is the Amice sum of level 2 factors (plus) or 2 factors - 1 (minus).
+    # factor_count takes `plus` and `minus` factors here, so the exact
+    # product of that many factors is the Amice sum of level 2 factors (plus)
+    # or 2 factors - 1 (minus), and each built series agrees with it mod
+    # p^p_prec.
     prec = SeriesPrecision(t_prec, p_prec)
     for sign, factors in zip(Sign, (plus, minus)):
         assert factor_count(Prime(p), sign, prec) == factors
-        n = 2 * factors - sign.parity
-        assert build_log_pm(Prime(p), sign, prec).coeffs == support_sum(sign, p, n, t_prec)
+        amice = support_sum(sign, p, 2 * factors - sign.parity, t_prec)
+        assert exact_log_pm(Prime(p), sign, prec, factors).coeffs == amice
+        assert agree_mod(build_log_pm(Prime(p), sign, prec).coeffs, amice, p, p_prec)
 
 
 def test_series_arithmetic_requires_matching_precision():
@@ -523,8 +562,6 @@ def test_series_constructions_refuse_inputs_out_of_range():
     for m in (0, -1):
         with pytest.raises(ValueError, match="level m must be >= 1"):
             phi_shifted(p, m, PREC)
-    with pytest.raises(ValueError, match="factor_count must be >= 0"):
-        log_pm_partial_product(p, Sign.PLUS, PREC, -1)
 
 
 def test_dump_dict_schema():
@@ -587,6 +624,6 @@ def test_dump_does_not_depend_on_where_the_product_stopped(p, sign, t_prec, p_pr
     # holds only the classes mod p^p_prec.
     prec = SeriesPrecision(t_prec, p_prec)
     built = build_log_pm(Prime(p), sign, prec)
-    longer = log_pm_partial_product(Prime(p), sign, prec, factor_count(Prime(p), sign, prec) + 8)
+    longer = exact_log_pm(Prime(p), sign, prec, factor_count(Prime(p), sign, prec) + 8)
     assert longer != built
     assert dump_dict(longer, sign) == dump_dict(built, sign)
