@@ -1,5 +1,6 @@
 """The plus/minus distributions on Z_p: closed-form values, the character-sum
-oracle, integration of step functions, and the interpolation identities.
+oracle, integration of step functions, the interpolation identities, and
+the level checks of the oracle and of additivity.
 
 The closed form is a digit test: the plus distribution gives a coset
 a + p^n Z_p the value p^(-floor((n+2)/2)) exactly when the even-position
@@ -8,6 +9,9 @@ odd-position digits and exponent floor((n+3)/2).  The oracle recomputes
 the same value from a root-of-unity character sum, which collapses to a
 count of one residue class of a cyclotomic product's exponents; two half
 products give that count, and it shares no code with the digit test.
+
+The checks return the levels (base.Level) a verify suite prints: one per
+sign and n, or from amice_level a list per sign tuple.
 """
 
 from __future__ import annotations
@@ -309,6 +313,20 @@ def amice_level(d: int, p: Prime, n: int) -> dict[tuple[Sign, ...], list[Level]]
             for prefix, cases in zip(prefixes, (texts[i : i + n] for i in range(0, n**d, n)))
         ]
     return levels
+
+
+def verify_oracle(sign: Sign, p: Prime, n: int) -> Level:
+    """Check the character-sum oracle against the closed form at every coset
+    mod p^n: a level of one case per coset a."""
+    oracle, values = mu_oracle_level(sign, p, n), mu_level(sign, p, n)
+    # Both levels share one object per distinct value, so each pair of
+    # objects, keyed by their ids, is printed and compared once.
+    return level(
+        f"sign={sign.value} n={n} a=",
+        "",
+        list(zip(map(id, oracle), map(id, values), strict=True)),
+        lambda a: (str(oracle[a].value), str(values[a]), oracle[a].value == values[a]),
+    )
 
 
 def verify_additivity(sign: Sign, p: Prime, n: int) -> Level:

@@ -23,6 +23,7 @@ from pmlog.distribution import (
     mu_oracle_level,
     support_masses,
     verify_additivity,
+    verify_oracle,
 )
 
 P2, P3 = Prime(2), Prime(3)
@@ -39,6 +40,7 @@ ENTRY_POINTS = {
     "digit_test_level": lambda k: digit_test_level(Sign.PLUS, P2, k, 1, 0),
     "support_masses": lambda k: support_masses(Sign.PLUS, P2, k),
     "verify_additivity": lambda k: verify_additivity(Sign.MINUS, P2, k),
+    "verify_oracle": lambda k: verify_oracle(Sign.PLUS, P2, k),
     # Four values, as many as a level-2 step function has.
     "StepFunction": lambda k: StepFunction(P2, k, itertools.repeat(0, 4)),
     "StepFunction.from_function": lambda k: StepFunction.from_function(P2, k, abs),

@@ -22,8 +22,8 @@ from test_cli_fuzz import sloppy, well_formed
 
 import pmlog.base as base
 import pmlog.cli as cli
+import pmlog.distribution as distribution
 import pmlog.series as series
-import pmlog.suites as suites
 from pmlog.base import Sign, Value, pval
 from pmlog.digits import Prime, residue_from_integer
 from pmlog.distribution import DistValue, mu_level, mu_oracle, mu_value
@@ -491,7 +491,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def broken_oracle_level(sign, p, n):
         return [DistValue(Prime(int(p)), Fraction(1, int(p)))] * int(p) ** n
 
-    monkeypatch.setattr(suites, "mu_oracle_level", broken_oracle_level)
+    monkeypatch.setattr(distribution, "mu_oracle_level", broken_oracle_level)
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--p", "3", "--max-n", "1")
     assert code == 1
     report = json.loads(out)

@@ -41,6 +41,7 @@ from pmlog.distribution import (
     support_masses,
     total_mass,
     verify_additivity,
+    verify_oracle,
 )
 from level_rows import rows
 
@@ -454,6 +455,42 @@ def test_interpolation_rhs_matches_the_product_over_every_level(p):
                 actual = interpolation_rhs(sign, k, p, n)
                 assert actual == expected, (str(sign), k, n)
                 assert (actual.coeffs, str(actual)) == (expected.coeffs, str(expected))
+
+
+@pytest.mark.parametrize("p", [P2, P3, P5])
+def test_verify_oracle_compares_the_oracle_with_the_closed_form_at_every_coset(p):
+    for sign, n in itertools.product(SIGNS, range(1, 4)):
+        cases = rows(verify_oracle(sign, p, n))
+        assert len(cases) == p**n
+        for a, (input, expected, actual, passed) in enumerate(cases):
+            r = residue_from_integer(a, p, n)
+            assert input == f"sign={sign} n={n} a={a}"
+            assert expected == str(mu_oracle(sign, r).value)
+            assert actual == str(mu_value(sign, r).value)
+            assert passed
+
+
+def test_verify_oracle_fails_just_the_cosets_where_the_routes_disagree(monkeypatch):
+    # Coset 0 carries the mass 1/9 at n = 2 for both signs; an oracle that
+    # gives it 1/3 fails that case alone, although its closed-form value
+    # is the object every other coset of the support shares.
+    real = distribution.mu_oracle_level
+
+    def broken(sign, p, n):
+        return [DistValue(p, Fraction(1, p)), *real(sign, p, n)[1:]]
+
+    monkeypatch.setattr(distribution, "mu_oracle_level", broken)
+    for sign in SIGNS:
+        cases = rows(verify_oracle(sign, P3, 2))
+        assert [row for row in cases if not row[3]] == [(f"sign={sign} n=2 a=0", "1/3", "1/9", False)]
+        assert len(cases) == 9
+
+
+def test_verify_oracle_refuses_past_the_level_cap_before_any_expansion(monkeypatch):
+    refuse(monkeypatch, ["_indexed_product"])
+    for sign in SIGNS:
+        with pytest.raises(ResourceCapError, match="^2\\^21 exceeds .* of 1000000 cosets$"):
+            verify_oracle(sign, P2, 21)
 
 
 @pytest.mark.parametrize(

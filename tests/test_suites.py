@@ -5,6 +5,7 @@ import collections
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from pmlog.base import ENUMERATION_CAP, ResourceCapError, Sign
 from pmlog.bivariate import biamice_check
 from pmlog.cyclotomic import CyclotomicElement
 from pmlog.digits import Prime
-from pmlog.distribution import DistValue, amice_level, verify_additivity
+from pmlog.distribution import DistValue, amice_level, verify_additivity, verify_oracle
 from pmlog.report import VerificationReport
 from pmlog.series import SeriesPrecision, verify_product_identity
 from level_rows import rows
@@ -59,8 +60,7 @@ def refuse_any_work(monkeypatch):
         raise AssertionError("a suite ran before every cap was checked")
 
     for name in (
-        "mu_oracle_level",
-        "mu_level",
+        "verify_oracle",
         "verify_additivity",
         "amice_level",
         "biamice_check",
@@ -113,10 +113,11 @@ def test_run_suite_rejects_an_unknown_suite():
 
 def library_levels(name, p, max_n, prec):
     # The library check behind each suite, called in the registry's order.
-    if name == "additivity":
+    if name in ("oracle", "additivity"):
+        check = verify_oracle if name == "oracle" else verify_additivity
         for sign in Sign:
             for n in range(1, max_n + 1):
-                yield verify_additivity(sign, p, n)
+                yield check(sign, p, n)
     elif name == "amice":
         for sign in Sign:
             for n in range(1, max_n + 1):
@@ -132,7 +133,7 @@ def library_levels(name, p, max_n, prec):
 
 @pytest.mark.parametrize("max_n", [1, 3])
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("name", ["additivity", "amice", "biamice", "logproduct"])
+@pytest.mark.parametrize("name", ["oracle", "additivity", "amice", "biamice", "logproduct"])
 def test_the_registry_adds_only_the_suite_prefix(name, p, max_n):
     prec = SeriesPrecision(t_prec=6, p_prec=4)
     report = suites.run_suite(name, Prime(p), max_n, prec)
@@ -141,6 +142,29 @@ def test_the_registry_adds_only_the_suite_prefix(name, p, max_n):
     assert report.blocks == [(name, levels)]
     inputs = [case["input"] for case in report.to_json_dict()["cases"]]
     assert inputs == [f"{name}: {i}" for i, *_ in rows(*levels)]
+
+
+def signs_and_level(case_input):
+    # The sign tuple and level n of a case's input: () for no sign, as in
+    # logproduct's T^<k>, whose one level is built at n = 1.
+    signs = re.search(r"\bsign=([+-]+) ", case_input)
+    n = re.search(r"\bn=(\d+)\b", case_input)
+    return (
+        tuple(map(Sign.from_str, signs[1])) if signs else (),
+        int(n[1]) if n else 1,
+    )
+
+
+@pytest.mark.parametrize("p,max_n", [(2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_every_suite_puts_out_its_levels_sign_tuple_by_sign_tuple_then_n_by_n(name, p, max_n):
+    report = suites.run_suite(name, Prime(p), max_n, SeriesPrecision(t_prec=6, p_prec=4))
+    inputs = [case["input"] for case in report.to_json_dict()["cases"]]
+    assert all(i.startswith(f"{name}: ") for i in inputs)
+    groups = [key for key, _ in itertools.groupby(map(signs_and_level, inputs))]
+    d = len(groups[0][0])
+    levels = range(1, max_n + 1) if suites.SUITES[name][0] else [1]
+    assert groups == [(s, n) for s in itertools.product(Sign, repeat=d) for n in levels]
 
 
 @pytest.mark.parametrize("module", [distribution, bivariate, series])
@@ -180,6 +204,13 @@ def test_amice_suites_build_each_support_and_right_side_once_per_level(
         (s, k, p, n) for s in Sign for n in range(1, 4) for k in range(1, n + 1)
     )
     assert (supports.total(), rights.total()) == total
+
+
+@pytest.mark.parametrize("name", ["oracle", "additivity"])
+def test_sign_suites_build_each_sign_and_level_once(monkeypatch, name):
+    calls = count_calls(monkeypatch, f"verify_{name}")
+    assert suites.run_suite(name, Prime(3), 3, SeriesPrecision(t_prec=8, p_prec=6)).passed
+    assert calls == collections.Counter((s, 3, n) for s in Sign for n in range(1, 4))
 
 
 def count_amice_work(monkeypatch):
@@ -264,9 +295,11 @@ def count_declared_work(monkeypatch, name):
     # the units their declared costs count: for oracle, the p^n cosets
     # mu_oracle_level folds and the terms of the product it reads; for
     # additivity, the p^n parents and p^(n+1) children verify_additivity
-    # values with the digit test.
+    # values with the digit test.  verify_oracle calls mu_oracle_level in
+    # distribution, and the suite calls verify_additivity in suites.
     work, running = collections.Counter(), []
     check = {"oracle": "mu_oracle_level", "additivity": "verify_additivity"}[name]
+    holder = {"oracle": distribution, "additivity": suites}[name]
     inner = {"oracle": "_indexed_product", "additivity": "digit_test_level"}[name]
     real_check, real_inner = getattr(distribution, check), getattr(distribution, inner)
 
@@ -285,7 +318,7 @@ def count_declared_work(monkeypatch, name):
         work[running[-1]] += len(result)
         return result
 
-    monkeypatch.setattr(suites, check, level)
+    monkeypatch.setattr(holder, check, level)
     monkeypatch.setattr(distribution, inner, counted)
     return work
 
