@@ -36,7 +36,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import add, mul
+from itertools import repeat
+from operator import add, mul, sub
 
 from .base import Level, Sign, Value, check_cap, level, pval, store_fields
 from .digits import Prime
@@ -89,13 +90,79 @@ class TruncatedSeries(Value, fields=("p", "prec", "nums", "den")):
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The product truncated at t_prec: the numerators convolved by
+        _convolve (a schoolbook sum, or one packed big-integer product where
+        the operands' shape favours it), the denominators multiplied."""
         if self.p != other.p or self.prec != other.prec:
             raise ValueError("series have different primes or precisions")
-        a, b = self.nums, other.nums
-        # T^k collects the pairs (i, k - i); the reversed slice lines them
-        # up so each sum runs in C.
-        nums = tuple(sum(map(mul, a[: k + 1], b[k::-1])) for k in range(self.prec.t_prec))
+        nums = _convolve(self.nums, other.nums)
         return TruncatedSeries(self.p, self.prec, nums, self.den * other.den)
+
+
+def _convolve(a: tuple, b: tuple) -> tuple:
+    """The first n = len(a) = len(b) coefficients of the product of the
+    integer polynomials a and b, by the route their shape favours: one packed
+    product (_kronecker) where n >= 16 and the bit sum s = max bits(a_i) +
+    max bits(b_i) is at most 4 (n + 16), the schoolbook sum elsewhere.
+
+    Packed time over schoolbook time, per call, best of 7, with both
+    operands of s/2 bits (Python 3.11, one core of a 2-CPU host):
+
+        n   s: 16   64  128  192  256  384  512  768 1024 2048
+          8   1.53 1.21 1.35 1.49 1.63 1.71 2.19 2.40 2.33 2.33
+         12   1.18 0.88 1.01 1.13 1.30 1.53 1.79 2.10 1.93 2.03
+         16   0.93 0.58 0.86 0.94 1.22 1.36 1.76 1.90 1.74 1.87
+         24   0.71 0.48 0.64 0.78 1.00 1.22 1.56 1.62 1.55 1.68
+         32   0.55 0.41 0.52 0.71 0.95 1.11 1.50 1.66 1.50 1.66
+         48   0.41 0.29 0.44 0.55 0.71 0.90 1.17 1.30 1.15 1.32
+         64   0.33 0.22 0.33 0.46 0.63 0.79 1.14 1.13 1.05 1.19
+         96   0.22 0.17 0.26 0.37 0.51 0.66 0.85 1.01 0.84 0.99
+        128   0.20 0.15 0.24 0.35 0.48 0.68 0.81 0.87 0.85 0.91
+        200   0.14 0.11 0.20 0.27 0.38 0.51 0.67 0.76 0.64 0.75
+
+    The packed route pays a fixed cost per slot and one product of about
+    2 n s bits, which CPython multiplies by Karatsuba; the schoolbook route
+    pays n (n + 1) / 2 Python-level products.  So packing wins at many
+    small coefficients and loses at few or large ones; the rule takes it
+    only where the grid reads below 1 with a margin.
+    """
+    n = len(a)
+    if n >= 16:
+        bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+        if bits <= 4 * (n + 16):
+            return _kronecker(a, b, bits)
+    # T^k collects the pairs (i, k - i); the reversed slice lines them up
+    # so each sum runs in C.
+    return tuple(sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n))
+
+
+def _kronecker(a: tuple, b: tuple, bits: int) -> tuple:
+    # Kronecker substitution (Schoenhage, EUROCAM 1982; Harvey, J. Symbolic
+    # Comput. 44, 2009): a polynomial x becomes the integer sum x_i 2^(W i),
+    # so one integer product holds every convolution sum in its W-bit
+    # slots.  Each sum has at most n terms, each below 2^bits in size, so
+    # W = bits + bits(n) + 1, rounded up to whole bytes, holds it and a
+    # sign.  Adding 2^(W - 1) to each of the low n slots makes every one of
+    # them nonnegative and below 2^W, so they read back byte by byte; the
+    # higher slots are multiples of 2^(W n), which the mask drops.
+    n = len(a)
+    width = (bits + n.bit_length() + 8) // 8
+    size = n * width
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << 8 * size) - 1)
+    data = low.to_bytes(size, "little")
+    slots = [data[i : i + width] for i in range(0, size, width)]
+    return tuple(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
+
+
+def _pack(xs: tuple, width: int) -> int:
+    # sum x_i 256^(width i) for signed x_i below 2^(8 width - 1) in size:
+    # the positive parts packed, less the negative parts' sizes packed.
+    if min(xs) < 0:
+        return _pack([max(x, 0) for x in xs], width) - _pack([max(-x, 0) for x in xs], width)
+    data = b"".join(map(int.to_bytes, xs, repeat(width), repeat("little")))
+    return int.from_bytes(data, "little")
 
 
 def phi_shifted(p: Prime, m: int, prec: SeriesPrecision) -> TruncatedSeries:
