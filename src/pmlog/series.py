@@ -29,6 +29,13 @@ product prod_(j <= K) Phi(p, e(j))(1 + T) over p^(K + 1), that product is
 needed only mod p^(p_prec + K + 1), and build_log_pm reduces every factor
 and partial product mod that power: the error of each coefficient it
 returns, omitted tail and reduction together, lies in p^p_prec Z_p.
+
+A product convolves the numerators as plain integers.  Where t_prec >= 16
+and the operands' largest numerators have at most 4 (t_prec + 16) bits
+between them, it packs each operand into one integer (Kronecker
+substitution) and takes one big-integer product; elsewhere it sums the
+pairs schoolbook.  Both routes give the same integers, and the choice reads
+only t_prec and the bit lengths (_convolve has the measured grid).
 """
 
 from __future__ import annotations
@@ -90,9 +97,11 @@ class TruncatedSeries(Value, fields=("p", "prec", "nums", "den")):
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """The product truncated at t_prec: the numerators convolved by
-        _convolve (a schoolbook sum, or one packed big-integer product where
-        the operands' shape favours it), the denominators multiplied."""
+        """The product truncated at t_prec: the denominators multiplied and
+        the numerators convolved by _convolve, as one packed big-integer
+        product where t_prec >= 16 and the largest numerators of the two
+        operands have at most 4 (t_prec + 16) bits together, and as a
+        schoolbook sum elsewhere."""
         if self.p != other.p or self.prec != other.prec:
             raise ValueError("series have different primes or precisions")
         nums = _convolve(self.nums, other.nums)
@@ -109,22 +118,23 @@ def _convolve(a: tuple, b: tuple) -> tuple:
     operands of s/2 bits (Python 3.11, one core of a 2-CPU host):
 
         n   s: 16   64  128  192  256  384  512  768 1024 2048
-          8   1.53 1.21 1.35 1.49 1.63 1.71 2.19 2.40 2.33 2.33
-         12   1.18 0.88 1.01 1.13 1.30 1.53 1.79 2.10 1.93 2.03
-         16   0.93 0.58 0.86 0.94 1.22 1.36 1.76 1.90 1.74 1.87
-         24   0.71 0.48 0.64 0.78 1.00 1.22 1.56 1.62 1.55 1.68
-         32   0.55 0.41 0.52 0.71 0.95 1.11 1.50 1.66 1.50 1.66
-         48   0.41 0.29 0.44 0.55 0.71 0.90 1.17 1.30 1.15 1.32
-         64   0.33 0.22 0.33 0.46 0.63 0.79 1.14 1.13 1.05 1.19
-         96   0.22 0.17 0.26 0.37 0.51 0.66 0.85 1.01 0.84 0.99
-        128   0.20 0.15 0.24 0.35 0.48 0.68 0.81 0.87 0.85 0.91
-        200   0.14 0.11 0.20 0.27 0.38 0.51 0.67 0.76 0.64 0.75
+          8   0.98 1.24 1.76 0.99 1.39 1.99 1.99 2.25 2.18 2.45
+         12   0.63 0.77 0.92 1.08 1.18 1.50 2.83 2.02 2.02 2.13
+         16   0.81 0.60 0.77 0.90 1.14 1.38 1.75 1.88 1.74 1.92
+         24   0.60 0.44 0.60 0.72 0.92 1.14 1.42 1.61 1.48 1.69
+         32   0.48 0.35 0.49 0.62 0.87 1.09 1.40 1.48 1.40 1.61
+         48   0.34 0.26 0.40 0.50 0.67 0.90 1.09 1.29 1.08 1.30
+         64   0.27 0.21 0.33 0.45 0.62 1.20 1.09 1.12 1.09 1.24
+         96   0.19 0.16 0.26 0.36 0.50 0.68 0.84 0.97 0.84 1.00
+        128   0.18 0.14 0.24 0.34 0.46 0.62 0.79 0.90 0.85 0.99
+        200   0.12 0.11 0.19 0.26 0.37 0.49 0.63 0.73 0.64 0.76
 
-    The packed route pays a fixed cost per slot and one product of about
-    2 n s bits, which CPython multiplies by Karatsuba; the schoolbook route
-    pays n (n + 1) / 2 Python-level products.  So packing wins at many
-    small coefficients and loses at few or large ones; the rule takes it
-    only where the grid reads below 1 with a margin.
+    The packed route pays a fixed cost per slot and one product of two
+    integers of about n s bits, which CPython multiplies by Karatsuba; the
+    schoolbook route pays n (n + 1) / 2 Python-level products.  So packing
+    wins at many small coefficients and loses at few or large ones.  The rule takes it
+    where every cell reads 0.81 or less; an earlier run of the same grid
+    read 0.88-1.18 at n = 12, so the threshold stays at 16.
     """
     n = len(a)
     if n >= 16:

@@ -111,10 +111,11 @@ def test_phi_shifted_switches_at_three_times_p_minus_one(p, t_prec, monkeypatch)
 def textbook_mul(x, y):
     # the reference product: a Fraction double loop
     n = x.prec.t_prec
+    xs, ys = x.coeffs, y.coeffs
     coeffs = [Fraction(0)] * n
     for i in range(n):
         for j in range(n - i):
-            coeffs[i + j] += x.coeffs[i] * y.coeffs[j]
+            coeffs[i + j] += xs[i] * ys[j]
     return tuple(coeffs)
 
 
@@ -133,15 +134,26 @@ def random_series(rng, p, prec):
     return TruncatedSeries.from_coefficients(p, prec, coeffs)
 
 
+def count_packed_products(monkeypatch):
+    # the argument tuples of every call of the packed route from here on
+    calls = []
+    kronecker = series._kronecker
+    monkeypatch.setattr(series, "_kronecker", lambda *args: calls.append(args) or kronecker(*args))
+    return calls
+
+
 @pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 5, 7, 11, 13)])
-def test_mul_matches_textbook_product(p):
+def test_mul_matches_textbook_product(p, monkeypatch):
+    # t_prec up to 64 reaches both sides of _convolve's rule
+    packed = count_packed_products(monkeypatch)
     rng = random.Random(int(p))
     for _ in range(40):
-        prec = SeriesPrecision(rng.randint(1, 12), rng.randint(1, 10))
+        prec = SeriesPrecision(rng.randint(1, 64), rng.randint(1, 10))
         x, y = random_series(rng, p, prec), random_series(rng, p, prec)
         product = x * y
         assert product.coeffs == textbook_mul(x, y)
         assert all(type(c) is Fraction for c in product.coeffs)
+    assert 0 < len(packed) < 40
 
 
 def cap_cases(p):
@@ -181,6 +193,136 @@ def test_mul_with_all_zero_operand():
     product = x * y
     assert product.coeffs == (Fraction(0),) * 8 == textbook_mul(x, y)
     assert (product.nums, product.den) == ((0,) * 8, 1)
+
+
+def schoolbook(a, b):
+    # the first len(a) coefficients of the product, one pair at a time
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a)))
+
+
+def operand(rng, n, bits):
+    # n signed integers below 2^bits in size, one of them exactly bits long
+    xs = [rng.randint(-(2**bits) + 1, 2**bits - 1) for _ in range(n)]
+    xs[rng.randrange(n)] = rng.choice((-1, 1)) * (2 ** (bits - 1) + rng.getrandbits(bits - 1))
+    return tuple(xs)
+
+
+def both_routes(a, b):
+    # _convolve's choice, and the packed route whatever the rule says
+    bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+    return series._convolve(a, b), series._kronecker(a, b, bits)
+
+
+KERNEL_LENGTHS = [1, 2, 3, 8, 15, 16, 17, 24, 48, 64, 127, 128, 200]
+KERNEL_BITS = [1, 2, 7, 8, 9, 50, 64, 100, 1000, 5000, 20000]
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_both_routes_equal_the_schoolbook_sum_on_signed_operands(n):
+    rng = random.Random(n)
+    # every pair whose schoolbook reference stays cheap, which includes
+    # (1, 20000) at every n and (20000, 20000) up to n = 16
+    pairs = [(x, y) for x in KERNEL_BITS for y in KERNEL_BITS if x <= y and n * n * x * y <= 10**9]
+    pairs += [(20000, 20000)] if n <= 16 else []
+    for bits_a, bits_b in pairs:
+        a, b = operand(rng, n, bits_a), operand(rng, n, bits_b)
+        expected = schoolbook(a, b)
+        assert both_routes(a, b) == (expected, expected), (n, bits_a, bits_b)
+        assert both_routes(b, a) == (expected, expected), (n, bits_b, bits_a)
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_both_routes_on_zero_operands(n):
+    zero = (0,) * n
+    b = operand(random.Random(n), n, 64)
+    assert both_routes(zero, zero) == (zero, zero)
+    assert both_routes(zero, b) == both_routes(b, zero) == (zero, zero)
+
+
+def test_both_routes_at_t_prec_1():
+    for x in (0, 1, -1, 2**64 - 1, -(3**4000), 5**9000):
+        for y in (0, -1, 7, 2**20000 + 1, -(2**63)):
+            assert both_routes((x,), (y,)) == ((x * y,), (x * y,))
+
+
+@pytest.mark.parametrize("p", [Prime(q) for q in (2, 3, 13)])
+@pytest.mark.parametrize("n", [16, 63, 64, 127, 128, 200])
+def test_both_routes_carry_a_maximal_sum_in_every_slot(p, n):
+    # every coefficient p^N - 1, or its negative: the T^k sum is +-(k + 1)
+    # (p^N - 1)^2, the largest a slot must hold, at several slot widths
+    for digits in (1, 5, 16, 17, 24, 48):
+        top = p**digits - 1
+        for sign in (1, -1):
+            a, b = (top,) * n, (sign * top,) * n
+            expected = tuple(sign * (k + 1) * top * top for k in range(n))
+            assert schoolbook(a, b) == expected
+            assert both_routes(a, b) == (expected, expected), (p, n, digits, sign)
+            assert both_routes(b, a) == (expected, expected), (p, n, digits, sign)
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_both_routes_with_a_negative_coefficient_in_every_slot(n):
+    rng = random.Random(n + 1)
+    for bits_a, bits_b in [(1, 1), (8, 9), (50, 50), (64, 100), (1000, 7)]:
+        a = tuple(-abs(x) or -1 for x in operand(rng, n, bits_a))
+        for b in (operand(rng, n, bits_b), tuple(-abs(x) or -1 for x in operand(rng, n, bits_b))):
+            expected = schoolbook(a, b)
+            assert both_routes(a, b) == (expected, expected), (n, bits_a, bits_b)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 64, 128])
+def test_both_routes_with_one_tiny_and_one_huge_operand(n):
+    rng = random.Random(n + 2)
+    tiny = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+    huge = operand(rng, n, 20000)
+    expected = schoolbook(tiny, huge)
+    assert both_routes(tiny, huge) == both_routes(huge, tiny) == (expected, expected)
+
+
+def bits_operand(n, bits):
+    # n coefficients whose largest is exactly bits long
+    return (2**bits - 1,) + (1,) * (n - 1)
+
+
+@pytest.mark.parametrize(
+    "n, bits_a, bits_b, packed",
+    [
+        (1, 1, 1, False),
+        (15, 1, 1, False),
+        (15, 8, 8, False),
+        (16, 1, 1, True),
+        (16, 64, 64, True),
+        (16, 64, 65, False),
+        (24, 100, 60, True),
+        (24, 100, 61, False),
+        (64, 160, 160, True),
+        (64, 161, 160, False),
+        (200, 1, 863, True),
+        (200, 1, 864, False),
+        (200, 20000, 20000, False),
+    ],
+)
+def test_the_packed_route_is_taken_exactly_where_the_rule_says(n, bits_a, bits_b, packed,
+                                                               monkeypatch):
+    # both routes give the same integers, so only a count tells them apart:
+    # packed where n >= 16 and the bit sum is at most 4 (n + 16)
+    calls = count_packed_products(monkeypatch)
+    a, b = bits_operand(n, bits_a), bits_operand(n, bits_b)
+    assert series._convolve(a, b) == schoolbook(a, b)
+    assert len(calls) == packed
+
+
+@pytest.mark.parametrize("t_prec, p_prec, packed", [(40, 24, True), (8, 100, False)])
+def test_the_product_operator_takes_the_packed_route_by_shape(t_prec, p_prec, packed,
+                                                              monkeypatch):
+    # the benchmark's (2, 40, 24) packs every product of the build and of
+    # the identity; t_prec 8 packs none
+    calls = count_packed_products(monkeypatch)
+    prec = SeriesPrecision(t_prec, p_prec)
+    plus, minus = (build_log_pm(Prime(2), sign, prec) for sign in Sign)
+    products = sum(factor_count(Prime(2), sign, prec) - 1 for sign in Sign) + 1
+    assert (plus * minus).coeffs == textbook_mul(plus, minus)
+    assert len(calls) == (products if packed else 0)
 
 
 def test_equal_series_may_hold_different_numerators():
