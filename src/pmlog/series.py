@@ -32,10 +32,19 @@ returns, omitted tail and reduction together, lies in p^p_prec Z_p.
 
 A product convolves the numerators as plain integers.  Where t_prec >= 16
 and the operands' largest numerators have at most 4 (t_prec + 16) bits
-between them, it packs each operand into one integer (Kronecker
+between them (_packs), it packs each operand into one integer (Kronecker
 substitution) and takes one big-integer product; elsewhere it sums the
 pairs schoolbook.  Both routes give the same integers, and the choice reads
 only t_prec and the bit lengths (_convolve has the measured grid).
+
+build_log_pm applies the same rule to its modulus M, with 2 bits(M) as the
+bit sum.  Where that packs, the partial product stays one packed integer
+from the first factor to the last: each step is one product, a mask and a
+Barrett reduction of every slot at once (_packed_mulmod), which leaves each
+slot in [0, 3M) and never carries across a slot boundary; the slots are
+read back and reduced mod M once, at the end.  Elsewhere each step
+convolves two tuples and reduces every numerator mod M.  Both give the
+same numerators.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, mod, mul, sub
 
 from .base import Level, Sign, Value, check_cap, level, pval, store_fields
 from .digits import Prime
@@ -139,7 +148,7 @@ def _convolve(a: tuple, b: tuple) -> tuple:
     n = len(a)
     if n >= 16:
         bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
-        if bits <= 4 * (n + 16):
+        if _packs(n, bits):
             return _kronecker(a, b, bits)
     # T^k collects the pairs (i, k - i); the reversed slice lines them up
     # so each sum runs in C.
@@ -161,9 +170,13 @@ def _kronecker(a: tuple, b: tuple, bits: int) -> tuple:
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
     low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << 8 * size) - 1)
-    data = low.to_bytes(size, "little")
-    slots = [data[i : i + width] for i in range(0, size, width)]
-    return tuple(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
+    return tuple(map(sub, _unpack(low, width, n), repeat(half)))
+
+
+def _packs(n: int, bits: int) -> bool:
+    """The packed route's rule, for n coefficients whose largest numerators
+    have bits bits between the two operands (_convolve has the grid)."""
+    return n >= 16 and bits <= 4 * (n + 16)
 
 
 def _pack(xs: tuple, width: int) -> int:
@@ -173,6 +186,51 @@ def _pack(xs: tuple, width: int) -> int:
         return _pack([max(x, 0) for x in xs], width) - _pack([max(-x, 0) for x in xs], width)
     data = b"".join(map(int.to_bytes, xs, repeat(width), repeat("little")))
     return int.from_bytes(data, "little")
+
+
+def _unpack(x: int, width: int, n: int):
+    # the n slots of width bytes of an x in [0, 256^(width n)), low slot first
+    data = x.to_bytes(n * width, "little")
+    slots = [data[i : i + width] for i in range(0, n * width, width)]
+    return map(int.from_bytes, slots, repeat("little"))
+
+
+def _packed_mulmod(n: int, modulus: int):
+    """The slot width w in bytes and the step of the packed build mod M =
+    modulus: step(a, f) is the low n slots of a f, each slot reduced to a
+    residue of the same class in [0, 3M), for a with n slots in [0, 3M) and
+    f with n slots in [0, M), both packed by _pack(xs, w).
+
+    With s = bits(M) - 1, so 2^s <= M < 2^(s + 1), b = bits(3 n), v = s + 2
+    + b, R = floor(2^(s + v) / M) and 8 w >= 2 v + 1 bits per slot:
+      * c_k = sum_(i <= k) a_i f_(k - i) <= n (3M - 1)(M - 1) < 3 n M^2
+        < 2^(b + 2s + 2) = 2^(s + v) < 2^(8 w), so the product carries across
+        no slot and the mask keeps exactly c_0 .. c_(n - 1).
+      * x_k = floor(c_k / 2^s) < 2^v: shifted right by s, slot k holds x_k
+        in its low 8 w - s > v bits, under the low bits of c_(k + 1), and
+        the v-bit mask leaves x_k.
+      * R <= 2^v, as M >= 2^s, so x_k R < 2^(2v) < 2^(8 w) carries across
+        no slot; shifted right by v and masked, slot k is q_k = floor(x_k R
+        / 2^v) <= x_k < 2^v.
+      * q_k <= (c_k / 2^s)(2^(s + v) / M) / 2^v = c_k / M, so q_k M <= c_k:
+        Q M carries across no slot and c_k - q_k M >= 0 borrows from none.
+      * Where c_k >= 2^s, x_k > c_k / 2^s - 1 >= 0 and R > 2^(s + v) / M - 1
+        > 0, so x_k R / 2^v > c_k / M - c_k / 2^(s + v) - 2^s / M > c_k / M
+        - 2 and q_k > c_k / M - 3: c_k - q_k M < 3M.  Where c_k < 2^s, q_k
+        = 0 and c_k < M.
+    """
+    s = modulus.bit_length() - 1
+    v = s + 2 + (3 * n).bit_length()
+    width = (2 * v + 8) // 8
+    mask = int.from_bytes(((1 << v) - 1).to_bytes(width, "little") * n, "little")
+    keep = (1 << 8 * width * n) - 1
+    r = (1 << s + v) // modulus
+
+    def step(a: int, f: int) -> int:
+        c = a * f & keep
+        return c - ((((c >> s) & mask) * r >> v) & mask) * modulus
+
+    return width, step
 
 
 def phi_shifted(p: Prime, m: int, prec: SeriesPrecision) -> TruncatedSeries:
@@ -254,18 +312,36 @@ def build_log_pm(p: Prime, sign: Sign, prec: SeriesPrecision) -> TruncatedSeries
     """The plus or minus logarithm mod p^p_prec in every coefficient: (1/p)
     times the K = factor_count factors Phi(p, e(j))(1 + T) / p, e(j) = 2j
     (plus) or 2j - 1 (minus), with every factor and partial product reduced
-    mod p^(p_prec + K + 1) and one division by p^(K + 1) at the end.  That
-    modulus is a multiple of p^(K + 1), so the gcd with p^(K + 1) and the
-    denominator are the exact product's."""
+    mod M = p^(p_prec + K + 1) and one division by p^(K + 1) at the end.  M
+    is a multiple of p^(K + 1), so the gcd with p^(K + 1) and the
+    denominator are the exact product's.
+
+    Where _packs(t_prec, 2 bits(M)), the partial product is one packed
+    integer throughout: each reduced factor is packed once into slots wide
+    enough for a product of a [0, 3M) slot and a [0, M) slot summed t_prec
+    times, each step reduces every slot into [0, 3M) in packed form
+    (_packed_mulmod has the bound), and the slots are read back and reduced
+    mod M once.  Elsewhere each step convolves two tuples of residues and
+    reduces the result mod M.  Both give the numerators of the product mod
+    M in [0, M)."""
     count = factor_count(p, sign, prec)  # >= 1, as p_prec >= 1
     modulus = p ** (prec.p_prec + count + 1)
-
-    def cut(s: TruncatedSeries) -> TruncatedSeries:
-        return TruncatedSeries(p, prec, tuple(c % modulus for c in s.nums), 1)
-
-    factors = (cut(phi_shifted(p, 2 * j - sign.parity, prec)) for j in range(1, count + 1))
-    product = functools.reduce(lambda a, b: cut(a * b), factors)
-    return TruncatedSeries(p, prec, product.nums, p ** (count + 1))
+    n = prec.t_prec
+    factors = (
+        tuple(map(mod, phi_shifted(p, 2 * j - sign.parity, prec).nums, repeat(modulus)))
+        for j in range(1, count + 1)
+    )
+    # Outside the rule a packed build was measured 1.4-2.7 times slower, at
+    # (p, t_prec, p_prec) = (2, 24, 1500), (5, 3, 5000) and (13, 8, 1000).
+    if _packs(n, 2 * modulus.bit_length()):
+        width, step = _packed_mulmod(n, modulus)
+        product = functools.reduce(step, (_pack(f, width) for f in factors))
+        nums = tuple(map(mod, _unpack(product, width, n), repeat(modulus)))
+    else:
+        nums = functools.reduce(
+            lambda a, b: tuple(map(mod, _convolve(a, b), repeat(modulus))), factors
+        )
+    return TruncatedSeries(p, prec, nums, p ** (count + 1))
 
 
 def verify_product_identity(p: Prime, prec: SeriesPrecision) -> Level:

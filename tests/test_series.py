@@ -312,17 +312,168 @@ def test_the_packed_route_is_taken_exactly_where_the_rule_says(n, bits_a, bits_b
     assert len(calls) == packed
 
 
+def count_packed_steps(monkeypatch):
+    # the t_prec of every step of a packed build from here on
+    steps = []
+    make = series._packed_mulmod
+
+    def counting(n, modulus):
+        width, step = make(n, modulus)
+        return width, lambda a, f: steps.append(n) or step(a, f)
+
+    monkeypatch.setattr(series, "_packed_mulmod", counting)
+    return steps
+
+
 @pytest.mark.parametrize("t_prec, p_prec, packed", [(40, 24, True), (8, 100, False)])
 def test_the_product_operator_takes_the_packed_route_by_shape(t_prec, p_prec, packed,
                                                               monkeypatch):
-    # the benchmark's (2, 40, 24) packs every product of the build and of
-    # the identity; t_prec 8 packs none
+    # the benchmark's (2, 40, 24) builds each logarithm as one packed
+    # integer, K - 1 packed steps and no _kronecker call, and packs the
+    # identity's one product; t_prec 8 packs none
     calls = count_packed_products(monkeypatch)
+    steps = count_packed_steps(monkeypatch)
     prec = SeriesPrecision(t_prec, p_prec)
     plus, minus = (build_log_pm(Prime(2), sign, prec) for sign in Sign)
-    products = sum(factor_count(Prime(2), sign, prec) - 1 for sign in Sign) + 1
+    assert calls == []
+    builds = sum(factor_count(Prime(2), sign, prec) - 1 for sign in Sign)
     assert (plus * minus).coeffs == textbook_mul(plus, minus)
-    assert len(calls) == (products if packed else 0)
+    assert (len(steps), len(calls)) == ((builds, 1) if packed else (0, 0))
+
+
+@pytest.mark.parametrize("t_prec, p_prec, packed", [(16, 39, True), (16, 40, False), (15, 1, False)])
+def test_the_build_packs_exactly_where_the_rule_says(t_prec, p_prec, packed, monkeypatch):
+    # at p = 2 and t_prec 16, p_prec 39 puts 2 bits(M) at the rule's edge of
+    # 4 (16 + 16) = 128 bits and p_prec 40 one bit-length past it; t_prec 15
+    # packs at no M
+    steps = count_packed_steps(monkeypatch)
+    prec = SeriesPrecision(t_prec, p_prec)
+    for sign in Sign:
+        count = factor_count(Prime(2), sign, prec)
+        assert (t_prec == 16 and 2 * (p_prec + count + 2) <= 128) == packed
+        del steps[:]
+        built = build_log_pm(Prime(2), sign, prec)
+        assert len(steps) == (count - 1 if packed else 0)
+        exact = exact_log_pm(Prime(2), sign, prec, count)
+        assert (built.den, dump_dict(built, sign)) == (exact.den, dump_dict(exact, sign))
+
+
+def test_convolve_and_the_build_read_one_predicate(monkeypatch):
+    # _packs alone decides both routes, asked by the build with 2 bits(M)
+    # and by each product with its operands' bit sum: forced off, nothing
+    # packs at (40, 24), where the build and its square pack, and forced on,
+    # everything packs at (16, 40), where the build does not
+    p, sign = Prime(2), Sign.PLUS
+    for prec, forced in ((SeriesPrecision(40, 24), False), (SeriesPrecision(16, 40), True)):
+        expected = build_log_pm(p, sign, prec)
+        product = expected * expected
+        calls, steps = count_packed_products(monkeypatch), count_packed_steps(monkeypatch)
+        asked = []
+        monkeypatch.setattr(series, "_packs", lambda n, bits: asked.append((n, bits)) or forced)
+        built = build_log_pm(p, sign, prec)
+        assert (built, built * built) == (expected, product)
+        count = factor_count(p, sign, prec)
+        assert (len(steps), len(calls)) == ((count - 1, 1) if forced else (0, 0))
+        # forced off, the build convolves its K - 1 steps through _convolve
+        assert len(asked) == (2 if forced else count + 1)
+        modulus = p ** (prec.p_prec + count + 1)
+        assert asked[0] == (prec.t_prec, 2 * modulus.bit_length())
+        assert asked[-1] == (prec.t_prec, 2 * max(map(int.bit_length, built.nums)))
+        monkeypatch.undo()
+
+
+def packed_step(acc, factor, modulus):
+    # one step of the packed build on these slots, read back as integers
+    n = len(acc)
+    width, step = series._packed_mulmod(n, modulus)
+    packed = step(series._pack(acc, width), series._pack(factor, width))
+    return list(series._unpack(packed, width, n))
+
+
+def check_packed_step(acc, factor, modulus):
+    # slot by slot the schoolbook product mod M, each slot in [0, 3M)
+    out = packed_step(acc, factor, modulus)
+    assert [c % modulus for c in out] == [c % modulus for c in schoolbook(acc, factor)]
+    assert all(0 <= c < 3 * modulus for c in out), (len(acc), modulus)
+    return out
+
+
+# p-powers, p = 2 among them, and odd M at both ends of [2^s, 2^(s + 1))
+STEP_MODULI = [p**e for p in (2, 3, 13, 101) for e in (3, 10, 40, 200)]
+STEP_MODULI += [2**s + 1 for s in (1, 8, 63, 64, 500)] + [2 ** (s + 1) - 1 for s in (1, 8, 63, 64, 500)]
+STEP_LENGTHS = [1, 2, 15, 16, 17, 48, 127, 200]
+
+
+@pytest.mark.parametrize("n", STEP_LENGTHS)
+def test_the_packed_step_reduces_random_operands(n):
+    rng = random.Random(n + 3)
+    for modulus in STEP_MODULI:
+        for _ in range(3):
+            acc = [rng.randrange(3 * modulus) for _ in range(n)]
+            factor = [rng.randrange(modulus) for _ in range(n)]
+            check_packed_step(acc, factor, modulus)
+
+
+@pytest.mark.parametrize("n", STEP_LENGTHS)
+def test_the_packed_step_holds_the_largest_slots(n):
+    # every accumulator slot 3M - 1 and every factor slot M - 1: the largest
+    # sums, n (3M - 1)(M - 1), that the slot width must hold
+    for modulus in STEP_MODULI:
+        top = check_packed_step([3 * modulus - 1] * n, [modulus - 1] * n, modulus)
+        check_packed_step(top, [modulus - 1] * n, modulus)
+
+
+def test_the_packed_step_at_the_rules_bit_edge():
+    # t_prec 16 and M of 64 bits, 2 bits(M) = 4 (16 + 16): the largest M the
+    # build packs at t_prec 16, at p = 2, 3 and an odd M just below 2^64
+    rng = random.Random(16)
+    for modulus in (2**63, 3**40, 2**64 - 1):
+        assert series._packs(16, 2 * modulus.bit_length())
+        assert not series._packs(16, 2 * (2 * modulus).bit_length())
+        check_packed_step([3 * modulus - 1] * 16, [modulus - 1] * 16, modulus)
+        for _ in range(20):
+            acc = [rng.randrange(3 * modulus) for _ in range(16)]
+            check_packed_step(acc, [rng.randrange(modulus) for _ in range(16)], modulus)
+
+
+@pytest.mark.parametrize("modulus", [2**40, 3**30, 13**12, 2**61 + 1])
+def test_a_chain_of_packed_steps_is_the_reduced_product(modulus):
+    # twelve steps on one packed integer, read back and reduced once, against
+    # the same factors convolved and reduced one step at a time
+    rng = random.Random(modulus)
+    n = 24
+    factors = [tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(13)]
+    width, step = series._packed_mulmod(n, modulus)
+    packed = series._pack(factors[0], width)
+    expected = factors[0]
+    for factor in factors[1:]:
+        packed = step(packed, series._pack(factor, width))
+        expected = tuple(c % modulus for c in schoolbook(expected, factor))
+    assert tuple(c % modulus for c in series._unpack(packed, width, n)) == expected
+
+
+RULE_SHAPES = [(8, 6), (15, 10), (16, 1), (16, 4), (24, 10), (40, 24), (16, 60), (24, 40)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101])
+def test_the_build_is_the_exact_product_on_both_sides_of_the_rule(p, monkeypatch):
+    # the same denominator and the same dump as the exact product of as many
+    # factors, whether the build packs (K - 1 steps) or convolves tuples
+    steps = count_packed_steps(monkeypatch)
+    sides = set()
+    for t_prec, p_prec in RULE_SHAPES:
+        prec = SeriesPrecision(t_prec, p_prec)
+        for sign in Sign:
+            count = factor_count(Prime(p), sign, prec)
+            packs = series._packs(t_prec, 2 * (p ** (p_prec + count + 1)).bit_length())
+            del steps[:]
+            built = build_log_pm(Prime(p), sign, prec)
+            assert len(steps) == (count - 1 if packs else 0), (t_prec, p_prec, sign)
+            exact = exact_log_pm(Prime(p), sign, prec, count)
+            assert built.den == exact.den, (t_prec, p_prec, sign)
+            assert dump_dict(built, sign) == dump_dict(exact, sign), (t_prec, p_prec, sign)
+            sides.add(packs)
+    assert sides == {True, False}
 
 
 def test_equal_series_may_hold_different_numerators():
