@@ -188,14 +188,14 @@ def _pack(xs: tuple, width: int) -> int:
     return int.from_bytes(data, "little")
 
 
-def _unpack(x: int, width: int, n: int):
+def _unpack(x: int, width: int, n: int) -> map:
     # the n slots of width bytes of an x in [0, 256^(width n)), low slot first
     data = x.to_bytes(n * width, "little")
     slots = [data[i : i + width] for i in range(0, n * width, width)]
     return map(int.from_bytes, slots, repeat("little"))
 
 
-def _packed_mulmod(n: int, modulus: int):
+def _packed_mulmod(n: int, modulus: int) -> tuple:
     """The slot width w in bytes and the step of the packed build mod M =
     modulus: step(a, f) is the low n slots of a f, each slot reduced to a
     residue of the same class in [0, 3M), for a with n slots in [0, 3M) and

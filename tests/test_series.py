@@ -341,7 +341,9 @@ def test_the_product_operator_takes_the_packed_route_by_shape(t_prec, p_prec, pa
     assert (len(steps), len(calls)) == ((builds, 1) if packed else (0, 0))
 
 
-@pytest.mark.parametrize("t_prec, p_prec, packed", [(16, 39, True), (16, 40, False), (15, 1, False)])
+@pytest.mark.parametrize(
+    "t_prec, p_prec, packed", [(16, 39, True), (16, 40, False), (15, 1, False)]
+)
 def test_the_build_packs_exactly_where_the_rule_says(t_prec, p_prec, packed, monkeypatch):
     # at p = 2 and t_prec 16, p_prec 39 puts 2 bits(M) at the rule's edge of
     # 4 (16 + 16) = 128 bits and p_prec 40 one bit-length past it; t_prec 15
@@ -400,7 +402,8 @@ def check_packed_step(acc, factor, modulus):
 
 # p-powers, p = 2 among them, and odd M at both ends of [2^s, 2^(s + 1))
 STEP_MODULI = [p**e for p in (2, 3, 13, 101) for e in (3, 10, 40, 200)]
-STEP_MODULI += [2**s + 1 for s in (1, 8, 63, 64, 500)] + [2 ** (s + 1) - 1 for s in (1, 8, 63, 64, 500)]
+STEP_MODULI += [2**s + 1 for s in (1, 8, 63, 64, 500)]
+STEP_MODULI += [2 ** (s + 1) - 1 for s in (1, 8, 63, 64, 500)]
 STEP_LENGTHS = [1, 2, 15, 16, 17, 48, 127, 200]
 
 
